@@ -1,7 +1,7 @@
 """Hot inner loops, compiled with numba when available.
 
 Setting the environment variable ``CAPLAB_NO_NUMBA=1`` forces the pure-numpy
-fallback path (the benchmark in benchmarks/bench_kernels.py times both).
+fallback path (same results).
 """
 
 import os
@@ -203,7 +203,8 @@ def min_pairwise_dist(X, values=None, chunk=512):
 # in R^n, carrying value vals[z*m + j].  For each query row we need
 #   min over anchors of  vals + max(max_{c not in {j, m+z}} |q_c|,
 #                                   |q_j - a|, |q_{m+z} - b|)
-# The excluded max comes from the query's top-3 |q_c| entries.
+# The excluded max comes from the query's top-3 |q_c| entries.  Two-hot
+# rows never get here: EncodedMinForm.eval evaluates them in closed form.
 
 @njit(cache=True)
 def _encoded_min_eval_jit(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):

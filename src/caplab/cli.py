@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import complexity, constructions, learner
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -423,12 +423,14 @@ def main(argv=None):
     try:
         cfg = parse_config(argv)
         return dispatch(cfg)
-    except (UsageError, InvalidInputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except (UsageError, InvalidInputError, OSError) as e:
+        message, code = e, EXIT_USAGE
+    except NumericalFailureError as e:
+        message, code = e, EXIT_SCIENCE
+    except MemoryError as e:
+        message, code = str(e) or "out of memory", EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)  # one line, no traceback
+    return code
 
 
 if __name__ == "__main__":

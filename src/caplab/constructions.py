@@ -35,6 +35,48 @@ def labeling_values(y, m, eps):
 # Anchor (j, z) is the vector a*e_j + b*e_{m+z} in R^n with value +/-eps
 # according to bit j of z.  The coordinates a, b are taken from an actual
 # matrix-vector product so evaluation at the encoded points is bit-exact.
+#
+# Every encoded query W_y x_i is two-hot: q_a at coordinate i, q_b at m+y,
+# zero elsewhere.  On such a row each witness is evaluated in closed form,
+# grouping the anchors/pieces by whether they share i and/or y; every other
+# row, and any row with a non-finite entry, takes the dense path.
+
+
+def _split_two_hot(Q, m):
+    """Rows of Q with at most one nonzero among the first m coordinates and
+    at most one among the rest, lying in the first 2^m of those.
+
+    Returns (mask, i, y, q_a, q_b) with q_a = Q[r, i], q_b = Q[r, m+y] for
+    the masked rows r; a row without a nonzero in a block reads index 0."""
+    nz = Q != 0
+    head, tail = nz[:, :m], nz[:, m:]
+    i = head.argmax(axis=1)
+    y = tail.argmax(axis=1)
+    rows = np.arange(Q.shape[0])
+    q_a = Q[rows, i]
+    q_b = Q[rows, m + y]
+    mask = ((np.count_nonzero(head, axis=1) <= 1)
+            & (np.count_nonzero(tail, axis=1) <= 1) & (y < 1 << m)
+            & np.isfinite(q_a) & np.isfinite(q_b))
+    return mask, i[mask], y[mask], q_a[mask], q_b[mask]
+
+
+def _eval_rows(fn, X, chunk):
+    """fn on every row of X, chunk by chunk: two-hot rows through
+    fn._eval_two_hot, the rest through fn._eval_dense."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != fn.n:
+        raise InvalidInputError("dimension mismatch")
+    out = np.empty(X.shape[0])
+    for s in range(0, X.shape[0], chunk):
+        Q = X[s : s + chunk]
+        res = out[s : s + chunk]  # a view: writes land in out
+        fast, i, y, q_a, q_b = _split_two_hot(Q, fn.m)
+        res[fast] = fn._eval_two_hot(i, y, q_a, q_b)
+        if not fast.all():
+            res[~fast] = fn._eval_dense(Q[~fast])
+    return out
+
 
 class EncodedMinForm:
     """Min-form interpolant over the m*2^m encoded points, max metric, slope 1."""
@@ -59,15 +101,36 @@ class EncodedMinForm:
         return self.j_arr.shape[0]
 
     def eval(self, X, chunk=512):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n:
-            raise InvalidInputError("dimension mismatch")
-        out = np.empty(X.shape[0])
-        for s in range(0, X.shape[0], chunk):
-            out[s : s + chunk] = _kernels.encoded_min_eval(
-                X[s : s + chunk], self.j_arr, self.zc_arr, self.vals,
-                self.coord_a, self.coord_b,
-            )
+        return _eval_rows(self, X, chunk)
+
+    def _eval_dense(self, Q):
+        return _kernels.encoded_min_eval(Q, self.j_arr, self.zc_arr, self.vals,
+                                         self.coord_a, self.coord_b)
+
+    def _eval_two_hot(self, i, y, q_a, q_b):
+        """Dense kernel's value on rows q_a*e_i + q_b*e_{m+y}, in closed form.
+
+        The anchors fall into four groups by whether they share i and/or y;
+        within a group the max-metric distance d is one value, so the group
+        contributes fl(min value + d), which equals the dense min over the
+        group because rounding is monotone."""
+        m, eps = self.m, self.eps
+        abs_a, abs_b = np.abs(q_a), np.abs(q_b)
+        da, db = np.abs(q_a - self.coord_a), np.abs(q_b - self.coord_b)
+        a0, b0 = abs(0.0 - self.coord_a), abs(0.0 - self.coord_b)
+        bit_set = ((y >> i) & 1) == 1
+        # (i, y): the anchor nearest the query
+        out = np.where(bit_set, eps, -eps) + np.maximum(da, db)
+        # (i, z != y): some z != y has bit i clear unless m = 1 and y's is clear
+        v = np.where(bit_set | (m >= 2), -eps, eps)
+        out = np.minimum(out, v + np.maximum(np.maximum(abs_b, da), b0))
+        if m >= 2:
+            # (j != i, y): -eps iff y has a clear bit besides i
+            v = np.where((y | (1 << i)) != (1 << m) - 1, -eps, eps)
+            out = np.minimum(out, v + np.maximum(np.maximum(abs_a, a0), db))
+            # (j != i, z != y): some such anchor always carries -eps
+            d = np.maximum(np.maximum(abs_a, abs_b), max(a0, b0))
+            out = np.minimum(out, -eps + d)
         return out
 
     def __call__(self, x):
@@ -111,15 +174,28 @@ class EncodedMaxAffine:
         return self.j_arr.shape[0]
 
     def eval(self, X, chunk=256):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n:
-            raise InvalidInputError("dimension mismatch")
-        out = np.empty(X.shape[0])
-        for s in range(0, X.shape[0], chunk):
-            Q = X[s : s + chunk]
-            piece_vals = 0.5 * (Q[:, self.j_arr] + Q[:, self.zc_arr])
-            out[s : s + chunk] = np.maximum(piece_vals.max(axis=1), self.kappa)
-        return out + self.shift
+        return _eval_rows(self, X, chunk) + self.shift
+
+    def _eval_dense(self, Q):
+        piece_vals = 0.5 * (Q[:, self.j_arr] + Q[:, self.zc_arr])
+        return np.maximum(piece_vals.max(axis=1), self.kappa)
+
+    def _eval_two_hot(self, i, y, q_a, q_b):
+        """Floored max over the pieces on rows q_a*e_i + q_b*e_{m+y}: each
+        piece reads 0.5*(q_a + q_b), 0.5*(q_a + 0), 0.5*(0 + q_b) or 0 by
+        whether it shares i and/or y; only the kinds that exist are taken."""
+        m = self.m
+        bit_set = ((y >> i) & 1) == 1
+        best = np.where(bit_set, 0.5 * (q_a + q_b), -np.inf)
+        # (i, z != y) with bit i of z set: exists unless m = 1 and y's is set
+        best = np.maximum(best, np.where(~bit_set | (m >= 2),
+                                         0.5 * (q_a + 0.0), -np.inf))
+        # (j != i, y) with bit j of y set
+        best = np.maximum(best, np.where((y & ~(1 << i)) != 0,
+                                         0.5 * (0.0 + q_b), -np.inf))
+        if m >= 2:  # (j != i, z != y) with bit j of z set
+            best = np.maximum(best, 0.0)
+        return np.maximum(best, self.kappa)
 
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from caplab import cli
+from caplab.errors import NumericalFailureError
 
 
 def run(args):
@@ -165,3 +166,36 @@ def test_output_not_writable(tmp_path, monkeypatch):
     code = run(["construct", "--kind", "nonzero-init", "--m", "3",
                 "--eps", "0.25", "--out", str(target)])
     assert code == cli.EXIT_USAGE
+
+
+def _construct_m3(tmp_path):
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "nonzero-init", "--m", "3",
+                "--eps", "0.25", "--out", str(a)]) == 0
+    return str(a / "manifest.json")
+
+
+def test_numerical_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    manifest = _construct_m3(tmp_path)
+
+    def diverge(inst):
+        raise NumericalFailureError("power iteration did not converge")
+
+    monkeypatch.setattr(cli.constructions, "verify_shattering", diverge)
+    capsys.readouterr()
+    code = run(["verify", "--instance", manifest, "--out", str(tmp_path / "v")])
+    assert code == cli.EXIT_SCIENCE
+    assert capsys.readouterr().err == "error: power iteration did not converge\n"
+
+
+def test_memory_error_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
+    manifest = _construct_m3(tmp_path)
+
+    def exhaust(inst):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.constructions, "verify_shattering", exhaust)
+    capsys.readouterr()
+    code = run(["verify", "--instance", manifest, "--out", str(tmp_path / "v")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: out of memory\n"

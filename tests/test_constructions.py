@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 
@@ -198,6 +199,30 @@ def test_verify_detects_corruption():
     assert any(y == 5 for (y, i, v) in rep.failures)
 
 
+@pytest.mark.parametrize("kind", ["nonzero-init", "convex"])
+def test_verify_detects_wrong_labeling_encoding(kind):
+    # labeling 5 encodes labeling 4 instead: its queries stay two-hot, so
+    # the closed-form path must be the one that finds the wrong sign
+    inst = cn.nonzero_init_instance(4, 0.25) if kind == "nonzero-init" \
+        else cn.convex_instance(4, 0.2)
+    m, y_bad = inst.m, 5
+    good = inst._witness_supplier
+
+    def corrupt(y):
+        W = good(y)
+        if y == y_bad:
+            W = W.copy()
+            W[[m + y, m + (y ^ 1)]] = W[[m + (y ^ 1), m + y]]
+        return W
+
+    bad = copy.copy(inst)
+    bad._witness_supplier = corrupt
+    assert cn._split_two_hot(inst.points @ corrupt(y_bad).T, m)[0].all()
+    rep = cn.verify_shattering(bad)
+    assert not rep.passed and rep.ball_ok
+    assert (y_bad, 0) in {(y, i) for (y, i, v) in rep.failures}
+
+
 def test_rescale_identity_and_norm_maps():
     inst = cn.nonzero_init_instance(4, 0.25, rescaled=False)
     same = cn.rescale_domain(inst, 1.0)
@@ -226,3 +251,90 @@ def test_manifest_roundtrip():
         clone = cn.instance_from_manifest(inst.manifest())
         assert np.array_equal(clone.points, inst.points)
         assert np.array_equal(clone.witness_for(3), inst.witness_for(3))
+
+
+# ---------------------------------------------------------------------------
+# closed-form evaluation on two-hot rows against the dense path
+
+def _encoded_queries(inst):
+    return np.concatenate([inst.points @ inst.witness_for(y).T
+                           for y in range(inst.num_labelings)])
+
+
+def _probe_rows(m, n, rng, count=300):
+    """All-zero, one-hot and two-hot rows mixing signed zeros, exact values
+    and Gaussian draws, then a few dense rows."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-300, 3.0])
+    R = np.zeros((count, n))
+    for r in range(count):
+        kind = r % 4
+        if kind == 0 and r % 8 == 0:
+            R[r] = -0.0
+        if kind in (1, 3):
+            R[r, rng.integers(0, m)] = rng.choice(special) if r % 2 \
+                else rng.standard_normal()
+        if kind in (2, 3):
+            R[r, m + rng.integers(0, 1 << m)] = rng.choice(special) if r % 3 \
+                else rng.standard_normal()
+    return np.concatenate([R, rng.standard_normal((4, n))])
+
+
+def _dense_min_form(fn, Q):
+    return _kernels.encoded_min_eval(Q, fn.j_arr, fn.zc_arr, fn.vals,
+                                     fn.coord_a, fn.coord_b)
+
+
+def _dense_max_affine(fn, Q):
+    piece_vals = 0.5 * (Q[:, fn.j_arr] + Q[:, fn.zc_arr])
+    return np.maximum(piece_vals.max(axis=1), fn.kappa) + fn.shift
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_min_form_bit_equal_to_dense_kernel(m):
+    rng = np.random.default_rng(m)
+    for eps in (0.1, 0.25, 0.5):
+        inst = cn.nonzero_init_instance(m, eps)
+        Q = np.concatenate([_encoded_queries(inst), _probe_rows(m, inst.n, rng)])
+        fn = inst.witness_fn
+        assert np.array_equal(fn.eval(Q), _dense_min_form(fn, Q)), eps
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_max_affine_bit_equal_to_dense_formula(m):
+    rng = np.random.default_rng(100 + m)
+    # eps = 0.3 is the instance that fails verify; a negative floor lets
+    # the all-zero pieces decide
+    for eps, kappa in ((0.2, 0.5), (0.25, 0.5), (0.3, 0.5), (0.25, -1.0)):
+        inst = cn.convex_instance(m, eps, kappa)
+        Q = np.concatenate([_encoded_queries(inst), _probe_rows(m, inst.n, rng)])
+        fn = inst.witness_fn
+        assert np.array_equal(fn.eval(Q), _dense_max_affine(fn, Q)), (eps, kappa)
+
+
+def test_two_hot_routing(monkeypatch):
+    min_form = cn.nonzero_init_instance(5, 0.25)
+    convex = cn.convex_instance(5, 0.25)
+    m, n = min_form.m, min_form.n
+    for enc in (min_form, convex):
+        def refuse(Q):
+            raise AssertionError(f"{len(Q)} encoded rows took the dense path")
+        monkeypatch.setattr(enc.witness_fn, "_eval_dense", refuse)
+        enc.witness_fn.eval(_encoded_queries(enc))
+        monkeypatch.undo()
+    rng = np.random.default_rng(0)
+    R = np.zeros((6, n))
+    R[0, [1, 2]] = 1.0                # two nonzeros among the first m
+    R[1, [m + 3, m + 7]] = 1.0        # two among the last 2^m
+    R[2, [0, m]] = [np.inf, 1.0]      # two-hot but not finite
+    R[3, [0, m]] = [1.0, np.nan]
+    R[4:] = rng.standard_normal((2, n))
+    assert not cn._split_two_hot(R, m)[0].any()
+    for fn, dense in ((min_form.witness_fn, _dense_min_form),
+                      (convex.witness_fn, _dense_max_affine)):
+        assert np.array_equal(fn.eval(R), dense(fn, R), equal_nan=True)
+    # a nonzero past the 2^m encoding coordinates is not an encoded row
+    wide = cn.EncodedMinForm(3, 3 + 8 + 1, 0.25, 0.5, 1.0)
+    R = np.zeros((1, wide.n))
+    R[0, [0, wide.n - 1]] = [0.5, 1.0]
+    assert not cn._split_two_hot(R, 3)[0].any()
+    assert np.array_equal(wide.eval(R), _dense_min_form(wide, R))
