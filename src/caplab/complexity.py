@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import witness_table
 from .errors import CapacityExceededError, InvalidInputError
 
 ENUMERATE_CAP = 1 << 20
@@ -91,24 +92,6 @@ class MatrixBallClass:
         self.fn = fn
         self.W0 = np.asarray(W0, dtype=np.float64)
         self.B = float(B)
-
-
-def witness_table(inst, block=128):
-    """Value table f(W_y x_i) over all labelings of a shattering instance."""
-    m, n = inst.m, inst.n
-    if inst.num_labelings * m > ENUMERATE_CAP * m:
-        raise CapacityExceededError("instance too large to tabulate")
-    table = np.empty((inst.num_labelings, m))
-    X = inst.points
-    for start in range(0, inst.num_labelings, block):
-        ys = range(start, min(start + block, inst.num_labelings))
-        Q = np.empty((len(ys) * m, n))
-        for k, y in enumerate(ys):
-            Q[k * m : (k + 1) * m] = X @ inst.witness_for(y).T
-        table[start : start + len(ys)] = np.asarray(
-            inst.witness_fn.eval(Q)
-        ).reshape(len(ys), m)
-    return table
 
 
 def instance_class(inst):

@@ -15,6 +15,7 @@ from .numerics import norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
+TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in witness_table
 
 SLACK_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -142,11 +143,6 @@ class EncodedMinForm:
         A[np.arange(self.num_anchors), self.zc_arr] = self.coord_b
         return A
 
-    def anchor_points(self):
-        if self.num_anchors > 1 << 16:
-            return None
-        return self.anchors_dense()
-
     def to_anchored(self):
         return AnchoredLipschitz(self.anchors_dense(), self.vals, self.L, self.metric)
 
@@ -217,12 +213,6 @@ class EncodedMaxAffine:
         else:
             val = self.kappa + self.shift
         return float(val), V
-
-    def directions_dense(self):
-        D = np.zeros((self.num_pieces, self.n))
-        D[np.arange(self.num_pieces), self.j_arr] = 0.5
-        D[np.arange(self.num_pieces), self.zc_arr] += 0.5
-        return D
 
 
 # ---------------------------------------------------------------------------
@@ -541,43 +531,46 @@ class VerifyReport:
     checked_labelings: int
 
 
-def verify_shattering(inst, block=128, max_failures=32):
+def witness_table(inst):
+    """Value table f(W_y x_i), shape (2^m, m), over every labeling y.
+
+    Refuses m > ENUMERATION_M_CAP before any witness is built."""
+    m, n = inst.m, inst.n
+    if m > ENUMERATION_M_CAP:
+        raise CapacityExceededError(
+            f"m={m} > {ENUMERATION_M_CAP}: full enumeration infeasible"
+        )
+    table = np.empty((inst.num_labelings, m))
+    X = inst.points
+    for start in range(0, inst.num_labelings, TABULATE_BLOCK):
+        ys = range(start, min(start + TABULATE_BLOCK, inst.num_labelings))
+        Q = np.empty((len(ys) * m, n))
+        for k, y in enumerate(ys):
+            Q[k * m : (k + 1) * m] = X @ inst.witness_for(y).T
+        table[start : start + len(ys)] = np.asarray(
+            inst.witness_fn.eval(Q)
+        ).reshape(len(ys), m)
+    return table
+
+
+def verify_shattering(inst, max_failures=32):
     """Exhaustively check the margin condition over every labeling and point.
 
     worst_slack is the minimum signed surplus over all 2^m * m checks;
-    the instance passes iff it is >= -1e-12 and the norm declarations hold.
+    the instance passes iff every surplus is >= -1e-12 and the norm
+    declarations hold.  Comparisons are written so that NaN fails.
     """
-    if inst.m > ENUMERATION_M_CAP:
-        raise CapacityExceededError(
-            f"m={inst.m} > {ENUMERATION_M_CAP}: full enumeration infeasible"
-        )
-    m = inst.m
-    eps = inst.margin
-    s = inst.threshold
+    table = witness_table(inst)
+    m, eps, s = inst.m, inst.margin, inst.threshold
+    bits = labeling_bits(np.arange(inst.num_labelings)[:, None], m)
+    slack = np.where(bits == 1, table - (s + eps), (s - eps) - table)
+    ok = slack >= -SLACK_TOL
+    failures = [(int(y), int(i), float(table[y, i]))
+                for y, i in np.argwhere(~ok)[:max_failures]]
     w0_norm = norm(inst.W0, "spectral")
     w0_ok = abs(w0_norm - inst.declared_w0_norm) <= NORM_TOL
-    ball_ok = True
-    worst = np.inf
-    failures = []
-    X = inst.points
-    for start in range(0, inst.num_labelings, block):
-        ys = range(start, min(start + block, inst.num_labelings))
-        Q = np.empty((len(ys) * m, inst.n))
-        for k, y in enumerate(ys):
-            W = inst.witness_for(y)
-            if np.linalg.norm(W - inst.W0) > inst.B + NORM_TOL:
-                ball_ok = False
-            Q[k * m : (k + 1) * m] = X @ W.T
-        vals = np.asarray(inst.witness_fn.eval(Q)).reshape(len(ys), m)
-        for k, y in enumerate(ys):
-            bits = labeling_bits(y, m)
-            slack = np.where(bits == 1, vals[k] - (s + eps), (s - eps) - vals[k])
-            w = float(slack.min())
-            if w < worst:
-                worst = w
-            if (slack < -SLACK_TOL).any() and len(failures) < max_failures:
-                for i in np.nonzero(slack < -SLACK_TOL)[0]:
-                    if len(failures) < max_failures:
-                        failures.append((y, int(i), float(vals[k, i])))
-    passed = worst >= -SLACK_TOL and w0_ok and ball_ok
-    return VerifyReport(passed, worst, failures, w0_ok, ball_ok, inst.num_labelings)
+    ball_ok = all(np.linalg.norm(inst.witness_for(y) - inst.W0)
+                  <= inst.B + NORM_TOL for y in range(inst.num_labelings))
+    passed = bool(ok.all()) and w0_ok and ball_ok
+    return VerifyReport(passed, float(slack.min()), failures, w0_ok, ball_ok,
+                        inst.num_labelings)

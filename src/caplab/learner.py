@@ -144,9 +144,6 @@ class ExperimentTable:
     def append(self, **kw):
         self.rows.append(kw)
 
-    def column(self, name):
-        return [r[name] for r in self.rows]
-
 
 def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
     """SGD excess population risk on the convex instance, per (T, seed).

@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 
-from . import _kernels
 from .errors import BudgetTooSmallError, InvalidInputError
 
 _SERIALIZE_ANCHOR_CAP = 10**6
@@ -93,17 +92,6 @@ class AnchoredLipschitz:
 
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])
-
-    def anchor_points(self):
-        return self.anchors
-
-    def min_separation(self):
-        sep, _ = _kernels.min_pairwise_dist(self.anchors)
-        if self.metric == "infinity":
-            d = _pairwise_dist(self.anchors, "infinity")
-            np.fill_diagonal(d, np.inf)
-            sep = float(d.min())
-        return sep
 
     def to_json(self):
         if self.anchors.shape[0] > _SERIALIZE_ANCHOR_CAP:
@@ -219,11 +207,6 @@ class MaxAffine:
         dirs = [p["direction"] for p in obj["pieces"]]
         offs = [p["offset"] for p in obj["pieces"]]
         return cls(dirs, offs, obj["kappa"], obj["shift"])
-
-
-def max_affine_eval(f, x):
-    """Pointwise evaluation with an explicit dimension check."""
-    return f(np.asarray(x, dtype=np.float64))
 
 
 def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None,

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from caplab import cli
-from caplab.errors import NumericalFailureError
+from caplab import cli, complexity, constructions
+from caplab.errors import CapacityExceededError, NumericalFailureError
 
 
 def run(args):
@@ -199,3 +199,24 @@ def test_memory_error_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     code = run(["verify", "--instance", manifest, "--out", str(tmp_path / "v")])
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys):
+    # m = 15 is a valid lazy instance but 2^15 labelings exceed the
+    # enumeration cap: tabulation must refuse before any witness is built
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "convex", "--m", "15",
+                "--eps", "0.25", "--out", str(a)]) == 0
+
+    def refuse(self, y):
+        raise AssertionError("witness built past the enumeration cap")
+
+    monkeypatch.setattr(constructions.ShatterInstance, "witness_for", refuse)
+    with pytest.raises(CapacityExceededError):
+        complexity.witness_table(constructions.convex_instance(15, 0.25))
+    capsys.readouterr()
+    code = run(["rademacher", "--instance", str(a / "manifest.json"),
+                "--draws", "10", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1

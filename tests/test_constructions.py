@@ -10,8 +10,11 @@ from caplab.errors import CapacityExceededError, InvalidInputError
 
 
 def brute_force_verify(inst):
-    """Independent re-check: loops nested point-major, scalar witness calls."""
+    """Independent re-check: loops nested point-major, scalar witness calls.
+
+    Returns the worst slack and the failing (y, i) pairs in y-major order."""
     worst = math.inf
+    failing = []
     for i in range(inst.m):
         x = inst.points[i]
         for y in range(inst.num_labelings):
@@ -21,7 +24,9 @@ def brute_force_verify(inst):
             s, eps = inst.threshold, inst.margin
             slack = val - (s + eps) if want_pos else (s - eps) - val
             worst = min(worst, slack)
-    return worst
+            if not slack >= -cn.SLACK_TOL:
+                failing.append((y, i))
+    return worst, sorted(failing)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,9 @@ def test_verify_agrees_with_brute_force():
         cn.zero_init_instance(4, 4, 0.25, 4, seed=3),
     ):
         rep = cn.verify_shattering(inst)
-        assert rep.worst_slack == pytest.approx(brute_force_verify(inst), abs=1e-9)
+        worst, failing = brute_force_verify(inst)
+        assert rep.worst_slack == pytest.approx(worst, abs=1e-9)
+        assert failing == []
 
 
 def test_verify_detects_corruption():
@@ -197,6 +204,71 @@ def test_verify_detects_corruption():
     rep = cn.verify_shattering(bad)
     assert not rep.passed
     assert any(y == 5 for (y, i, v) in rep.failures)
+
+
+def test_verify_failures_in_labeling_order_and_capped():
+    # every labeling y encodes y ^ 0b11, so points 0 and 1 take the wrong
+    # sign everywhere: 2 * 64 failing checks, listed y-major, first 32 kept
+    inst = cn.nonzero_init_instance(6, 0.25)
+    m, good = inst.m, inst._witness_supplier
+
+    def corrupt(y):
+        W = good(y).copy()
+        W[[m + y, m + (y ^ 3)]] = W[[m + (y ^ 3), m + y]]
+        return W
+
+    bad = copy.copy(inst)
+    bad._witness_supplier = corrupt
+    rep = cn.verify_shattering(bad)
+    _, failing = brute_force_verify(bad)
+    assert len(failing) == 128
+    assert [(y, i) for (y, i, v) in rep.failures] == failing[:32]
+    assert not rep.passed and rep.ball_ok
+    assert len(cn.verify_shattering(bad, max_failures=5).failures) == 5
+
+
+class _NanWitness:
+    """Wraps a witness; rows equal to `row` (every row if None) read NaN."""
+
+    def __init__(self, fn, row=None):
+        self.fn, self.row = fn, row
+
+    def eval(self, Q):
+        out = self.fn.eval(Q)
+        hit = True if self.row is None else (Q == self.row).all(axis=1)
+        return np.where(hit, np.nan, out)
+
+
+def test_verify_fails_on_nan():
+    inst = cn.nonzero_init_instance(4, 0.25)
+    bad = copy.copy(inst)
+    bad.witness_fn = _NanWitness(inst.witness_fn)
+    rep = cn.verify_shattering(bad)
+    assert not rep.passed and math.isnan(rep.worst_slack)
+    assert len(rep.failures) == 32
+
+    # a single NaN value at labeling 5, point 2
+    bad.witness_fn = _NanWitness(inst.witness_fn,
+                                 inst.points[2] @ inst.witness_for(5).T)
+    rep = cn.verify_shattering(bad)
+    assert not rep.passed
+    assert [(y, i) for (y, i, v) in rep.failures] == [(5, 2)]
+    assert math.isnan(rep.failures[0][2])
+
+    # a NaN entry in W_9: the ball check must reject it as well
+    good = inst._witness_supplier
+
+    def nan_entry(y):
+        W = good(y)
+        if y == 9:
+            W = W.copy()
+            W[inst.m + 3, 0] = np.nan
+        return W
+
+    bad = copy.copy(inst)
+    bad._witness_supplier = nan_entry
+    rep = cn.verify_shattering(bad)
+    assert not rep.ball_ok and not rep.passed
 
 
 @pytest.mark.parametrize("kind", ["nonzero-init", "convex"])

@@ -156,7 +156,7 @@ def test_uc_gap_stable_as_m_grows():
     for m in (8, 12, 16):
         inst = cn.convex_instance(m, 0.25)
         t = lr.uc_gap_experiment(inst, m // 2, range(5))
-        gaps.append(min(t.column("gap")))
+        gaps.append(min(r["gap"] for r in t.rows))
     assert min(gaps) >= 0.25
 
 

@@ -89,12 +89,12 @@ def test_max_affine_margin_cases():
     y = 0b101
     x[0] = 4 * eps
     x[m + y] = 1.0
-    assert lz.max_affine_eval(f, x) == pytest.approx(eps, abs=1e-12)
+    assert f(x) == pytest.approx(eps, abs=1e-12)
     # all-negative labeling: y = 0, any point index
     x = np.zeros(n)
     x[1] = 4 * eps
     x[m + 0] = 1.0
-    assert lz.max_affine_eval(f, x) == pytest.approx(-eps, abs=1e-12)
+    assert f(x) == pytest.approx(-eps, abs=1e-12)
 
 
 def test_max_affine_midpoint_convexity():
