@@ -167,20 +167,19 @@ def _ascend(points, handle, signs, rng):
             G = np.zeros_like(W)
             val = 0.0
             for i in range(m):
-                fi, Vi = handle.fn.loss_subgrad(W, points[i])
-                val += signs[i] * fi
-                G += signs[i] * Vi
+                fi, rows, Gi = handle.fn.loss_subgrad(W[None], points[i][None])
+                val += signs[i] * fi[0]
+                G[rows[0]] += signs[i] * Gi[0]
             best = max(best, val / m)
             W = W + (0.1 * B / math.sqrt(t)) * (G / m)
             delta = W - W0
             nrm = np.linalg.norm(delta)
             if nrm > B:
                 W = W0 + (B / nrm) * delta
-        G = np.zeros_like(W)
         val = 0.0
         for i in range(m):
-            fi, Vi = handle.fn.loss_subgrad(W, points[i])
-            val += signs[i] * fi
+            fi, _, _ = handle.fn.loss_subgrad(W[None], points[i][None])
+            val += signs[i] * fi[0]
         best = max(best, val / m)
     return best
 

@@ -200,19 +200,38 @@ class EncodedMaxAffine:
         # Euclidean dual norm of each two-hot direction
         return 0.5 * math.sqrt(2.0)
 
-    def loss_subgrad(self, W, x):
-        """(f(Wx), subgradient of W -> f(Wx)); ties pick the lowest piece."""
-        z = W @ x
-        piece_vals = 0.5 * (z[self.j_arr] + z[self.zc_arr])
-        best = int(np.argmax(piece_vals))
-        V = np.zeros_like(W)
-        if piece_vals[best] >= self.kappa:
-            V[self.j_arr[best]] = 0.5 * x
-            V[self.zc_arr[best]] += 0.5 * x
-            val = piece_vals[best] + self.shift
-        else:
-            val = self.kappa + self.shift
-        return float(val), V
+    def loss_subgrad(self, W, X):
+        """Loss and subgradient of W -> f(W x) for S runs at once.
+
+        W is (S, n, d) and X is (S, d).  Returns (loss (S,), rows (S, 2),
+        G (S, 2, d)): run s's subgradient is zero off rows[s] = (j, m+z),
+        the best piece, where it is (x/2, x/2) if that piece reaches kappa
+        and zero otherwise.  The best piece is the first maximum in (z, j)
+        order, as an argmax over all pieces would pick, found without
+        gathering them: with a = (Wx)[:m] and t = (Wx)[m:m+2^m], piece
+        (j, z) reads 0.5*(a_j + t_z), rounding is monotone, so the best
+        piece of each z reads 0.5*(g_z + t_z) with g_z the max of a_j over
+        the bits j of z.  Exact for W and X without infinities."""
+        m = self.m
+        runs = np.arange(W.shape[0])
+        q = np.matmul(W, X[:, :, None])[:, :, 0]
+        a, t = q[:, :m], q[:, m : m + (1 << m)]
+        g = np.empty_like(t)
+        g[:, 0] = -np.inf
+        for b in range(m):  # bits(z + 2^b) = bits(z) + {b} for z < 2^b
+            np.maximum(g[:, : 1 << b], a[:, b : b + 1], out=g[:, 1 << b : 2 << b])
+        # z = 0 has no pieces; np.argmax takes the first max, or first NaN
+        z = 1 + np.argmax(0.5 * (t[:, 1:] + g[:, 1:]), axis=1)
+        t_z = t[runs, z][:, None]
+        top = 0.5 * (g[runs, z][:, None] + t_z)
+        pieces = 0.5 * (a + t_z)                   # (j, z) for every j
+        in_z = ((z[:, None] >> np.arange(m)) & 1) == 1
+        j = np.argmax(in_z & ((pieces == top) | np.isnan(pieces)), axis=1)
+        best = pieces[runs, j]
+        fires = best >= self.kappa
+        loss = np.where(fires, best, self.kappa) + self.shift
+        half = np.where(fires[:, None], 0.5 * X, 0.0)
+        return loss, np.stack([j, m + z], axis=1), np.stack([half, half], axis=1)
 
 
 # ---------------------------------------------------------------------------

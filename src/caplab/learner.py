@@ -12,6 +12,7 @@ from .errors import InvalidInputError
 
 BALL_TOL = 1e-12
 REGRET_TOL = 1e-9
+SAMPLE_BLOCK = 64    # steps drawn per sampler call
 
 
 @dataclass
@@ -21,10 +22,13 @@ class SgdConfig:
     T: int
     L: float
     eta: float = None   # auto: sqrt(B^2 / (L^2 T))
-    seed: int = 0
+    seeds: tuple = (0,)  # one run per seed, all advanced in lockstep
 
     def __post_init__(self):
         self.W0 = np.asarray(self.W0, dtype=np.float64)
+        self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds:
+            raise InvalidInputError("need at least one seed")
         if self.T < 1:
             raise InvalidInputError("T must be >= 1")
         if not self.B > 0:
@@ -39,12 +43,13 @@ class SgdConfig:
 
 @dataclass
 class SgdResult:
-    W_hat: np.ndarray
-    trace: list
-    regret_lhs: float
-    regret_rhs: float
-    ball_ok: bool
-    oracle_violations: int
+    """Per-run outcomes; the leading axis follows SgdConfig.seeds."""
+
+    W_hat: np.ndarray           # (S, n, d) averaged iterates
+    regret_lhs: np.ndarray      # (S,)
+    regret_rhs: np.ndarray      # (S,)
+    ball_ok: np.ndarray         # (S,) bool
+    oracle_violations: np.ndarray  # (S,) int
 
 
 def project_frobenius_ball(W, W0, B):
@@ -57,46 +62,70 @@ def project_frobenius_ball(W, W0, B):
     return W0 + (B / nrm) * delta
 
 
-def sgd_run(cfg, sampler, comparator=None, keep_trace=True):
-    """T projected subgradient steps from W0.
+def _norms(A):
+    """np.linalg.norm of each A[s], bit for bit: the same dot product per
+    run, batched through matmul."""
+    F = A.reshape(A.shape[0], -1)
+    return np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
 
-    sampler(rng) -> (x, oracle) with oracle(W, x) -> (loss, V); the averaged
-    iterate and the two sides of the regret inequality
+
+def sgd_run(cfg, sampler, comparator=None):
+    """T projected subgradient steps from W0, one run per seed in lockstep.
+
+    sampler(rngs, k) -> (xs, oracle) draws the next k steps for every run,
+    run s from rngs[s]; xs has a leading step axis, and oracle(W, xs[t])
+    with W of shape (S, n, d) returns (loss (S,), rows (S, r), G (S, r, d)):
+    run s's subgradient V_s is G[s] on the distinct rows rows[s] and zero
+    elsewhere.  Per run, the averaged iterate and the two sides of the
+    regret inequality
     sum <W_t - W*, V_t>  <=  ||W* - W0||_F^2 / (2 eta) + (eta/2) sum ||V_t||_F^2
-    are returned for the given comparator (default W0)."""
-    rng = np.random.default_rng(cfg.seed)
-    W0 = cfg.W0
+    are returned for the given comparator (default W0), each bit-equal to
+    a run on its own."""
+    rngs = [np.random.default_rng(s) for s in cfg.seeds]
+    W0, B, S = cfg.W0, cfg.B, len(cfg.seeds)
     Wstar = W0 if comparator is None else np.asarray(comparator, dtype=np.float64)
-    W = W0.copy()
-    W_sum = np.zeros_like(W0)
-    lhs = 0.0
-    vsq = 0.0
-    violations = 0
-    ball_ok = True
-    trace = []
-    for t in range(cfg.T):
-        x, oracle = sampler(rng)
-        loss, V = oracle(W, x)
-        vnorm = float(np.linalg.norm(V))
-        flagged = vnorm > cfg.L + 1e-9
-        if flagged:
-            violations += 1
-        dist = float(np.linalg.norm(W - W0))
-        if dist > cfg.B + BALL_TOL:
-            ball_ok = False
-        W_sum += W
-        lhs += float(np.einsum("ij,ij->", W - Wstar, V))
-        vsq += vnorm * vnorm
-        if keep_trace:
-            trace.append({"t": t, "loss": float(loss), "vnorm": vnorm,
-                          "dist": dist, "oracle_flag": flagged})
-        W = project_frobenius_ball(W - cfg.eta * V, W0, cfg.B)
-    W_hat = W_sum / cfg.T
-    if np.linalg.norm(W_hat - W0) > cfg.B + BALL_TOL:
-        ball_ok = False
-    rhs = float(np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
-                + cfg.eta / 2.0 * vsq)
-    return SgdResult(W_hat, trace, lhs, rhs, ball_ok, violations)
+    runs = np.arange(S)[:, None]
+    W = np.repeat(W0[None], S, axis=0)
+    D = W - W0                                   # W - W0, kept row by row
+    E = D if comparator is None else W - Wstar   # W - W*, likewise
+    V = np.zeros_like(W)
+    W_sum = np.zeros_like(W)
+    lhs = np.zeros(S)
+    vsq = np.zeros(S)
+    violations = np.zeros(S, dtype=np.int64)
+    ball_ok = np.ones(S, dtype=bool)
+    dist = _norms(D)
+    rows = np.zeros((S, 0), dtype=np.intp)   # rows of V that may be nonzero
+    for start in range(0, cfg.T, SAMPLE_BLOCK):
+        xs, oracle = sampler(rngs, min(SAMPLE_BLOCK, cfg.T - start))
+        for x in xs:
+            V[runs, rows] = 0.0
+            _, rows, G = oracle(W, x)
+            V[runs, rows] = G
+            vnorm = _norms(V)
+            violations += vnorm > cfg.L + 1e-9
+            ball_ok &= ~(dist > B + BALL_TOL)
+            W_sum += W
+            lhs += np.einsum("sij,sij->s", E, V)
+            vsq += vnorm * vnorm
+            # V is zero off `rows`, where W - eta V leaves W as it is
+            W[runs, rows] -= cfg.eta * G
+            D[runs, rows] = W[runs, rows] - W0[rows]
+            if E is not D:
+                E[runs, rows] = W[runs, rows] - Wstar[rows]
+            dist = _norms(D)   # the projection's norm, and the next dist
+            for s in np.flatnonzero(~(dist <= B)):
+                W[s] = project_frobenius_ball(W[s], W0, B)
+                D[s] = W[s] - W0
+                if E is not D:
+                    E[s] = W[s] - Wstar
+                dist[s] = np.linalg.norm(D[s])
+    del W, D, E, V   # free the stacked buffers before W_hat - W0 is formed
+    W_hat = np.divide(W_sum, cfg.T, out=W_sum)
+    ball_ok &= ~(_norms(W_hat - W0) > B + BALL_TOL)
+    rhs = (np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
+           + cfg.eta / 2.0 * vsq)
+    return SgdResult(W_hat, lhs, rhs, ball_ok, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +141,13 @@ def _loss_lipschitz(inst):
 
 
 def _point_sampler(inst, fn):
+    """Uniform draws from the instance's points, fed to fn.loss_subgrad."""
     X = inst.points
     m = X.shape[0]
 
-    def oracle(W, x):
-        return fn.loss_subgrad(W, x)
-
-    def sampler(rng):
-        return X[rng.integers(0, m)], oracle
+    def sampler(rngs, k):
+        idx = np.stack([rng.integers(0, m, size=k) for rng in rngs], axis=1)
+        return X[idx], fn.loss_subgrad
 
     return sampler
 
@@ -153,27 +181,31 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
     the per-T summary checks the seed-averaged excess."""
     if inst.kind != "convex":
         raise InvalidInputError("excess-risk experiment needs a convex instance")
+    T_grid = [int(T) for T in T_grid]
+    seeds = tuple(int(s) for s in seeds)
+    if not T_grid:
+        raise InvalidInputError("need at least one T")
+    if not seeds:
+        raise InvalidInputError("need at least one seed")
     L = _loss_lipschitz(inst)
     B = inst.B
     base = best_witness_loss(inst)
-    fn = inst.witness_fn
-    sampler = _point_sampler(inst, fn)
+    sampler = _point_sampler(inst, inst.witness_fn)
     table = ExperimentTable()
     summary = []
     for T in T_grid:
+        res = sgd_run(SgdConfig(W0=inst.W0, B=B, T=T, L=L, seeds=seeds), sampler)
+        bound = B * L / math.sqrt(T)
         excesses = []
-        for seed in seeds:
-            cfg = SgdConfig(W0=inst.W0, B=B, T=int(T), L=L, seed=int(seed))
-            res = sgd_run(cfg, sampler, keep_trace=False)
-            excess = population_loss(inst, res.W_hat) - base
-            bound = B * L / math.sqrt(T)
-            table.append(T=int(T), seed=int(seed), excess=excess, bound=bound,
-                         ball_ok=res.ball_ok,
+        for s, seed in enumerate(seeds):
+            excess = population_loss(inst, res.W_hat[s]) - base
+            table.append(T=T, seed=seed, excess=excess, bound=bound,
+                         ball_ok=bool(res.ball_ok[s]),
                          passed=bool(excess <= bound + tolerance))
             excesses.append(excess)
         mean_excess = float(np.mean(excesses))
         summary.append({
-            "T": int(T),
+            "T": T,
             "mean_excess": mean_excess,
             "bound": B * L / math.sqrt(T),
             "passed": bool(mean_excess <= B * L / math.sqrt(T) + tolerance),
@@ -192,10 +224,13 @@ def uc_gap_experiment(inst, sample_size, seeds):
     m = inst.m
     if not 1 <= sample_size <= m:
         raise InvalidInputError("need 1 <= sample_size <= m")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise InvalidInputError("need at least one seed")
     eps = inst.margin
     table = ExperimentTable()
     for seed in seeds:
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         idx = rng.integers(0, m, size=sample_size)
         support = np.unique(idx)
         y = int(np.sum(1 << support.astype(np.int64)))
@@ -203,7 +238,7 @@ def uc_gap_experiment(inst, sample_size, seeds):
         vals = np.asarray(inst.witness_fn.eval(inst.points @ W.T))
         empirical = float(vals[idx].mean())
         population = float(vals.mean())
-        table.append(seed=int(seed), m=m, sample_size=int(sample_size),
+        table.append(seed=seed, m=m, sample_size=int(sample_size),
                      support=int(support.size), empirical=empirical,
                      population=population, gap=empirical - population)
     return table

@@ -86,7 +86,7 @@ def test_criterion_4_decay_signature():
 
 
 def test_criterion_5_sgd_regret_and_excess():
-    from tests_helpers_regret import random_piecewise_sampler  # noqa: F401
+    from tests_helpers_regret import random_piecewise_sampler
     ok = True
     rng = np.random.default_rng(55)
     for run in range(100):
@@ -97,10 +97,11 @@ def test_criterion_5_sgd_regret_and_excess():
         D = rng.standard_normal((n, d))
         Wstar = W0 + (B * rng.random() / np.linalg.norm(D)) * D
         cfg = lr.SgdConfig(W0=W0, B=B, T=int(rng.integers(1, 50)), L=L,
-                           seed=run)
+                           seeds=(run,))
         res = lr.sgd_run(cfg, random_piecewise_sampler(n, d, L, run),
                          comparator=Wstar)
-        ok &= res.regret_lhs <= res.regret_rhs + 1e-9 and res.ball_ok
+        ok &= bool(res.regret_lhs[0] <= res.regret_rhs[0] + 1e-9
+                   and res.ball_ok[0])
 
     inst = cn.convex_instance(6, 0.2)
     table, summary = lr.excess_risk_experiment(

@@ -168,9 +168,9 @@ def test_output_not_writable(tmp_path, monkeypatch):
     assert code == cli.EXIT_USAGE
 
 
-def _construct_m3(tmp_path):
+def _construct_m3(tmp_path, kind="nonzero-init"):
     a = tmp_path / "a"
-    assert run(["construct", "--kind", "nonzero-init", "--m", "3",
+    assert run(["construct", "--kind", kind, "--m", "3",
                 "--eps", "0.25", "--out", str(a)]) == 0
     return str(a / "manifest.json")
 
@@ -220,3 +220,20 @@ def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sgd", ["--num-seeds", "0"]),
+    ("sgd", ["--num-seeds", "-3"]),
+    ("sgd", ["--T-grid", ""]),
+    ("uc-gap", ["--sample-size", "2", "--num-seeds", "0"]),
+])
+def test_empty_seed_list_or_T_grid_is_refused(tmp_path, capsys, command, flags):
+    manifest = _construct_m3(tmp_path, "convex")
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = run([command, "--instance", manifest, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: need at least one ") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()

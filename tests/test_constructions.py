@@ -410,3 +410,68 @@ def test_two_hot_routing(monkeypatch):
     R[0, [0, wide.n - 1]] = [0.5, 1.0]
     assert not cn._split_two_hot(R, 3)[0].any()
     assert np.array_equal(wide.eval(R), _dense_min_form(wide, R))
+
+
+# ---------------------------------------------------------------------------
+# stacked loss_subgrad against the dense gather+argmax subgradient
+
+def _subgrad_cases(inst, rng):
+    """(W, x) pairs: W0 at the encoded points (every t_z is 0), small
+    integer entries (many exact ties), Gaussian W, W scaled so that the
+    best piece lands just below or above kappa, NaN entries, and subnormal
+    pieces that tie only after halving."""
+    W0, X = inst.W0, inst.points
+    cases = [(W0, x) for x in X]
+    for k in range(12):
+        x = X[k % inst.m] if k % 2 else rng.standard_normal(inst.d)
+        cases.append((rng.integers(-1, 2, size=W0.shape).astype(float), x))
+        cases.append((W0 + rng.standard_normal(W0.shape), x))
+    for scale in (0.99, 1.0, 1.01):
+        W = W0 + 0.1 * rng.standard_normal(W0.shape)
+        x = X[rng.integers(0, inst.m)]
+        z = W @ x
+        top = (0.5 * (z[inst.witness_fn.j_arr] + z[inst.witness_fn.zc_arr])).max()
+        cases.append((W * (scale * inst.witness_fn.kappa / top), x))
+    m = inst.m
+    # NaN in t_0 (z = 0 has no pieces), in a later t_z, and in a_j
+    for row in (m, m + min(2, (1 << m) - 1), m - 1):
+        W = W0.copy()
+        W[row, -1] = np.nan
+        cases.append((W, X[0]))
+    if m >= 2:
+        # 0.5*(3u) and 0.5*(4u) round to the same subnormal: pieces that
+        # tie only after halving, first across z, then within z = 3
+        u = 5e-324
+        x = np.zeros(inst.d)
+        x[-1] = 1.0
+        for t_rest in (0.0, -1.0):
+            W = np.zeros_like(W0)
+            W[m:, -1] = t_rest
+            W[m + 3, -1] = 0.0
+            W[0, -1], W[1, -1] = 3 * u, 4 * u
+            cases.append((W, x))
+    return cases
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_loss_subgrad_bit_equal_to_dense_argmax(m):
+    from tests_helpers_regret import dense_loss_subgrad
+    rng = np.random.default_rng(200 + m)
+    inst = cn.convex_instance(m, 0.25)
+    fn = inst.witness_fn
+    cases = _subgrad_cases(inst, rng)
+    Ws = np.stack([W for W, _ in cases])
+    Xs = np.stack([x for _, x in cases])
+    fired = 0
+    # all cases stacked, then each on its own (S = 1)
+    for sl in [slice(None)] + [slice(k, k + 1) for k in range(len(cases))]:
+        loss, rows, G = fn.loss_subgrad(Ws[sl], Xs[sl])
+        for s, k in enumerate(range(len(cases))[sl]):
+            want_loss, want_V, want_piece = dense_loss_subgrad(fn, Ws[k], Xs[k])
+            V = np.zeros_like(Ws[k])
+            V[rows[s]] = G[s]
+            assert loss[s] == want_loss, k
+            assert tuple(rows[s]) == want_piece, k
+            assert np.array_equal(V, want_V), k
+            fired += bool(want_V.any())
+    assert 0 < fired < len(cases) * 2

@@ -6,6 +6,7 @@ import pytest
 from caplab import constructions as cn
 from caplab import learner as lr
 from caplab.errors import InvalidInputError
+from tests_helpers_regret import dense_loss_subgrad, random_piecewise_sampler
 
 
 def test_projection_inside_unchanged():
@@ -39,34 +40,23 @@ def test_auto_eta():
         lr.SgdConfig(W0=np.zeros((2, 2)), B=2.0, T=0, L=1.0)
 
 
+def _constant_sampler(V_run):
+    """Every run, every step: subgradient V_run, listed densely."""
+    n = V_run.shape[0]
+
+    def oracle(W, x):
+        S = len(W)
+        return (np.zeros(S), np.broadcast_to(np.arange(n), (S, n)),
+                np.broadcast_to(V_run, (S,) + V_run.shape))
+
+    return lambda rngs, k: (range(k), oracle)
+
+
 def test_zero_subgradients_keep_w0():
     W0 = np.ones((2, 3))
-
-    def sampler(rng):
-        return np.zeros(3), lambda W, x: (0.0, np.zeros_like(W))
-
-    res = lr.sgd_run(lr.SgdConfig(W0=W0, B=1.0, T=50, L=1.0), sampler)
-    assert np.array_equal(res.W_hat, W0)
-
-
-def _random_piecewise_sampler(n, d, L, rng_seed=0):
-    """Stochastic convex piecewise-linear losses W -> max_j <G_j, W> + c_j."""
-    master = np.random.default_rng(rng_seed)
-    Gs = master.standard_normal((5, n, d))
-    Gs *= L / np.maximum(np.linalg.norm(Gs.reshape(5, -1), axis=1), 1e-12)[:, None, None]
-    cs = master.standard_normal(5)
-
-    def sampler(rng):
-        j_noise = rng.integers(0, 5)
-
-        def oracle(W, x):
-            vals = np.einsum("jnd,nd->j", Gs, W) + cs + 0.1 * j_noise
-            j = int(np.argmax(vals))
-            return float(vals[j]), Gs[j]
-
-        return np.zeros(d), oracle
-
-    return sampler
+    res = lr.sgd_run(lr.SgdConfig(W0=W0, B=1.0, T=50, L=1.0),
+                     _constant_sampler(np.zeros((2, 3))))
+    assert np.array_equal(res.W_hat[0], W0)
 
 
 def test_regret_inequality_randomized():
@@ -79,30 +69,158 @@ def test_regret_inequality_randomized():
         D = rng.standard_normal((n, d))
         Wstar = W0 + (B * rng.random() / np.linalg.norm(D)) * D
         cfg = lr.SgdConfig(W0=W0, B=B, T=int(rng.integers(1, 60)), L=L,
-                           seed=int(run))
-        res = lr.sgd_run(cfg, _random_piecewise_sampler(n, d, L, run),
+                           seeds=(run,))
+        res = lr.sgd_run(cfg, random_piecewise_sampler(n, d, L, run),
                          comparator=Wstar)
-        assert res.regret_lhs <= res.regret_rhs + 1e-9
-        assert res.ball_ok
+        assert res.regret_lhs[0] <= res.regret_rhs[0] + 1e-9
+        assert res.ball_ok[0]
 
 
 def test_oracle_violation_flagged_not_fatal():
     W0 = np.zeros((2, 2))
-
-    def sampler(rng):
-        return np.zeros(2), lambda W, x: (0.0, np.full_like(W, 10.0))
-
-    res = lr.sgd_run(lr.SgdConfig(W0=W0, B=1.0, T=5, L=0.1), sampler)
-    assert res.oracle_violations == 5
+    res = lr.sgd_run(lr.SgdConfig(W0=W0, B=1.0, T=5, L=0.1),
+                     _constant_sampler(np.full((2, 2), 10.0)))
+    assert res.oracle_violations[0] == 5
 
 
 def test_sgd_determinism():
-    cfg = dict(W0=np.zeros((3, 3)), B=1.0, T=40, L=1.0, seed=5)
-    s = _random_piecewise_sampler(3, 3, 1.0, 4)
+    cfg = dict(W0=np.zeros((3, 3)), B=1.0, T=40, L=1.0, seeds=(5,))
+    s = random_piecewise_sampler(3, 3, 1.0, 4)
     a = lr.sgd_run(lr.SgdConfig(**cfg), s)
     b = lr.sgd_run(lr.SgdConfig(**cfg), s)
     assert np.array_equal(a.W_hat, b.W_hat)
     assert a.regret_lhs == b.regret_lhs
+
+
+def test_sgd_config_needs_a_seed():
+    with pytest.raises(InvalidInputError):
+        lr.SgdConfig(W0=np.zeros((2, 2)), B=1.0, T=5, L=1.0, seeds=())
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs against one run at a time
+
+def _per_seed_sgd(cfg, seed, sampler, comparator=None):
+    """The one-run projected SGD loop, step by step: sampler(rng) ->
+    (x, oracle), oracle(W, x) -> (loss, V).  Also counts projections."""
+    rng = np.random.default_rng(seed)
+    W0 = cfg.W0
+    Wstar = W0 if comparator is None else comparator
+    W = W0.copy()
+    W_sum = np.zeros_like(W0)
+    lhs = vsq = 0.0
+    violations = projections = 0
+    ball_ok = True
+    for t in range(cfg.T):
+        x, oracle = sampler(rng)
+        loss, V = oracle(W, x)
+        vnorm = float(np.linalg.norm(V))
+        if vnorm > cfg.L + 1e-9:
+            violations += 1
+        if float(np.linalg.norm(W - W0)) > cfg.B + lr.BALL_TOL:
+            ball_ok = False
+        W_sum += W
+        lhs += float(np.einsum("ij,ij->", W - Wstar, V))
+        vsq += vnorm * vnorm
+        W = W - cfg.eta * V
+        delta = W - W0
+        nrm = np.linalg.norm(delta)
+        if not nrm <= cfg.B:
+            W = W0 + (cfg.B / nrm) * delta
+            projections += 1
+    W_hat = W_sum / cfg.T
+    if np.linalg.norm(W_hat - W0) > cfg.B + lr.BALL_TOL:
+        ball_ok = False
+    rhs = float(np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
+                + cfg.eta / 2.0 * vsq)
+    return W_hat, lhs, rhs, ball_ok, violations, projections
+
+
+def _scalar_point_sampler(inst):
+    X, fn = inst.points, inst.witness_fn
+
+    def oracle(W, x):
+        loss, V, _ = dense_loss_subgrad(fn, W, x)
+        return loss, V
+
+    return lambda rng: (X[rng.integers(0, inst.m)], oracle)
+
+
+def _scalar_piecewise_sampler(stacked):
+    """One run of a stacked sampler, one step per draw, V made dense."""
+    def sampler(rng):
+        xs, oracle = stacked([rng], 1)
+
+        def dense(W, x):
+            loss, rows, G = oracle(W[None], x)
+            V = np.zeros_like(W)
+            V[rows[0]] = G[0]
+            return float(loss[0]), V
+
+        return xs[0], dense
+
+    return sampler
+
+
+SEEDS = (3, 11, 4, 0, 7, 12)
+
+
+def _lockstep_case(case):
+    if case == "piecewise":
+        rng = np.random.default_rng(5)
+        n, d, L, B = 3, 4, 1.0, 0.4
+        W0 = rng.standard_normal((n, d))
+        D = rng.standard_normal((n, d))
+        Wstar = W0 + (0.8 * B / np.linalg.norm(D)) * D
+        stacked = random_piecewise_sampler(n, d, L, 9)
+        cfg = lr.SgdConfig(W0=W0, B=B, T=150, L=L, eta=0.3, seeds=SEEDS)
+        return cfg, stacked, _scalar_piecewise_sampler(stacked), Wstar
+    m, start = case
+    inst = cn.convex_instance(m, 0.25)
+    L = lr._loss_lipschitz(inst)
+    if start == "W0":
+        # every t_z is 0 at W0: the first steps choose among tied pieces
+        W0, B, eta = inst.W0, 0.02, 0.05
+    else:
+        rng = np.random.default_rng(m)
+        W0, B, eta = inst.W0 + 0.5 * rng.standard_normal(inst.W0.shape), 0.3, 0.2
+    # a small ball and a long step, so that runs leave the ball
+    cfg = lr.SgdConfig(W0=W0, B=B, T=150, L=L, eta=eta, seeds=SEEDS)
+    return (cfg, lr._point_sampler(inst, inst.witness_fn),
+            _scalar_point_sampler(inst), None)
+
+
+@pytest.mark.parametrize("case", [(3, "off"), (6, "off"), (8, "off"),
+                                  (8, "W0"), "piecewise"])
+def test_lockstep_bit_equal_to_per_seed_loop(case):
+    cfg, stacked, scalar, comparator = _lockstep_case(case)
+    res = lr.sgd_run(cfg, stacked, comparator=comparator)
+    projected = []
+    for s, seed in enumerate(cfg.seeds):
+        W_hat, lhs, rhs, ball_ok, violations, projections = _per_seed_sgd(
+            cfg, seed, scalar, comparator)
+        assert np.array_equal(res.W_hat[s], W_hat), seed
+        assert res.regret_lhs[s] == lhs and res.regret_rhs[s] == rhs, seed
+        assert res.ball_ok[s] == ball_ok, seed
+        assert res.oracle_violations[s] == violations, seed
+        projected.append(projections)
+    # projection fired, for several runs, but not on every step
+    assert sum(p > 0 for p in projected) >= 2, projected
+    assert max(projected) < cfg.T, projected
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16])
+def test_block_draws_equal_scalar_draws(m):
+    """The samplers draw SAMPLE_BLOCK steps per call; numpy gives the same
+    integers as one draw per step."""
+    T = 3 * lr.SAMPLE_BLOCK + 7
+    for seed in (0, 1, 2):
+        blocks = np.random.default_rng(seed)
+        drawn = np.concatenate([
+            blocks.integers(0, m, size=min(lr.SAMPLE_BLOCK, T - start))
+            for start in range(0, T, lr.SAMPLE_BLOCK)])
+        one = np.random.default_rng(seed)
+        assert drawn.tolist() == [int(one.integers(0, m)) for _ in range(T)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,50 @@
-"""Shared randomized convex piecewise-linear loss used by regret checks."""
+"""Shared helpers for the SGD checks: a randomized convex piecewise-linear
+loss in the stacked sampler contract of `learner.sgd_run`, and the dense
+gather+argmax subgradient of the convex witness that the closed form in
+`EncodedMaxAffine.loss_subgrad` replaces."""
 
 import numpy as np
 
 
 def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
-    """Stochastic losses W -> max_j <G_j, W> + c_j + noise with ||G_j||_F <= L."""
+    """Stochastic losses W -> max_j <G_j, W> + c_j + noise with ||G_j||_F <= L.
+
+    Each step draws one noise level per run; the oracle's subgradient is
+    dense (every row listed)."""
     master = np.random.default_rng(rng_seed)
     Gs = master.standard_normal((pieces, n, d))
     scale = L / np.maximum(np.linalg.norm(Gs.reshape(pieces, -1), axis=1), 1e-12)
     Gs *= scale[:, None, None]
     cs = master.standard_normal(pieces)
 
-    def sampler(rng):
-        j_noise = rng.integers(0, pieces)
+    def oracle(W, j_noise):
+        loss = np.empty(len(W))
+        best = np.empty(len(W), dtype=np.int64)
+        for s in range(len(W)):
+            vals = np.einsum("jnd,nd->j", Gs, W[s]) + cs + 0.1 * j_noise[s]
+            best[s] = np.argmax(vals)
+            loss[s] = vals[best[s]]
+        rows = np.broadcast_to(np.arange(n), (len(W), n))
+        return loss, rows, Gs[best]
 
-        def oracle(W, x):
-            vals = np.einsum("jnd,nd->j", Gs, W) + cs + 0.1 * j_noise
-            j = int(np.argmax(vals))
-            return float(vals[j]), Gs[j]
-
-        return np.zeros(d), oracle
+    def sampler(rngs, k):
+        noise = np.stack([rng.integers(0, pieces, size=k) for rng in rngs], axis=1)
+        return noise, oracle
 
     return sampler
+
+
+def dense_loss_subgrad(fn, W, x):
+    """One run of the convex witness's (loss, subgradient): gather every
+    piece 0.5*(z_j + z_{m+z}), take the first argmax, build V densely."""
+    z = W @ x
+    piece_vals = 0.5 * (z[fn.j_arr] + z[fn.zc_arr])
+    best = int(np.argmax(piece_vals))
+    V = np.zeros_like(W)
+    if piece_vals[best] >= fn.kappa:
+        V[fn.j_arr[best]] = 0.5 * x
+        V[fn.zc_arr[best]] += 0.5 * x
+        val = piece_vals[best] + fn.shift
+    else:
+        val = fn.kappa + fn.shift
+    return float(val), V, (int(fn.j_arr[best]), int(fn.zc_arr[best]))
