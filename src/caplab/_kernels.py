@@ -27,51 +27,64 @@ if not USE_NUMBA:
 
 # ---------------------------------------------------------------------------
 # greedy packing of a candidate stream (maximal eps-separated subset)
+#
+# Candidate x is kept iff np.sum((C - x)**2, axis=1).min() >= eps*eps over
+# the centres C kept before it.  A block of candidates is first screened
+# against C with one expanded product sq_x + sq_c - 2 x.c, whose rounding
+# error is a few r ulps of sq_x + sq_c, far below PACK_MARGIN times the
+# largest squared norm for any r below 10^5.  A candidate screened below
+# eps^2 - margin is surely rejected; the others take the exact test above,
+# in stream order, against the centres screened within eps^2 + margin and
+# those kept earlier in the same block.  Centres screened beyond eps^2 +
+# margin cannot decide the exact test, so the kept indices are the scalar
+# loop's.
 
-@njit(cache=True)
-def _greedy_pack_jit(cands, eps):
-    n, r = cands.shape
-    kept = np.empty(n, dtype=np.int64)
-    nkept = 0
-    eps2 = eps * eps
-    for i in range(n):
-        ok = True
-        for k in range(nkept):
-            j = kept[k]
-            d2 = 0.0
-            for c in range(r):
-                diff = cands[i, c] - cands[j, c]
-                d2 += diff * diff
-            if d2 < eps2:
-                ok = False
-                break
-        if ok:
-            kept[nkept] = i
-            nkept += 1
-    return kept[:nkept]
-
-
-def _greedy_pack_np(cands, eps):
-    kept = []
-    centers = np.empty((0, cands.shape[1]))
-    for i in range(cands.shape[0]):
-        if centers.shape[0] == 0:
-            kept.append(i)
-            centers = cands[i : i + 1]
-            continue
-        d2 = np.sum((centers - cands[i]) ** 2, axis=1)
-        if d2.min() >= eps * eps:
-            kept.append(i)
-            centers = np.vstack([centers, cands[i : i + 1]])
-    return np.asarray(kept, dtype=np.int64)
+PACK_MARGIN = 1e-9
+PACK_BLOCK_BYTES = 1 << 21      # cap on one block's candidate x centre matrix
+PACK_MIN_ROWS = 64
 
 
 def greedy_pack(cands, eps):
     """Indices of a maximal eps-separated subset, scanned in stream order."""
     cands = np.ascontiguousarray(cands, dtype=np.float64)
-    if USE_NUMBA:
-        return _greedy_pack_jit(cands, float(eps))
-    return _greedy_pack_np(cands, float(eps))
+    n, r = cands.shape
+    eps2 = float(eps) * float(eps)
+    sq = np.einsum("ij,ij->i", cands, cands)
+    margin = PACK_MARGIN * (1.0 + float(sq.max())) if n else 0.0
+    lo, hi = eps2 - margin, eps2 + margin
+    centers = np.empty((n, r))
+    neg2c = np.empty((n, r))        # -2 C, exact
+    sqc = np.empty(n)
+    kept = np.empty(n, dtype=np.int64)
+    nk = 0
+    start = 0
+    while start < n:
+        # blocks grow with the centre list, capped in bytes
+        cap = PACK_BLOCK_BYTES // (8 * max(nk, 1))
+        rows = max(1, min(max(nk, PACK_MIN_ROWS), cap))
+        stop = min(n, start + rows)
+        old = nk
+        if old:
+            S = cands[start:stop] @ neg2c[:old].T
+            S += sqc[:old]
+            live = np.flatnonzero(~(S.min(axis=1) + sq[start:stop] < lo))
+        else:
+            live = range(stop - start)
+        for s in live:
+            i = start + s
+            x = cands[i]
+            ref = centers[old:nk]
+            if old:
+                near = centers[np.flatnonzero(~(S[s] + sq[i] > hi))]
+                ref = np.concatenate([near, ref]) if nk > old else near
+            if ref.shape[0] == 0 or np.sum((ref - x) ** 2, axis=1).min() >= eps2:
+                centers[nk] = x
+                neg2c[nk] = -2.0 * x
+                sqc[nk] = sq[i]
+                kept[nk] = i
+                nk += 1
+        start = stop
+    return kept[:nk]
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +156,12 @@ def _jacobi_orthogonalize_np(A, V, tol, max_sweeps):
                 new_q = s * ap + c * aq
                 A[:, p] = new_p
                 A[:, q] = new_q
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                vp = V[:, p]
+                vq = V[:, q]
+                new_vp = c * vp - s * vq
+                new_vq = s * vp + c * vq
+                V[:, p] = new_vp
+                V[:, q] = new_vq
         if off == 0:
             return sweep + 1
     return -1
@@ -163,37 +178,24 @@ def jacobi_orthogonalize(A, V, tol, max_sweeps):
 
 
 # ---------------------------------------------------------------------------
-# minimum pairwise Euclidean distance (overall, and among rows with
-# differing attached values) for separation / slope measurements
+# minimum pairwise Euclidean distance, for separation measurements
 
-def min_pairwise_dist(X, values=None, chunk=512):
-    """(min distance over all pairs, min distance over differing-value pairs).
-
-    The second entry is inf when `values` is None or constant.
-    """
+def min_pairwise_dist(X, chunk=512):
+    """Minimum distance over all pairs of rows (inf for fewer than two)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     best = np.inf
-    best_diff = np.inf
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        d2 = sq[a:b, None] + sq[None, :] - 2.0 * (X[a:b] @ X.T)
+        # the full-width product keeps each Gram entry as a whole row gets
+        # it; the distances are formed only for the pairs j > i
+        G = (X[a:b] @ X.T)[:, a:]
+        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * G
         np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(a, b)
-        d2[rows - a, rows] = np.inf
-        # only count each unordered pair once: mask j <= i (global index)
-        mask = np.arange(n)[None, :] <= rows[:, None]
-        d2m = np.where(mask, np.inf, d2)
-        if d2m.size:
-            best = min(best, float(np.sqrt(d2m.min())))
-        if values is not None:
-            vals = np.asarray(values)
-            diff = vals[a:b, None] != vals[None, :]
-            d2v = np.where(mask | ~diff, np.inf, d2)
-            if d2v.size:
-                best_diff = min(best_diff, float(np.sqrt(d2v.min())))
-    return best, best_diff
+        d2[:, : b - a][np.tri(b - a, dtype=bool)] = np.inf
+        best = min(best, float(np.sqrt(d2.min())))
+    return best
 
 
 # ---------------------------------------------------------------------------

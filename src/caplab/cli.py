@@ -185,6 +185,8 @@ def parse_config(argv):
         else:
             resolved[key] = default
     seed = resolved.pop("seed")
+    if seed < 0:
+        raise UsageError("'seed' must be nonnegative")
     out = resolved.pop("out")
     resolved.pop("config", None)
     return RunConfig(command, resolved, seed, out)

@@ -11,6 +11,7 @@ from .errors import CapacityExceededError, InvalidInputError
 
 ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
+KEY_BITS = 62           # sign vectors up to this length are keyed in an int64
 
 ASCENT_RESTARTS = 10
 ASCENT_STEPS = 200
@@ -115,6 +116,40 @@ def _finalize(values, m, strategy, lower):
     return RademacherEstimate(mean, stderr, values.size, m, strategy, lower)
 
 
+def _signs(bits):
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
+def _sign_bits(seed, draws, m):
+    """The draws' sign bits, chunk by chunk, each from its chunk's generator."""
+    for ci, start in enumerate(range(0, draws, DRAW_CHUNK)):
+        count = min(DRAW_CHUNK, draws - start)
+        yield _chunk_rng(seed, ci).integers(0, 2, size=(count, m))
+
+
+def _witness_sups(table, draws, seed):
+    """Per-draw sup over the table rows of (1/m) sigma . f.
+
+    Each distinct sign vector's sup is computed once: a draw is keyed by its
+    bits read as an integer.  Wider tables cannot be keyed in an int64 and
+    take one product per draw."""
+    m = table.shape[1]
+
+    def sups(bits):
+        return (_signs(bits) @ table.T).max(axis=1) / m
+
+    if m > KEY_BITS:
+        return np.concatenate([sups(bits) for bits in _sign_bits(seed, draws, m)])
+    weights = np.left_shift(1, np.arange(m, dtype=np.int64))
+    keys = np.concatenate([bits @ weights for bits in _sign_bits(seed, draws, m)])
+    distinct, inv = np.unique(keys, return_inverse=True)
+    sup = np.concatenate([
+        sups((distinct[start : start + DRAW_CHUNK, None] >> np.arange(m)) & 1)
+        for start in range(0, distinct.size, DRAW_CHUNK)
+    ])
+    return sup[inv]
+
+
 def rademacher_mc(points, class_handle, draws, seed, strategy=None):
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
@@ -130,17 +165,17 @@ def rademacher_mc(points, class_handle, draws, seed, strategy=None):
         raise InvalidInputError(
             f"strategy {strategy!r} not applicable to {type(class_handle).__name__}"
         )
+    if strategy == "enumerate-witnesses":
+        table = class_handle.table
+        if table.shape[1] != m:
+            raise InvalidInputError("table width != number of points")
+        return _finalize(_witness_sups(table, draws, seed), m, strategy, False)
     per_draw = np.empty(draws)
     for ci, start in enumerate(range(0, draws, DRAW_CHUNK)):
         count = min(DRAW_CHUNK, draws - start)
         rng = _chunk_rng(seed, ci)
-        signs = rng.integers(0, 2, size=(count, m)).astype(np.float64) * 2.0 - 1.0
-        if strategy == "enumerate-witnesses":
-            table = class_handle.table
-            if table.shape[1] != m:
-                raise InvalidInputError("table width != number of points")
-            per_draw[start : start + count] = (signs @ table.T).max(axis=1) / m
-        elif strategy == "linear-closed-form":
+        signs = _signs(rng.integers(0, 2, size=(count, m)))
+        if strategy == "linear-closed-form":
             sums = signs @ points
             per_draw[start : start + count] = (
                 class_handle.B / m

@@ -258,6 +258,8 @@ def random_separated_family(d, m, n, seed, max_resamples=20, target=0.25):
         raise CapacityExceededError(f"m={m} > {ENUMERATION_M_CAP}")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
+    if max_resamples < 1:
+        raise InvalidInputError("max_resamples must be >= 1")
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(max_resamples):
@@ -270,7 +272,7 @@ def random_separated_family(d, m, n, seed, max_resamples=20, target=0.25):
         if over.any():
             W[over] *= (cap / fro[over])[:, None, None]
         encoded = np.einsum("snd,md->smn", W, X).reshape(-1, n)
-        sep, _ = _kernels.min_pairwise_dist(encoded)
+        sep = _kernels.min_pairwise_dist(encoded)
         if best is None or sep > best.separation:
             best = SeparatedFamily(X, W, sep, sep >= target, attempt + 1)
         if sep >= target:
@@ -329,18 +331,51 @@ class ShatterInstance:
         }
 
 
+def _manifest_field(record, name, integer, default=None, label=None):
+    """record[name], refused unless it is a finite number (a nonnegative
+    integer when `integer`); `default` stands in for a missing optional one."""
+    label = label or name
+    if name not in record:
+        if default is None:
+            raise InvalidInputError(f"instance record lacks field {label!r}")
+        return default
+    v = record[name]
+    ok = not isinstance(v, bool)
+    if integer:
+        ok = ok and isinstance(v, int) and v >= 0
+        need = "a nonnegative integer"
+    else:
+        ok = ok and isinstance(v, (int, float)) and math.isfinite(v)
+        need = "a finite number"
+    if not ok:
+        raise InvalidInputError(f"instance field {label!r} must be {need}, got {v!r}")
+    return v
+
+
 def instance_from_manifest(obj):
-    kind = obj["kind"]
+    if not isinstance(obj, dict):
+        raise InvalidInputError("instance record must be a JSON object")
+    kind = obj.get("kind")
     p = obj.get("params", {})
+    if not isinstance(p, dict):
+        raise InvalidInputError("instance field 'params' must be a JSON object")
+
+    def param(name, integer, default=None):
+        return _manifest_field(p, name, integer, default, label=f"params.{name}")
+
     if kind == "zero-init":
         return zero_init_instance(
-            p["B"], p["L"], obj["eps"], p["m_cap"], p["seed"],
-            n=p.get("n", 256), max_resamples=p.get("max_resamples", 20),
+            param("B", False), param("L", False),
+            _manifest_field(obj, "eps", False), param("m_cap", True),
+            param("seed", True), n=param("n", True, 256),
+            max_resamples=param("max_resamples", True, 20),
         )
-    if kind == "nonzero-init":
-        return nonzero_init_instance(obj["m"], obj["eps"])
-    if kind == "convex":
-        return convex_instance(obj["m"], obj["eps"], p.get("kappa", 0.5))
+    if kind in ("nonzero-init", "convex"):
+        m = _manifest_field(obj, "m", True)
+        eps = _manifest_field(obj, "eps", False)
+        if kind == "nonzero-init":
+            return nonzero_init_instance(m, eps)
+        return convex_instance(m, eps, param("kappa", False, 0.5))
     raise InvalidInputError(f"unknown instance kind {kind!r}")
 
 

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 BALL_TOL = 1e-12
-REGRET_TOL = 1e-9
 SAMPLE_BLOCK = 64    # steps drawn per sampler call
 
 

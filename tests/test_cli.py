@@ -237,3 +237,54 @@ def test_empty_seed_list_or_T_grid_is_refused(tmp_path, capsys, command, flags):
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: need at least one ") and err.count("\n") == 1
     assert not (out / "results.csv").exists()
+
+
+_ZERO = {"B": 4, "L": 4, "m_cap": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"kind": "zero-init"}, "lacks field 'params.B'"),
+    ({"kind": "zero-init", "params": _ZERO}, "lacks field 'eps'"),
+    ({"kind": "zero-init", "eps": 0.25, "params": "x"}, "'params' must be a JSON object"),
+    ({"kind": "zero-init", "eps": 0.25, "params": {**_ZERO, "seed": -1}},
+     "'params.seed' must be a nonnegative integer, got -1"),
+    ({"kind": "zero-init", "eps": 0.25, "params": {**_ZERO, "B": float("inf")}},
+     "'params.B' must be a finite number, got inf"),
+    ({"kind": "zero-init", "eps": 0.25, "params": {**_ZERO, "max_resamples": 0}},
+     "max_resamples must be >= 1"),
+    ({"kind": "nonzero-init", "m": "x", "eps": 0.25},
+     "'m' must be a nonnegative integer, got 'x'"),
+    ({"kind": "nonzero-init", "m": 4.0, "eps": 0.25},
+     "'m' must be a nonnegative integer, got 4.0"),
+    ({"kind": "nonzero-init", "m": True, "eps": 0.25},
+     "'m' must be a nonnegative integer, got True"),
+    ({"kind": "convex", "m": 4}, "lacks field 'eps'"),
+    ({"kind": "convex", "m": 4, "eps": 0.25, "params": {"kappa": "high"}},
+     "'params.kappa' must be a finite number, got 'high'"),
+    ([], "instance record must be a JSON object"),
+], ids=["zero-init-no-B", "zero-init-no-eps", "params-not-object", "negative-seed",
+        "infinite-B", "no-resamples", "m-string", "m-float", "m-bool",
+        "convex-no-eps", "kappa-string", "record-not-object"])
+def test_malformed_instance_record_is_one_line_exit_1(tmp_path, capsys, record, message):
+    manifest = tmp_path / "f.json"
+    manifest.write_text(json.dumps({"instance": record}))
+    capsys.readouterr()
+    code = run(["verify", "--instance", str(manifest), "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_negative_seed_and_no_resamples_are_refused(tmp_path, capsys):
+    manifest = _construct_m3(tmp_path)
+    for args in (["construct", "--kind", "zero-init", "--m-cap", "3", "--seed", "-1"],
+                 ["construct", "--kind", "zero-init", "--m-cap", "3",
+                  "--max-resamples", "0"],
+                 ["rademacher", "--instance", manifest, "--draws", "10",
+                  "--seed", "-1"]):
+        capsys.readouterr()
+        code = run([*args, "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE, args
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -93,6 +93,77 @@ def test_mc_determinism():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
+def direct_sups(table, draws, seed):
+    """One sign-matrix product per chunk of draws, each row's sup read off
+    it: the per-draw values the keyed path must reproduce bit for bit."""
+    m = table.shape[1]
+    out = []
+    for ci, start in enumerate(range(0, draws, cx.DRAW_CHUNK)):
+        count = min(cx.DRAW_CHUNK, draws - start)
+        rng = cx._chunk_rng(seed, ci)
+        signs = rng.integers(0, 2, size=(count, m)).astype(np.float64) * 2.0 - 1.0
+        out.append((signs @ table.T).max(axis=1) / m)
+    return np.concatenate(out)
+
+
+def _instance_table(m):
+    inst = cn.nonzero_init_instance(m, 0.25) if m % 2 else cn.convex_instance(m, 0.25)
+    return cn.witness_table(inst)
+
+
+# instance tables past m = 12 take seconds to tabulate; Gaussian tables of
+# their shape (2^m rows) stand in for them
+_SUP_TABLES = (
+    [(f"instance m={m}", m, None) for m in range(1, 13)]
+    + [(f"gaussian m={m}", m, 3 * m + 5) for m in list(range(1, 15)) + [40, 62, 63, 70]]
+    + [(f"gaussian m={m} 2^m rows", m, 1 << m) for m in (13, 14)]
+)
+
+
+@pytest.mark.parametrize("name,m,rows", _SUP_TABLES, ids=[t[0] for t in _SUP_TABLES])
+def test_keyed_sups_bit_equal_to_direct_product(name, m, rows):
+    if rows is None:
+        table = _instance_table(m)
+    else:
+        table = np.random.default_rng(m).standard_normal((rows, m))
+    # draws not a multiple of the chunk, and fewer draws than sign vectors
+    for draws, seed in ((3 * cx.DRAW_CHUNK + 17, m), (1000, 100 + m), (1, 7)):
+        got = cx._witness_sups(table, draws, seed)
+        want = direct_sups(table, draws, seed)
+        assert got.shape == (draws,)
+        assert np.array_equal(got, want), (name, draws)
+
+
+def test_keyed_sups_on_zero_init_table():
+    inst = cn.zero_init_instance(4, 4, 0.25, 9, 1)
+    table = cn.witness_table(inst)
+    draws = 5 * cx.DRAW_CHUNK + 3
+    want = direct_sups(table, draws, 11)
+    assert np.array_equal(cx._witness_sups(table, draws, 11), want)
+    est = cx.rademacher_mc(inst.points, cx.FiniteWitnessClass(table), draws, seed=11)
+    assert est.mean == float(want.mean())
+    assert est.stderr == float(want.std(ddof=1) / math.sqrt(draws))
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_mc_mean_within_4_stderr_of_exact_mean(m):
+    table = np.random.default_rng(50 + m).standard_normal((2 * m, m))
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    exact = float(((bits * 2.0 - 1.0) @ table.T).max(axis=1).mean() / m)
+    est = cx.rademacher_mc(np.zeros((m, 1)), cx.FiniteWitnessClass(table),
+                           20000, seed=m)
+    assert est.stderr > 0
+    assert abs(est.mean - exact) <= 4 * est.stderr
+
+
+def test_mc_mean_equals_exact_mean_on_shattered_table():
+    # every sign vector is matched by a witness, so every draw's sup is eps
+    table = _instance_table(8)
+    est = cx.rademacher_mc(np.zeros((8, 1)), cx.FiniteWitnessClass(table),
+                           20000, seed=3)
+    assert est.mean == 0.25 and est.stderr == 0.0
+
+
 # ---------------------------------------------------------------------------
 
 def brute_force_cover_size(table, eps):

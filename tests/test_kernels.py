@@ -1,9 +1,10 @@
-"""Parity of the accelerated kernels with their pure-numpy fallbacks."""
+"""Parity of the kernels with their scalar or numba twins and oracles."""
 
 import numpy as np
 import pytest
 
 from caplab import _kernels as kn
+from caplab import constructions, numerics
 
 
 @pytest.fixture(scope="module")
@@ -11,11 +12,105 @@ def rng():
     return np.random.default_rng(99)
 
 
-def test_greedy_pack_paths_agree(rng):
+def scalar_greedy_pack(cands, eps):
+    """The scalar loop: keep x iff its squared distances to the centres kept
+    so far, summed coordinate-wise, are all >= eps*eps."""
+    cands = np.ascontiguousarray(cands, dtype=np.float64)
+    centers = np.empty_like(cands)
+    kept = []
+    for i in range(cands.shape[0]):
+        x = cands[i]
+        C = centers[: len(kept)]
+        if not kept or np.sum((C - x) ** 2, axis=1).min() >= eps * eps:
+            centers[len(kept)] = x
+            kept.append(i)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def ball_stream(monkeypatch, r, eps):
+    """The candidate stream ball_net(r, 1, eps) packs, and the net it gives."""
+    seen = []
+    pack = kn.greedy_pack
+
+    def spy(cands, e):
+        seen.append(cands)
+        return pack(cands, e)
+
+    monkeypatch.setattr(kn, "greedy_pack", spy)
+    net = numerics.ball_net(r, 1.0, eps)
+    monkeypatch.setattr(kn, "greedy_pack", pack)
+    return seen[0], net
+
+
+def tie_lattice(eps, seed):
+    """A shuffled 9x9 lattice of spacing eps with every point twice, plus
+    seven off-lattice points: the neighbours sit at distance eps up to
+    rounding, on both sides of it."""
+    g = np.arange(9) * eps
+    P = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    P = np.vstack([P, P, P[:7] + 0.5 * eps])
+    return P[np.random.default_rng(seed).permutation(P.shape[0])]
+
+
+def test_greedy_pack_equals_scalar_loop(rng):
     cands = rng.standard_normal((500, 3))
-    a = kn._greedy_pack_jit(cands, 0.8)
-    b = kn._greedy_pack_np(cands, 0.8)
-    assert np.array_equal(np.asarray(a), np.asarray(b))
+    assert np.array_equal(kn.greedy_pack(cands, 0.8), scalar_greedy_pack(cands, 0.8))
+
+
+@pytest.mark.parametrize("r,eps", [(2, 0.05), (3, 0.2), (4, 0.4), (1, 0.01), (2, 0.5)])
+def test_greedy_pack_equals_scalar_loop_on_ball_nets(monkeypatch, r, eps):
+    cands, net = ball_stream(monkeypatch, r, eps)
+    kept = kn.greedy_pack(cands, eps)
+    assert np.array_equal(kept, scalar_greedy_pack(cands, eps))
+    assert np.array_equal(net.centers, cands[kept])
+
+
+def test_greedy_pack_equals_scalar_loop_with_many_centres():
+    # ball_net(4, 1, 0.1) keeps ~16k centres, too slow for the scalar loop;
+    # 12k uniform ball points keep thousands, so the byte cap sets the block
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((12_000, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    cands = g * rng.random(12_000)[:, None] ** 0.25
+    kept = kn.greedy_pack(cands, 0.1)
+    assert 8 * kept.size**2 > 4 * kn.PACK_BLOCK_BYTES
+    assert np.array_equal(kept, scalar_greedy_pack(cands, 0.1))
+
+
+def _edge_streams():
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((400, 3))
+    return [
+        ("lattice eps=1", tie_lattice(1.0, 0), 1.0),
+        ("lattice eps=0.1", tie_lattice(0.1, 1), 0.1),
+        ("lattice eps=0.1 scaled", 1e3 * tie_lattice(0.1, 2), 100.0),
+        # far from the origin the screen's rounding error is ~1e-7
+        ("lattice eps=0.1 offset", tie_lattice(0.1, 3) + 1e4, 0.1),
+        ("triplicated", np.repeat(pts, 3, axis=0), 0.6),
+        ("triplicated, interleaved", np.tile(pts, (3, 1)), 0.6),
+        ("eps beyond the diameter", pts, 100.0),
+        ("one point", pts[:1], 0.5),
+        ("no points", pts[:0], 0.5),
+    ]
+
+
+@pytest.mark.parametrize("block_bytes", [kn.PACK_BLOCK_BYTES, 8, 256])
+@pytest.mark.parametrize("name,cands,eps", _edge_streams(),
+                         ids=[c[0] for c in _edge_streams()])
+def test_greedy_pack_equals_scalar_loop_on_ties(monkeypatch, block_bytes, name, cands, eps):
+    monkeypatch.setattr(kn, "PACK_BLOCK_BYTES", block_bytes)
+    kept = kn.greedy_pack(cands, eps)
+    assert kept.dtype == np.int64
+    assert np.array_equal(kept, scalar_greedy_pack(cands, eps)), name
+
+
+def test_greedy_pack_ties_straddle_eps():
+    # the lattice cases are only a check of the margin if some neighbour
+    # distances round to just below eps^2 and others to eps^2 or above
+    P = tie_lattice(0.1, 1)
+    d2 = np.sum((P[:, None] - P[None]) ** 2, axis=2)
+    near = d2[np.abs(d2 - 0.01) < 1e-12]
+    assert (near < 0.01).any() and (near >= 0.01).any()
 
 
 def test_greedy_pack_separation(rng):
@@ -42,15 +137,67 @@ def test_jacobi_paths_agree(rng):
     assert np.allclose(V1, V2, atol=1e-9)
 
 
+def masked_min_pairwise_dist(X, chunk=512):
+    """The masked scan: the full chunk x n distance block, with j <= i set
+    to inf."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    best = np.inf
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        d2 = sq[a:b, None] + sq[None, :] - 2.0 * (X[a:b] @ X.T)
+        np.maximum(d2, 0.0, out=d2)
+        rows = np.arange(a, b)
+        mask = np.arange(n)[None, :] <= rows[:, None]
+        best = min(best, float(np.sqrt(np.where(mask, np.inf, d2).min())))
+    return best
+
+
 def test_min_pairwise_dist_oracle(rng):
     X = rng.standard_normal((120, 4))
     vals = rng.integers(0, 2, 120)
     d = np.linalg.norm(X[:, None] - X[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
-    best, best_diff = kn.min_pairwise_dist(X, vals)
+    best = kn.min_pairwise_dist(X)
     assert best == pytest.approx(d.min(), abs=1e-9)
+    # over the pairs with differing values, by brute force
     mask = vals[:, None] != vals[None, :]
-    assert best_diff == pytest.approx(np.where(mask, d, np.inf).min(), abs=1e-9)
+    best_diff = np.where(mask, d, np.inf).min()
+    cross = np.linalg.norm(X[vals == 0][:, None] - X[vals == 1][None], axis=2)
+    assert best_diff == pytest.approx(cross.min(), abs=1e-12)
+    assert best <= best_diff
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_min_pairwise_dist_bit_equal_to_masked_scan_on_zero_init(monkeypatch, seed):
+    seen = []
+    scan = kn.min_pairwise_dist
+
+    def spy(X):
+        seen.append((X, scan(X)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kn, "min_pairwise_dist", spy)
+    fam = constructions.random_separated_family(32, 9, 256, seed)
+    assert seen and _same_float(fam.separation, max(s for _, s in seen))
+    for X, got in seen:
+        assert X.shape == (9 << 9, 256)
+        assert _same_float(got, masked_min_pairwise_dist(X))
+
+
+@pytest.mark.parametrize("n,chunk", [(0, 4), (1, 4), (2, 1), (50, 7), (64, 16), (97, 512)])
+def test_min_pairwise_dist_bit_equal_to_masked_scan(n, chunk):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 5))
+    if n > 3:
+        X[n - 1] = X[1]          # a duplicate in a later chunk
+    got = kn.min_pairwise_dist(X, chunk=chunk)
+    assert _same_float(got, masked_min_pairwise_dist(X, chunk=chunk))
 
 
 def test_encoded_min_eval_paths_agree(rng):
