@@ -22,7 +22,6 @@ from .complexity import (
     cover_bound,
     dudley_bound,
     empirical_cover,
-    rademacher_linear_closed_form,
     rademacher_mc,
 )
 from .constructions import (

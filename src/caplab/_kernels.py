@@ -1,28 +1,9 @@
-"""Hot inner loops, compiled with numba when available.
-
-Setting the environment variable ``CAPLAB_NO_NUMBA=1`` forces the pure-numpy
-fallback path (same results).
-"""
-
-import os
+"""Hot inner loops, in numpy."""
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("CAPLAB_NO_NUMBA", "0") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# no compiled kernels; the benchmark's environment record reads this flag
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -90,48 +71,11 @@ def greedy_pack(cands, eps):
 # ---------------------------------------------------------------------------
 # one-sided Jacobi SVD: orthogonalize the columns of A, accumulating V
 
-@njit(cache=True)
-def _jacobi_orthogonalize_jit(A, V, tol, max_sweeps):
-    n, d = A.shape
-    for sweep in range(max_sweeps):
-        off = 0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                app = 0.0
-                aqq = 0.0
-                apq = 0.0
-                for i in range(n):
-                    app += A[i, p] * A[i, p]
-                    aqq += A[i, q] * A[i, q]
-                    apq += A[i, p] * A[i, q]
-                if apq == 0.0 or app == 0.0 or aqq == 0.0:
-                    continue
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                off += 1
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + np.sqrt(1.0 + zeta * zeta))
-                else:
-                    t = -1.0 / (-zeta + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                for i in range(n):
-                    ap = A[i, p]
-                    aq = A[i, q]
-                    A[i, p] = c * ap - s * aq
-                    A[i, q] = s * ap + c * aq
-                for i in range(d):
-                    vp = V[i, p]
-                    vq = V[i, q]
-                    V[i, p] = c * vp - s * vq
-                    V[i, q] = s * vp + c * vq
-        if off == 0:
-            return sweep + 1
-    return -1
+def jacobi_orthogonalize(A, V, tol, max_sweeps):
+    """One-sided Jacobi column orthogonalization, in place.
 
-
-def _jacobi_orthogonalize_np(A, V, tol, max_sweeps):
+    Returns the number of sweeps used, or -1 on non-convergence.
+    """
     n, d = A.shape
     for sweep in range(max_sweeps):
         off = 0
@@ -167,16 +111,6 @@ def _jacobi_orthogonalize_np(A, V, tol, max_sweeps):
     return -1
 
 
-def jacobi_orthogonalize(A, V, tol, max_sweeps):
-    """One-sided Jacobi column orthogonalization, in place.
-
-    Returns the number of sweeps used, or -1 on non-convergence.
-    """
-    if USE_NUMBA:
-        return _jacobi_orthogonalize_jit(A, V, tol, max_sweeps)
-    return _jacobi_orthogonalize_np(A, V, tol, max_sweeps)
-
-
 # ---------------------------------------------------------------------------
 # minimum pairwise Euclidean distance, for separation measurements
 
@@ -208,55 +142,6 @@ def min_pairwise_dist(X, chunk=512):
 # The excluded max comes from the query's top-3 |q_c| entries.  Two-hot
 # rows never get here: EncodedMinForm.eval evaluates them in closed form.
 
-@njit(cache=True)
-def _encoded_min_eval_jit(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):
-    nq = Q.shape[0]
-    na = j_arr.shape[0]
-    out = np.empty(nq)
-    for qi in range(nq):
-        t0, t1, t2 = top3v[qi, 0], top3v[qi, 1], top3v[qi, 2]
-        i0, i1, i2 = top3i[qi, 0], top3i[qi, 1], top3i[qi, 2]
-        best = np.inf
-        for k in range(na):
-            j = j_arr[k]
-            zc = zc_arr[k]
-            if i0 != j and i0 != zc:
-                mex = t0
-            elif i1 != j and i1 != zc:
-                mex = t1
-            else:
-                mex = t2
-            d = mex
-            dj = abs(Q[qi, j] - a)
-            if dj > d:
-                d = dj
-            dz = abs(Q[qi, zc] - b)
-            if dz > d:
-                d = dz
-            v = vals[k] + d
-            if v < best:
-                best = v
-        out[qi] = best
-    return out
-
-
-def _encoded_min_eval_np(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):
-    nq = Q.shape[0]
-    out = np.empty(nq)
-    for qi in range(nq):
-        i0, i1, i2 = top3i[qi]
-        t0, t1, t2 = top3v[qi]
-        mex = np.full(j_arr.shape, t0)
-        hit0 = (i0 == j_arr) | (i0 == zc_arr)
-        hit1 = (i1 == j_arr) | (i1 == zc_arr)
-        mex[hit0 & ~hit1] = t1
-        mex[hit0 & hit1] = t2
-        d = np.maximum(mex, np.abs(Q[qi, j_arr] - a))
-        np.maximum(d, np.abs(Q[qi, zc_arr] - b), out=d)
-        out[qi] = float(np.min(vals + d))
-    return out
-
-
 def _top3_abs(Q):
     """Per-row top-3 |entry| values and their indices, descending."""
     absq = np.abs(Q)
@@ -276,8 +161,18 @@ def _top3_abs(Q):
 
 def encoded_min_eval(Q, j_arr, zc_arr, vals, a, b):
     Q = np.ascontiguousarray(Q, dtype=np.float64)
+    a, b = float(a), float(b)
     top3v, top3i = _top3_abs(Q)
-    args = (Q, top3v, top3i, j_arr, zc_arr, vals, float(a), float(b))
-    if USE_NUMBA:
-        return _encoded_min_eval_jit(*args)
-    return _encoded_min_eval_np(*args)
+    out = np.empty(Q.shape[0])
+    for qi in range(Q.shape[0]):
+        i0, i1, i2 = top3i[qi]
+        t0, t1, t2 = top3v[qi]
+        mex = np.full(j_arr.shape, t0)
+        hit0 = (i0 == j_arr) | (i0 == zc_arr)
+        hit1 = (i1 == j_arr) | (i1 == zc_arr)
+        mex[hit0 & ~hit1] = t1
+        mex[hit0 & hit1] = t2
+        d = np.maximum(mex, np.abs(Q[qi, j_arr] - a))
+        np.maximum(d, np.abs(Q[qi, zc_arr] - b), out=d)
+        out[qi] = float(np.min(vals + d))
+    return out

@@ -3,21 +3,10 @@ knobs.  Values above the float range are reported as +inf with the natural
 log carried alongside; none of the evaluators takes a width or input
 dimension."""
 
-import ast
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-
-FORMULA_IDS = (
-    "shatter-lower",
-    "exp-class",
-    "deep-general",
-    "sgd-sample",
-    "smooth-one-layer",
-    "deep-elementwise",
-)
 
 _MAX_EXP = math.log(1e308)
 
@@ -29,24 +18,6 @@ class BoundReport:
     value: float
     log_value: float
     notes: str = ""
-
-    def to_json(self):
-        return json.dumps({
-            "formula_id": self.formula_id,
-            "inputs": {k: repr(v) for k, v in self.inputs.items()},
-            "value": repr(self.value),
-            "log_value": repr(self.log_value),
-            "notes": self.notes,
-        }, sort_keys=True)
-
-    @staticmethod
-    def from_json(s):
-        obj = json.loads(s)
-        inputs = {}
-        for k, v in obj["inputs"].items():
-            inputs[k] = ast.literal_eval(v)
-        return BoundReport(obj["formula_id"], inputs, float(obj["value"]),
-                           float(obj["log_value"]), obj.get("notes", ""))
 
 
 def _from_log(lv):
@@ -165,7 +136,7 @@ _EVALUATORS = {
 
 def evaluate(formula_id, params):
     """Dispatch by formula id with keyword parameters."""
-    if formula_id not in _EVALUATORS:
+    if not isinstance(formula_id, str) or formula_id not in _EVALUATORS:
         raise InvalidInputError(f"unknown formula id {formula_id!r}")
     try:
         return _EVALUATORS[formula_id](**params)

@@ -54,7 +54,6 @@ _SCHEMAS = {
     "rademacher": {
         "instance": ("str", _REQUIRED),
         "draws": ("int", 100000),
-        "strategy": ("str", None),
     },
     "cover": {
         "kind": ("str", _REQUIRED),
@@ -236,7 +235,6 @@ def _base_manifest(cfg):
         "command": cfg.command,
         "parameters": cfg.parameters,
         "seed": cfg.seed,
-        "threads": os.environ.get("CAPLAB_THREADS", "0"),
     }
 
 
@@ -286,8 +284,7 @@ def _run_rademacher(cfg):
     p = cfg.parameters
     inst = _load_instance(p["instance"])
     handle = complexity.instance_class(inst)
-    est = complexity.rademacher_mc(inst.points, handle, p["draws"], cfg.seed,
-                                   strategy=p["strategy"])
+    est = complexity.rademacher_mc(inst.points, handle, p["draws"], cfg.seed)
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     write_results(cfg.output_dir, manifest,
@@ -306,6 +303,8 @@ def _formula_params(p):
 
 def _run_cover(cfg):
     p = cfg.parameters
+    if not p["eps_grid"]:
+        raise InvalidInputError("need at least one eps in eps_grid")
     rows = []
     for eps in p["eps_grid"]:
         f = complexity.CoverFormula(p["kind"], {**_formula_params(p), "eps": eps})
@@ -404,27 +403,12 @@ _HANDLERS = {
 }
 
 
-def dispatch(cfg):
-    threads = os.environ.get("CAPLAB_THREADS", "0")
-    try:
-        nthreads = int(threads)
-    except ValueError:
-        raise InvalidInputError("CAPLAB_THREADS must be an integer")
-    if nthreads > 0:
-        try:
-            import numba
-            numba.set_num_threads(min(nthreads, numba.config.NUMBA_NUM_THREADS))
-        except ImportError:
-            pass
-    return _HANDLERS[cfg.command](cfg)
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
-        return dispatch(cfg)
+        return _HANDLERS[cfg.command](cfg)
     except (UsageError, InvalidInputError, OSError) as e:
         message, code = e, EXIT_USAGE
     except NumericalFailureError as e:

@@ -37,16 +37,6 @@ class RademacherEstimate:
     sup_strategy: str
     is_lower_estimate: bool
 
-    def to_json(self):
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "draws": self.draws,
-            "m": self.m,
-            "sup_strategy": self.sup_strategy,
-            "is_lower_estimate": self.is_lower_estimate,
-        }
-
     def csv_row(self, row_id):
         return [row_id, self.m, self.draws, repr(self.mean), repr(self.stderr),
                 self.sup_strategy]
@@ -150,21 +140,17 @@ def _witness_sups(table, draws, seed):
     return sup[inv]
 
 
-def rademacher_mc(points, class_handle, draws, seed, strategy=None):
+def rademacher_mc(points, class_handle, draws, seed):
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
-    Per sign draw the inner sup is exact for the enumerate and closed-form
-    strategies; the projected-ascent strategy is a lower estimate."""
+    The handle's class sets the sup strategy.  Per sign draw the inner sup
+    is exact for the enumerate and closed-form strategies; the
+    projected-ascent strategy is a lower estimate."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = points.shape[0]
     if draws < 1:
         raise InvalidInputError("draws must be >= 1")
-    if strategy is None:
-        strategy = class_handle.strategy
-    if strategy != class_handle.strategy:
-        raise InvalidInputError(
-            f"strategy {strategy!r} not applicable to {type(class_handle).__name__}"
-        )
+    strategy = class_handle.strategy
     if strategy == "enumerate-witnesses":
         table = class_handle.table
         if table.shape[1] != m:
@@ -217,11 +203,6 @@ def _ascend(points, handle, signs, rng):
             val += signs[i] * fi[0]
         best = max(best, val / m)
     return best
-
-
-def rademacher_linear_closed_form(points, B, draws, seed):
-    """Exact per-draw sup for the Euclidean-ball linear class."""
-    return rademacher_mc(points, LinearBallClass(B), draws, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +305,6 @@ def cover_bound(f):
         scaled = eps / (math.sqrt(k) * L * r)
         return k * (c * B * b_x / scaled) ** 2
     raise InvalidInputError(f"unknown cover formula kind {f.kind!r}")
-
-
-def constants_envelope(B, eps):
-    """The looser 2 log2(B)/eps form of the constants-cover bound (B >= 2)."""
-    if B < 2:
-        raise InvalidInputError("envelope requires B >= 2")
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
-    return 2.0 * math.log2(B) / eps
 
 
 # ---------------------------------------------------------------------------

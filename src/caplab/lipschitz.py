@@ -1,13 +1,9 @@
 """Lipschitz witness functions: min-form interpolation from finite anchors,
 max-affine convex functions, and empirical slope measurement."""
 
-import json
-
 import numpy as np
 
 from .errors import BudgetTooSmallError, InvalidInputError
-
-_SERIALIZE_ANCHOR_CAP = 10**6
 
 
 def _pairwise_dist(X, metric):
@@ -93,26 +89,6 @@ class AnchoredLipschitz:
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])
 
-    def to_json(self):
-        if self.anchors.shape[0] > _SERIALIZE_ANCHOR_CAP:
-            raise InvalidInputError(
-                f"anchor set of size {self.anchors.shape[0]} exceeds the "
-                f"serialization cap of {_SERIALIZE_ANCHOR_CAP}"
-            )
-        return json.dumps(
-            {
-                "anchors": self.anchors.tolist(),
-                "values": self.values.tolist(),
-                "L": self.L,
-                "metric": self.metric,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(obj["anchors"], obj["values"], obj["L"], obj["metric"])
-
 
 def min_feasible_slope(anchors, values, metric):
     """max over anchor pairs of |p_i - p_j| / d(x_i, x_j)."""
@@ -186,27 +162,6 @@ class MaxAffine:
         if vals[best] >= self.kappa:
             return best
         return None
-
-    def to_json(self):
-        if self.directions.shape[0] > _SERIALIZE_ANCHOR_CAP:
-            raise InvalidInputError("piece set exceeds the serialization cap")
-        return json.dumps(
-            {
-                "pieces": [
-                    {"direction": d.tolist(), "offset": float(o)}
-                    for d, o in zip(self.directions, self.offsets)
-                ],
-                "kappa": self.kappa,
-                "shift": self.shift,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        dirs = [p["direction"] for p in obj["pieces"]]
-        offs = [p["offset"] for p in obj["pieces"]]
-        return cls(dirs, offs, obj["kappa"], obj["shift"])
 
 
 def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None,

@@ -1,7 +1,5 @@
 """Dense linear algebra primitives: norms, SVD truncation, ball nets."""
 
-import io
-import json
 import math
 
 import numpy as np
@@ -168,39 +166,3 @@ def ball_net(r, B, eps, stream_size=_BALL_NET_STREAM_SIZE):
     cands = np.vstack([np.zeros((1, r)), g * radii[:, None]])
     kept = _kernels.greedy_pack(cands, eps)
     return BallNet(B, r, eps, cands[kept])
-
-
-# ---------------------------------------------------------------------------
-# serialization: CSV (one row per line, no header) and JSON {rows, cols, entries}
-
-def mat_to_csv(M):
-    A = as_matrix(M)
-    buf = io.StringIO()
-    for row in A:
-        buf.write(",".join(repr(float(x)) for x in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
-def mat_from_csv(text):
-    rows = [
-        [float(x) for x in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return as_matrix(np.asarray(rows))
-
-
-def mat_to_json(M):
-    A = as_matrix(M)
-    return json.dumps(
-        {"rows": A.shape[0], "cols": A.shape[1], "entries": A.ravel().tolist()}
-    )
-
-
-def mat_from_json(text):
-    obj = json.loads(text)
-    entries = np.asarray(obj["entries"], dtype=np.float64)
-    if entries.size != obj["rows"] * obj["cols"]:
-        raise InvalidInputError("entry count does not match rows*cols")
-    return as_matrix(entries.reshape(obj["rows"], obj["cols"]))

@@ -70,7 +70,7 @@ def test_criterion_3_nondecay_signature():
 
 
 def test_criterion_4_decay_signature():
-    est = cx.rademacher_linear_closed_form(np.eye(4), 1.0, 1000, seed=2)
+    est = cx.rademacher_mc(np.eye(4), cx.LinearBallClass(1.0), 1000, seed=2)
     exact_half = est.mean == 0.5 and est.stderr == 0.0
     rng = np.random.default_rng(31)
 
@@ -78,8 +78,8 @@ def test_criterion_4_decay_signature():
         P = rng.standard_normal((m, 40))
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
-    e1 = cx.rademacher_linear_closed_form(unit(16), 1.0, 100000, seed=6)
-    e2 = cx.rademacher_linear_closed_form(unit(64), 1.0, 100000, seed=6)
+    e1 = cx.rademacher_mc(unit(16), cx.LinearBallClass(1.0), 100000, seed=6)
+    e2 = cx.rademacher_mc(unit(64), cx.LinearBallClass(1.0), 100000, seed=6)
     ratio = e1.mean / e2.mean
     ok = exact_half and 1.6 <= ratio <= 2.5
     _report(4, f"decay orthonormal={est.mean} ratio={ratio:.3f}", ok)
@@ -194,31 +194,25 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
     )
     # the child imports the very caplab under test, installed or on PYTHONPATH
     caplab_root = os.path.dirname(os.path.dirname(caplab.__file__))
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(
+        [{"formula": "sgd-sample", "params": {"B": 1.3, "L": 2.0, "eps": 0.7}}]))
     ok = True
-    for cmd_tail, sub in (
-        (["construct", "--kind", "nonzero-init", "--m", "6",
-          "--eps", "0.25", "--seed", "3"], "c"),
-        (["bounds", "--params", None, "--seed", "0"], "b"),
-    ):
+    for cmd in (["construct", "--kind", "nonzero-init", "--m", "6",
+                 "--eps", "0.25", "--seed", "3"],
+                ["bounds", "--params", str(pfile), "--seed", "0"]):
         outs = []
-        for rep, threads in ((0, "1"), (1, "8")):
-            out = tmp_path / f"{sub}{rep}"
-            tail = list(cmd_tail)
-            if sub == "b":
-                pfile = tmp_path / "p.json"
-                pfile.write_text(json.dumps(
-                    [{"formula": "sgd-sample",
-                      "params": {"B": 1.3, "L": 2.0, "eps": 0.7}}]))
-                tail[tail.index(None)] = str(pfile)
+        for threads in ("1", "2"):
+            # BLAS thread counts change how numpy schedules its matmuls
+            env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": caplab_root,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out = tmp_path / f"{cmd[0]}-{threads}"
             proc = subprocess.run(
-                [sys.executable, "-c", script] + tail + ["--out", str(out)],
-                capture_output=True,
-                env={"PATH": "/usr/bin:/bin", "CAPLAB_THREADS": threads,
-                     "PYTHONPATH": caplab_root},
-            )
+                [sys.executable, "-c", script] + cmd + ["--out", str(out)],
+                capture_output=True, env=env)
             if proc.returncode != 0:
                 err = proc.stderr.decode(errors="replace").strip().splitlines()
-                _report(10, f"{cmd_tail[0]} with CAPLAB_THREADS={threads} "
+                _report(10, f"{cmd[0]} with {threads} BLAS threads "
                             f"exited {proc.returncode}: "
                             f"{err[-1] if err else '(no stderr)'}", False)
             outs.append((out / "results.csv").read_bytes())
@@ -229,4 +223,4 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
     a = cx.rademacher_mc(inst.points, h, 8192, seed=9)
     b = cx.rademacher_mc(inst.points, h, 8192, seed=9)
     ok &= (a.mean, a.stderr) == (b.mean, b.stderr)
-    _report(10, "CLI byte-determinism across thread counts", ok)
+    _report(10, "CLI byte-determinism across BLAS thread counts", ok)

@@ -132,14 +132,6 @@ def test_no_size_inputs():
         assert "n" not in params and "d" not in params
 
 
-def test_report_json_roundtrip():
-    rep = bd.smooth_one_layer_bound(1, 1, 2, 0.3, 1.7, 0.1, 0.9)
-    back = bd.BoundReport.from_json(rep.to_json())
-    assert back.value == rep.value
-    assert back.log_value == rep.log_value
-    assert back.inputs == rep.inputs
-
-
 def test_evaluate_dispatch():
     rep = bd.evaluate("sgd-sample", {"B": 1, "L": 2, "eps": 0.5})
     assert rep.value == 16.0

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +137,38 @@ def test_bounds_command(tmp_path):
     assert rows[2].split(",")[1] == "9.0"
 
 
+@pytest.mark.parametrize("formula", [["x"], {"id": "sgd-sample"}, 3, None],
+                         ids=["list", "dict", "number", "null"])
+def test_bounds_non_string_formula_is_one_line_exit_1(tmp_path, capsys, formula):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps([{"formula": formula, "params": {}}]))
+    capsys.readouterr()
+    code = run(["bounds", "--params", str(pfile), "--out", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: unknown formula id") and err.count("\n") == 1
+
+
+def test_empty_cover_grid_is_refused(tmp_path, capsys):
+    out = tmp_path / "c"
+    capsys.readouterr()
+    code = run(["cover", "--kind", "scalar-linear", "--B", "1", "--b-x", "1",
+                "--eps-grid", "", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err == "error: need at least one eps in eps_grid\n"
+    assert not (out / "results.csv").exists()
+
+
+def test_rademacher_has_no_strategy_key(tmp_path, capsys):
+    manifest = _construct_m3(tmp_path)
+    capsys.readouterr()
+    code = run(["rademacher", "--instance", manifest, "--strategy",
+                "enumerate-witnesses", "--out", str(tmp_path / "r")])
+    assert code == cli.EXIT_USAGE
+    assert "unknown key 'strategy'" in capsys.readouterr().err
+
+
 def test_byte_determinism(tmp_path):
     outs = []
     for name in ("r1", "r2"):
@@ -145,16 +179,23 @@ def test_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_determinism_across_thread_env(tmp_path, monkeypatch):
+def test_determinism_across_thread_env(tmp_path):
+    # BLAS reads its thread count at import, so each run is a child process
+    script = "import sys; from caplab import cli; sys.exit(cli.main(sys.argv[1:]))"
+    caplab_root = os.path.dirname(os.path.dirname(cli.__file__))
     outs = []
-    for name, threads in (("t1", "1"), ("t2", "4")):
-        monkeypatch.setenv("CAPLAB_THREADS", threads)
+    for name, threads in (("t1", "1"), ("t2", "2")):
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": caplab_root,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         a = tmp_path / name
-        run(["construct", "--kind", "nonzero-init", "--m", "5",
-             "--eps", "0.25", "--out", str(a)])
         r = tmp_path / (name + "r")
-        run(["rademacher", "--instance", str(a / "manifest.json"),
-             "--draws", "4000", "--seed", "9", "--out", str(r)])
+        for argv in (["construct", "--kind", "nonzero-init", "--m", "5",
+                      "--eps", "0.25", "--out", str(a)],
+                     ["rademacher", "--instance", str(a / "manifest.json"),
+                      "--draws", "4000", "--seed", "9", "--out", str(r)]):
+            proc = subprocess.run([sys.executable, "-c", script] + argv,
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         outs.append((r / "results.csv").read_bytes())
     assert outs[0] == outs[1]
 

@@ -34,14 +34,14 @@ def test_shattering_instance_mean_is_margin():
 
 
 def test_linear_closed_form_orthonormal():
-    est = cx.rademacher_linear_closed_form(np.eye(4), 1.0, 500, seed=2)
+    est = cx.rademacher_mc(np.eye(4), cx.LinearBallClass(1.0), 500, seed=2)
     assert est.mean == 0.5 and est.stderr == 0.0
 
 
 def test_linear_closed_form_identical_points():
     m = 6
     pts = np.tile(np.array([[1.0, 0.0]]), (m, 1))
-    est = cx.rademacher_linear_closed_form(pts, 1.0, 100000, seed=3)
+    est = cx.rademacher_mc(pts, cx.LinearBallClass(1.0), 100000, seed=3)
     # exact binomial expectation of |sum eps_i| / m
     exact = sum(math.comb(m, k) * abs(2 * k - m) for k in range(m + 1)) / (2**m * m)
     assert abs(est.mean - exact) <= 3 * est.stderr
@@ -51,7 +51,7 @@ def test_linear_closed_form_cauchy_schwarz_cap():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((10, 6))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    est = cx.rademacher_linear_closed_form(pts, 2.0, 20000, seed=5)
+    est = cx.rademacher_mc(pts, cx.LinearBallClass(2.0), 20000, seed=5)
     assert est.mean <= 2.0 * 1.0 / math.sqrt(10) + 3 * est.stderr
 
 
@@ -62,8 +62,8 @@ def test_linear_decay_signature():
         P = rng.standard_normal((m, 40))
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
-    e1 = cx.rademacher_linear_closed_form(unit(16), 1.0, 100000, seed=6)
-    e2 = cx.rademacher_linear_closed_form(unit(64), 1.0, 100000, seed=6)
+    e1 = cx.rademacher_mc(unit(16), cx.LinearBallClass(1.0), 100000, seed=6)
+    e2 = cx.rademacher_mc(unit(64), cx.LinearBallClass(1.0), 100000, seed=6)
     assert 1.6 <= e1.mean / e2.mean <= 2.5
 
 
@@ -208,7 +208,6 @@ def test_cover_bound_examples():
     assert cx.cover_bound(f) == 1.0
     g = cx.CoverFormula("constants", {"B": 4, "eps": 0.5})
     assert cx.cover_bound(g) == pytest.approx(math.log(8))
-    assert cx.constants_envelope(4, 0.5) == pytest.approx(8.0)
     with pytest.raises(InvalidInputError):
         cx.cover_bound(cx.CoverFormula("constants", {"B": 1.5, "eps": 0.5}))
 

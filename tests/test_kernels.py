@@ -1,4 +1,4 @@
-"""Parity of the kernels with their scalar or numba twins and oracles."""
+"""Parity of the kernels with their scalar loops and oracles."""
 
 import numpy as np
 import pytest
@@ -126,12 +126,53 @@ def test_greedy_pack_separation(rng):
     assert dr.max() < 0.5
 
 
+def scalar_jacobi_orthogonalize(A, V, tol, max_sweeps):
+    """The scalar loop: one-sided Jacobi rotations, entry by entry."""
+    n, d = A.shape
+    for sweep in range(max_sweeps):
+        off = 0
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                app = 0.0
+                aqq = 0.0
+                apq = 0.0
+                for i in range(n):
+                    app += A[i, p] * A[i, p]
+                    aqq += A[i, q] * A[i, q]
+                    apq += A[i, p] * A[i, q]
+                if apq == 0.0 or app == 0.0 or aqq == 0.0:
+                    continue
+                if abs(apq) <= tol * np.sqrt(app * aqq):
+                    continue
+                off += 1
+                zeta = (aqq - app) / (2.0 * apq)
+                if zeta >= 0.0:
+                    t = 1.0 / (zeta + np.sqrt(1.0 + zeta * zeta))
+                else:
+                    t = -1.0 / (-zeta + np.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                for i in range(n):
+                    ap = A[i, p]
+                    aq = A[i, q]
+                    A[i, p] = c * ap - s * aq
+                    A[i, q] = s * ap + c * aq
+                for i in range(d):
+                    vp = V[i, p]
+                    vq = V[i, q]
+                    V[i, p] = c * vp - s * vq
+                    V[i, q] = s * vp + c * vq
+        if off == 0:
+            return sweep + 1
+    return -1
+
+
 def test_jacobi_paths_agree(rng):
     M = rng.standard_normal((6, 4))
     A1, V1 = M.copy(), np.eye(4)
     A2, V2 = M.copy(), np.eye(4)
-    s1 = kn._jacobi_orthogonalize_jit(A1, V1, 1e-12, 60)
-    s2 = kn._jacobi_orthogonalize_np(A2, V2, 1e-12, 60)
+    s1 = scalar_jacobi_orthogonalize(A1, V1, 1e-12, 60)
+    s2 = kn.jacobi_orthogonalize(A2, V2, 1e-12, 60)
     assert s1 >= 0 and s2 >= 0
     assert np.allclose(A1, A2, atol=1e-9)
     assert np.allclose(V1, V2, atol=1e-9)
@@ -200,6 +241,39 @@ def test_min_pairwise_dist_bit_equal_to_masked_scan(n, chunk):
     assert _same_float(got, masked_min_pairwise_dist(X, chunk=chunk))
 
 
+def scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):
+    """The scalar loop: per query row, per anchor, the excluded max from the
+    top-3 |q| entries, then the running min."""
+    nq = Q.shape[0]
+    na = j_arr.shape[0]
+    out = np.empty(nq)
+    for qi in range(nq):
+        t0, t1, t2 = top3v[qi, 0], top3v[qi, 1], top3v[qi, 2]
+        i0, i1, i2 = top3i[qi, 0], top3i[qi, 1], top3i[qi, 2]
+        best = np.inf
+        for k in range(na):
+            j = j_arr[k]
+            zc = zc_arr[k]
+            if i0 != j and i0 != zc:
+                mex = t0
+            elif i1 != j and i1 != zc:
+                mex = t1
+            else:
+                mex = t2
+            d = mex
+            dj = abs(Q[qi, j] - a)
+            if dj > d:
+                d = dj
+            dz = abs(Q[qi, zc] - b)
+            if dz > d:
+                d = dz
+            v = vals[k] + d
+            if v < best:
+                best = v
+        out[qi] = best
+    return out
+
+
 def test_encoded_min_eval_paths_agree(rng):
     m, nz = 4, 16
     n = m + nz
@@ -208,9 +282,9 @@ def test_encoded_min_eval_paths_agree(rng):
     vals = rng.standard_normal(m * nz)
     Q = rng.standard_normal((64, n))
     top3v, top3i = kn._top3_abs(Q)
-    a = kn._encoded_min_eval_jit(Q, top3v, top3i, j_arr, zc_arr, vals, 0.5, 1.0)
-    b = kn._encoded_min_eval_np(Q, top3v, top3i, j_arr, zc_arr, vals, 0.5, 1.0)
-    assert np.allclose(a, b, atol=0)
+    a = scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, 0.5, 1.0)
+    b = kn.encoded_min_eval(Q, j_arr, zc_arr, vals, 0.5, 1.0)
+    assert np.array_equal(a, b)
 
 
 def test_encoded_min_eval_matches_dense_oracle(rng):
@@ -229,4 +303,4 @@ def test_encoded_min_eval_matches_dense_oracle(rng):
         vals[None, :] + np.max(np.abs(Q[:, None, :] - A[None, :, :]), axis=2),
         axis=1,
     )
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.array_equal(got, want)

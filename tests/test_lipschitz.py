@@ -140,18 +140,3 @@ def test_empirical_lipschitz_constant():
         lambda x: 7.0, lambda r: r.standard_normal(3),
         "euclidean-vector", 100, 1)
     assert got == 0.0
-
-
-def test_serialization_roundtrips():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((4, 3))
-    p = rng.standard_normal(4)
-    f = lz.AnchoredLipschitz(A, p, 3.0, "infinity")
-    g = lz.AnchoredLipschitz.from_json(f.to_json())
-    X = rng.standard_normal((20, 3))
-    assert np.array_equal(f.eval(X), g.eval(X))
-
-    h, n = _thm36_style(2, 0.25)
-    h2 = lz.MaxAffine.from_json(h.to_json())
-    X = rng.standard_normal((20, n))
-    assert np.array_equal(h.eval(X), h2.eval(X))

@@ -123,10 +123,3 @@ def test_ball_net_guards():
         nm.ball_net(5, 1.0, 0.5)
     with pytest.raises(InvalidInputError):
         nm.ball_net(2, 1.0, 0.0)
-
-
-def test_mat_serialization_roundtrip():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((3, 4))
-    assert np.array_equal(nm.mat_from_csv(nm.mat_to_csv(M)), M)
-    assert np.array_equal(nm.mat_from_json(nm.mat_to_json(M)), M)
