@@ -30,7 +30,6 @@ from .constructions import (
     convex_instance,
     nonzero_init_instance,
     random_separated_family,
-    rescale_domain,
     verify_shattering,
     zero_init_instance,
 )
@@ -50,7 +49,6 @@ from .learner import (
 )
 from .lipschitz import (
     AnchoredLipschitz,
-    MaxAffine,
     budget,
     mcshane_extend,
     min_feasible_slope,

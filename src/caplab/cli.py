@@ -2,6 +2,7 @@
 and deterministic artifact emission (manifest.json + results.csv per run)."""
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -92,6 +93,12 @@ _SCHEMAS = {
 }
 
 
+def _finite(key, v):
+    if not math.isfinite(v):
+        raise UsageError(f"parameter {key!r} must be finite, got {v!r}")
+    return v
+
+
 def _convert(key, tag, raw):
     try:
         if tag == "int":
@@ -103,7 +110,7 @@ def _convert(key, tag, raw):
                 return None
             if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
                 raise ValueError
-            return float(raw)
+            return _finite(key, float(raw))
         if tag == "str":
             if raw is not None and not isinstance(raw, str):
                 raise ValueError
@@ -113,14 +120,14 @@ def _convert(key, tag, raw):
                 raw = [p for p in raw.split(",") if p]
             if not isinstance(raw, list):
                 raise ValueError
-            return [float(v) for v in raw]
+            return [_finite(key, float(v)) for v in raw]
         if tag == "int-list":
             if isinstance(raw, str):
                 raw = [p for p in raw.split(",") if p]
             if not isinstance(raw, list):
                 raise ValueError
             return [int(v) for v in raw]
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise UsageError(f"parameter {key!r}: expected {tag}, got {raw!r}")
     raise UsageError(f"unknown schema tag {tag!r}")
 
@@ -411,6 +418,9 @@ def main(argv=None):
         return _HANDLERS[cfg.command](cfg)
     except (UsageError, InvalidInputError, OSError) as e:
         message, code = e, EXIT_USAGE
+    except ArithmeticError as e:
+        # overflow or a zero divisor from values at the edge of the float range
+        message, code = f"{type(e).__name__}: {e}", EXIT_USAGE
     except NumericalFailureError as e:
         message, code = e, EXIT_SCIENCE
     except MemoryError as e:

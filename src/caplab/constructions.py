@@ -1,8 +1,7 @@
-"""Shattering instances: the randomized zero-reference family, the explicit
-index-encoding family, its convex variant, exhaustive margin verification,
-and domain rescaling."""
+"""Shattering instances: the randomized zero-reference family, and the
+explicit index-encoding family and its convex variant, both built on the unit
+ball; exhaustive margin verification."""
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,10 +23,6 @@ NORM_TOL = 1e-9
 def labeling_bits(y, m):
     """Labeling index -> 0/1 vector (bit i of y is the label of point i)."""
     return (y >> np.arange(m)) & 1
-
-
-def labeling_values(y, m, eps):
-    return np.where(labeling_bits(y, m) == 1, eps, -eps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +289,6 @@ class ShatterInstance:
     points: np.ndarray          # (m, d), norms <= domain_radius
     W0: np.ndarray              # (n, d)
     B: float                    # Frobenius radius around W0
-    threshold: float            # s
     witness_fn: object          # evaluable on R^n rows
     metric: str
     domain_radius: float        # b_x
@@ -311,9 +305,6 @@ class ShatterInstance:
         if not 0 <= y < self.num_labelings:
             raise InvalidInputError(f"labeling index {y} out of range")
         return self._witness_supplier(y)
-
-    def labeling_values(self, y):
-        return labeling_values(y, self.m, self.margin)
 
     def manifest(self):
         return {
@@ -423,7 +414,6 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
         points=fam.points,
         W0=np.zeros((n, d)),
         B=float(B),
-        threshold=0.0,
         witness_fn=fn,
         metric="euclidean-vector",
         domain_radius=1.0,
@@ -440,137 +430,69 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     return inst
 
 
-def _encoding_geometry(m, w0_coeff, eps):
-    """Shared geometry of the index-encoding constructions, pre-rescale.
+def _encoded_instance(kind, m, eps, w0_coeff, kappa=0.5):
+    """The index-encoding constructions, built on the unit ball.
 
-    Points e_i + e_m live on the radius-sqrt(2) ball; the reference matrix
-    writes w0_coeff*eps at coordinate i, and each witness adds a single unit
-    entry that copies the labeling index into the output."""
+    With b_x = sqrt(2): points (e_i + e_m) / b_x, W0 = (w0_coeff eps) b_x
+    [I | 0], and each witness adds one entry b_x at (m+y, m) that copies the
+    labeling index into the output, so W_y x_i = w0_coeff eps e_i + e_{m+y}
+    and ||W_y - W0||_F = B = b_x."""
+    if not 0 < eps <= 0.5:
+        raise InvalidInputError("need 0 < eps <= 0.5")
+    if m < 1 or m > LAZY_M_CAP:
+        raise CapacityExceededError(f"m={m} outside [1, {LAZY_M_CAP}]")
+    b_x = math.sqrt(2.0)
     d = m + 1
     n = (1 << m) + m
     points = np.zeros((m, d))
     points[np.arange(m), np.arange(m)] = 1.0
     points[:, m] = 1.0
+    points /= b_x
     W0 = np.zeros((n, d))
-    W0[np.arange(m), np.arange(m)] = w0_coeff * eps
-    return d, n, points, W0
+    W0[np.arange(m), np.arange(m)] = (w0_coeff * eps) * b_x
 
-
-def _encoded_supplier(W0, m):
-    def supplier(y):
+    def witness(y):
         W = W0.copy()
-        W[m + y, W.shape[1] - 1] += W0_UNIT
+        W[m + y, m] = b_x
         return W
-    return supplier
 
-
-W0_UNIT = 1.0
-
-
-def nonzero_init_instance(m, eps, rescaled=True):
-    """Deterministic instance with a small nonzero reference matrix.
-
-    Pre-rescale: points e_i + e_{m+1}, W0 = 2 eps [I | 0], each witness adds
-    a unit entry encoding the labeling, so W_y x_i = 2 eps e_i + e_{m+y}.
-    The witness function is the slope-1 min-form interpolant in the max
-    metric over the m 2^m encoded points.  With `rescaled` the domain is
-    shrunk onto the unit ball, giving B = sqrt(2) and reference spectral
-    norm 2 sqrt(2) eps."""
-    if not 0 < eps <= 0.5:
-        raise InvalidInputError("need 0 < eps <= 0.5")
-    if m < 1 or m > LAZY_M_CAP:
-        raise CapacityExceededError(f"m={m} outside [1, {LAZY_M_CAP}]")
-    d, n, points, W0 = _encoding_geometry(m, 2.0, eps)
-    inst = ShatterInstance(
-        kind="nonzero-init",
+    if kind == "convex":
+        fn, params = EncodedMaxAffine(m, n, eps, kappa), {"kappa": kappa}
+    else:
+        # coordinates read off an actual product, so that witness evaluation
+        # at the encoded points is bit-exact
+        z = witness(0) @ points[0]
+        fn, params = EncodedMinForm(m, n, eps, float(z[0]), float(z[m])), {}
+    return ShatterInstance(
+        kind=kind,
         m=m,
         margin=eps,
         d=d,
         n=n,
         points=points,
         W0=W0,
-        B=1.0,
-        threshold=0.0,
-        witness_fn=None,
+        B=b_x,
+        witness_fn=fn,
         metric="infinity",
-        domain_radius=math.sqrt(2.0),
-        declared_w0_norm=2.0 * eps,
-        params={"rescaled": rescaled},
-        _witness_supplier=_encoded_supplier(W0, m),
+        domain_radius=1.0,
+        declared_w0_norm=(w0_coeff * eps) * b_x,
+        params=params,
+        _witness_supplier=witness,
     )
-    if rescaled:
-        inst = rescale_domain(inst, math.sqrt(2.0))
-    _attach_min_form_witness(inst)
-    return inst
 
 
-def convex_instance(m, eps, kappa=0.5, rescaled=True):
+def nonzero_init_instance(m, eps):
+    """Deterministic instance with a small nonzero reference matrix:
+    W0 = 2 sqrt(2) eps [I | 0], B = sqrt(2), and the slope-1 min-form
+    interpolant in the max metric over the m 2^m encoded points."""
+    return _encoded_instance("nonzero-init", m, eps, 2.0)
+
+
+def convex_instance(m, eps, kappa=0.5):
     """Convex variant: the doubled reference matrix and the max-affine
     witness over the two-hot directions.  Exact +/-eps outputs hold for
     eps <= 0.25 with the default constant piece."""
-    if not 0 < eps <= 0.5:
-        raise InvalidInputError("need 0 < eps <= 0.5")
-    if m < 1 or m > LAZY_M_CAP:
-        raise CapacityExceededError(f"m={m} outside [1, {LAZY_M_CAP}]")
-    d, n, points, W0 = _encoding_geometry(m, 4.0, eps)
-    inst = ShatterInstance(
-        kind="convex",
-        m=m,
-        margin=eps,
-        d=d,
-        n=n,
-        points=points,
-        W0=W0,
-        B=1.0,
-        threshold=0.0,
-        witness_fn=EncodedMaxAffine(m, n, eps, kappa),
-        metric="infinity",
-        domain_radius=math.sqrt(2.0),
-        declared_w0_norm=4.0 * eps,
-        params={"kappa": kappa, "rescaled": rescaled},
-        _witness_supplier=_encoded_supplier(W0, m),
-    )
-    if rescaled:
-        inst = rescale_domain(inst, math.sqrt(2.0))
-    return inst
-
-
-def _attach_min_form_witness(inst):
-    """Read the encoded coordinates off an actual product so that witness
-    evaluation at the encoded points is bit-exact."""
-    z = inst.witness_for(0) @ inst.points[0]
-    coord_a = float(z[0])
-    coord_b = float(z[inst.m + 0])
-    inst.witness_fn = EncodedMinForm(inst.m, inst.n, inst.margin, coord_a, coord_b)
-
-
-def rescale_domain(inst, b_x):
-    """Divide the points by b_x and absorb the factor into all parameter
-    matrices; witness values f(Wx) are unchanged up to one multiply/divide
-    round-trip per coordinate."""
-    if not b_x > 0:
-        raise InvalidInputError("b_x must be positive")
-    supplier = inst._witness_supplier
-    new = ShatterInstance(
-        kind=inst.kind,
-        m=inst.m,
-        margin=inst.margin,
-        d=inst.d,
-        n=inst.n,
-        points=inst.points / b_x,
-        W0=inst.W0 * b_x,
-        B=inst.B * b_x,
-        threshold=inst.threshold,
-        witness_fn=inst.witness_fn,
-        metric=inst.metric,
-        domain_radius=inst.domain_radius / b_x,
-        declared_w0_norm=inst.declared_w0_norm * b_x,
-        params=dict(inst.params),
-        _witness_supplier=lambda y: supplier(y) * b_x,
-    )
-    if isinstance(inst.witness_fn, EncodedMinForm):
-        _attach_min_form_witness(new)
-    return new
+    return _encoded_instance("convex", m, eps, 4.0, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +537,9 @@ def verify_shattering(inst, max_failures=32):
     declarations hold.  Comparisons are written so that NaN fails.
     """
     table = witness_table(inst)
-    m, eps, s = inst.m, inst.margin, inst.threshold
+    m, eps = inst.m, inst.margin
     bits = labeling_bits(np.arange(inst.num_labelings)[:, None], m)
-    slack = np.where(bits == 1, table - (s + eps), (s - eps) - table)
+    slack = np.where(bits == 1, table - eps, -eps - table)
     ok = slack >= -SLACK_TOL
     failures = [(int(y), int(i), float(table[y, i]))
                 for y, i in np.argwhere(~ok)[:max_failures]]

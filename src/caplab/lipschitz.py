@@ -1,5 +1,5 @@
 """Lipschitz witness functions: min-form interpolation from finite anchors,
-max-affine convex functions, and empirical slope measurement."""
+the slope-budget formula, and empirical slope measurement."""
 
 import numpy as np
 
@@ -13,15 +13,6 @@ def _pairwise_dist(X, metric):
         return np.sqrt(np.maximum(d2, 0.0))
     if metric == "infinity":
         return np.max(np.abs(X[:, None, :] - X[None, :, :]), axis=2)
-    raise InvalidInputError(f"unsupported metric {metric!r}")
-
-
-def dist(u, v, metric):
-    diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-    if metric == "euclidean-vector":
-        return float(np.linalg.norm(diff))
-    if metric == "infinity":
-        return float(np.max(np.abs(diff)))
     raise InvalidInputError(f"unsupported metric {metric!r}")
 
 
@@ -117,51 +108,6 @@ def mcshane_extend(anchors, values, L, metric="euclidean-vector"):
     if L < slope * (1.0 - 1e-12):
         raise BudgetTooSmallError(L, slope)
     return AnchoredLipschitz(anchors, values, L, metric)
-
-
-class MaxAffine:
-    """max(max_j <dir_j, x> + off_j, kappa) + shift: convex by construction."""
-
-    def __init__(self, directions, offsets, kappa, shift=0.0):
-        self.directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        self.offsets = np.asarray(offsets, dtype=np.float64)
-        if self.directions.shape[0] != self.offsets.shape[0]:
-            raise InvalidInputError("direction/offset count mismatch")
-        self.kappa = float(kappa)
-        self.shift = float(shift)
-
-    @property
-    def dim(self):
-        return self.directions.shape[1]
-
-    def eval(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"dimension mismatch: input {X.shape[1]}, pieces {self.dim}"
-            )
-        vals = X @ self.directions.T + self.offsets[None, :]
-        return np.maximum(vals.max(axis=1), self.kappa) + self.shift
-
-    def __call__(self, x):
-        return float(self.eval(np.atleast_2d(x))[0])
-
-    def piece_dual_norms(self, metric="euclidean-vector"):
-        if metric == "euclidean-vector":
-            return np.linalg.norm(self.directions, axis=1)
-        # dual of the max metric is the 1-norm
-        return np.sum(np.abs(self.directions), axis=1)
-
-    def subgrad_piece(self, x):
-        """Index of the active affine piece, or None when the constant wins.
-
-        Ties resolve to the lowest index (then to the constant last)."""
-        x = np.asarray(x, dtype=np.float64)
-        vals = self.directions @ x + self.offsets
-        best = int(np.argmax(vals))
-        if vals[best] >= self.kappa:
-            return best
-        return None
 
 
 def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None,

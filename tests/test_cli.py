@@ -329,3 +329,83 @@ def test_negative_seed_and_no_resamples_are_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE, args
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "1e-308"]
+_COVER_BASE = {"B": "2", "b_x": "1", "r": "1", "L": "1", "k": "1", "c": "1",
+               "eps_grid": "0.5"}
+
+
+def _flags(params):
+    return [t for k, v in params.items() for t in ("--" + k, v)]
+
+
+def _edge_cases(tmp_path):
+    """(label, argv) for every float key of the float-taking commands at
+    every edge value; rademacher takes its floats from the instance record."""
+    base = {"zero-init": {"m_cap": "3", "n": "64"}, "nonzero-init": {"m": "3"},
+            "convex": {"m": "3"}}
+    for kind, extra in base.items():
+        for key in ("eps", "kappa", "B", "L"):
+            for v in _EDGE_VALUES:
+                yield (f"construct {kind} {key}={v}",
+                       ["construct", "--kind", kind, *_flags({**extra, key: v})])
+    records = {
+        "zero-init": ({"kind": "zero-init", "eps": 0.25,
+                       "params": {"B": 4, "L": 4, "m_cap": 3, "seed": 1, "n": 64}},
+                      ("eps", "B", "L")),
+        "nonzero-init": ({"kind": "nonzero-init", "m": 3, "eps": 0.25}, ("eps",)),
+        "convex": ({"kind": "convex", "m": 3, "eps": 0.25, "params": {"kappa": 0.5}},
+                   ("eps", "kappa")),
+    }
+    for kind, (record, keys) in records.items():
+        for key in keys:
+            for v in _EDGE_VALUES:
+                rec = json.loads(json.dumps(record))
+                (rec if key == "eps" else rec["params"])[key] = float(v)
+                path = tmp_path / f"rec-{kind}-{key}-{v}.json"
+                path.write_text(json.dumps({"instance": rec}))
+                yield (f"rademacher {kind} {key}={v}",
+                       ["rademacher", "--instance", str(path), "--draws", "50"])
+    for kind in complexity.COVER_KINDS:
+        for key in _COVER_BASE:
+            for v in _EDGE_VALUES:
+                yield (f"cover {kind} {key}={v}",
+                       ["cover", "--kind", kind, *_flags({**_COVER_BASE, key: v})])
+        for key in (*_COVER_BASE, "lb"):
+            for v in _EDGE_VALUES:
+                params = {**_COVER_BASE, "lb": "1", "m": "10", key: v}
+                yield (f"dudley {kind} {key}={v}",
+                       ["dudley", "--kind", kind, *_flags(params)])
+    manifest = _construct_m3(tmp_path, "convex")
+    for v in _EDGE_VALUES:
+        yield (f"sgd tolerance={v}",
+               ["sgd", "--instance", manifest, "--T-grid", "10", "--num-seeds",
+                "2", "--tolerance", v])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_float_flags_at_the_float_edge_end_in_one_line(tmp_path, capsys):
+    # nan, +-inf, 1e308 and 1e-308 in every float key: main returns (never
+    # raises), refuses non-finite values with exit 1, and a nonzero exit
+    # leaves exactly one "error:" line on stderr
+    bad = []
+    for label, argv in _edge_cases(tmp_path):
+        capsys.readouterr()
+        try:
+            code = run([*argv, "--out", str(tmp_path / "out")])
+        except BaseException as e:  # noqa: BLE001 - any escape is the failure
+            bad.append(f"{label}: raised {type(e).__name__}: {e}")
+            continue
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        if code not in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SCIENCE):
+            bad.append(f"{label}: exit {code!r}")
+        elif code != cli.EXIT_OK and not (
+                len(lines) == 1 and lines[0].startswith("error: ")
+                and err.endswith("\n")):
+            bad.append(f"{label}: exit {code} with stderr {err!r}")
+        elif label.split("=")[-1] in ("nan", "inf", "-inf") \
+                and code != cli.EXIT_USAGE:
+            bad.append(f"{label}: non-finite value not refused (exit {code})")
+    assert not bad, "\n".join(bad)

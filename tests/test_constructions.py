@@ -21,8 +21,8 @@ def brute_force_verify(inst):
             W = inst.witness_for(y)
             val = inst.witness_fn(W @ x)
             want_pos = (y >> i) & 1
-            s, eps = inst.threshold, inst.margin
-            slack = val - (s + eps) if want_pos else (s - eps) - val
+            eps = inst.margin
+            slack = val - eps if want_pos else -eps - val
             worst = min(worst, slack)
             if not slack >= -cn.SLACK_TOL:
                 failing.append((y, i))
@@ -86,15 +86,23 @@ def test_zero_init_precondition_named():
 
 # ---------------------------------------------------------------------------
 
-def test_nonzero_init_prerescale_geometry():
-    inst = cn.nonzero_init_instance(2, 0.25, rescaled=False)
-    assert np.array_equal(inst.points, [[1, 0, 1], [0, 1, 1]])
-    W0 = inst.witness_for(0) - np.eye(6, 3, k=0) * 0  # noqa: just materialize
-    for y in range(4):
+def test_nonzero_init_unit_ball_geometry():
+    m, eps = 2, 0.25
+    inst = cn.nonzero_init_instance(m, eps)
+    r = math.sqrt(2.0)
+    assert np.array_equal(inst.points, np.array([[1, 0, 1], [0, 1, 1]]) / r)
+    q = set()
+    for y in range(1 << m):
         Wy = inst.witness_for(y)
-        assert np.allclose(Wy @ inst.points[0], 0.5 * np.eye(6)[0] + np.eye(6)[2 + y])
-        assert np.linalg.norm(Wy - inst.W0) == 1.0
-    assert inst.declared_w0_norm == pytest.approx(2 * 0.25)
+        assert np.linalg.norm(Wy - inst.W0) == r
+        for i in range(m):
+            z = Wy @ inst.points[i]
+            assert np.flatnonzero(z).tolist() == [i, m + y]
+            q.add((z[i], z[m + y]))
+    # one (q_a, q_b) for every (i, y): the min-form witness reads its anchors off it
+    assert q == {(inst.witness_fn.coord_a, inst.witness_fn.coord_b)}
+    assert inst.witness_fn.coord_a == pytest.approx(2 * eps)
+    assert inst.witness_fn.coord_b == pytest.approx(1.0)
 
 
 def test_nonzero_init_rescaled_norms():
@@ -295,25 +303,6 @@ def test_verify_detects_wrong_labeling_encoding(kind):
     assert (y_bad, 0) in {(y, i) for (y, i, v) in rep.failures}
 
 
-def test_rescale_identity_and_norm_maps():
-    inst = cn.nonzero_init_instance(4, 0.25, rescaled=False)
-    same = cn.rescale_domain(inst, 1.0)
-    assert np.array_equal(same.points, inst.points)
-    scaled = cn.rescale_domain(inst, 2.0)
-    assert scaled.B == pytest.approx(2 * inst.B)
-    assert scaled.declared_w0_norm == pytest.approx(2 * inst.declared_w0_norm)
-    with pytest.raises(InvalidInputError):
-        cn.rescale_domain(inst, 0.0)
-
-
-def test_rescale_preserves_verdict():
-    inst = cn.nonzero_init_instance(6, 0.25)
-    r1 = cn.verify_shattering(inst)
-    r2 = cn.verify_shattering(cn.rescale_domain(inst, 1.7))
-    assert r1.passed == r2.passed
-    assert r1.worst_slack == pytest.approx(r2.worst_slack, abs=1e-9)
-
-
 def test_manifest_roundtrip():
     for inst in (
         cn.nonzero_init_instance(4, 0.25),
@@ -323,6 +312,35 @@ def test_manifest_roundtrip():
         clone = cn.instance_from_manifest(inst.manifest())
         assert np.array_equal(clone.points, inst.points)
         assert np.array_equal(clone.witness_for(3), inst.witness_for(3))
+
+
+# instance records as written when the encoded instances were built at
+# radius sqrt(2) and then rescaled: params carry an always-true "rescaled"
+_RESCALED_RECORDS = [
+    {"kind": "nonzero-init", "m": 4, "eps": 0.25, "d": 5, "n": 20,
+     "B": 1.4142135623730951, "W0_norm": 0.7071067811865476,
+     "metric": "infinity", "domain_radius": 1.0, "witness_fn": "EncodedMinForm",
+     "params": {"rescaled": True}},
+    {"kind": "convex", "m": 4, "eps": 0.25, "d": 5, "n": 20,
+     "B": 1.4142135623730951, "W0_norm": 1.4142135623730951,
+     "metric": "infinity", "domain_radius": 1.0,
+     "witness_fn": "EncodedMaxAffine", "params": {"kappa": 0.5, "rescaled": True}},
+]
+
+
+@pytest.mark.parametrize("record", _RESCALED_RECORDS, ids=["nonzero-init", "convex"])
+def test_manifest_with_rescaled_key_loads_to_fresh_build(record):
+    inst = cn.instance_from_manifest(record)
+    fresh = cn.nonzero_init_instance(4, 0.25) if record["kind"] == "nonzero-init" \
+        else cn.convex_instance(4, 0.25)
+    assert np.array_equal(inst.points, fresh.points)
+    assert np.array_equal(inst.W0, fresh.W0)
+    for y in range(inst.num_labelings):
+        assert np.array_equal(inst.witness_for(y), fresh.witness_for(y))
+    # the record is written back as before, less the dropped key
+    want = {**record, "params": {k: v for k, v in record["params"].items()
+                                 if k != "rescaled"}}
+    assert inst.manifest() == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from caplab import lipschitz as lz
+from caplab.constructions import EncodedMaxAffine
 from caplab.errors import BudgetTooSmallError, InvalidInputError
 
 
@@ -69,16 +70,7 @@ def test_duplicate_anchor_conflict():
 
 def _thm36_style(m, eps, kappa=0.5):
     n = (1 << m) + m
-    dirs, offs = [], []
-    for z in range(1 << m):
-        for j in range(m):
-            if (z >> j) & 1:
-                v = np.zeros(n)
-                v[j] = 0.5
-                v[m + z] = 0.5
-                dirs.append(v)
-                offs.append(0.0)
-    return lz.MaxAffine(dirs, offs, kappa, -(0.5 + eps)), n
+    return EncodedMaxAffine(m, n, eps, kappa), n
 
 
 def test_max_affine_margin_cases():
@@ -108,22 +100,15 @@ def test_max_affine_midpoint_convexity():
 
 def test_max_affine_lipschitz_bound():
     f, n = _thm36_style(3, 0.2)
-    dual = f.piece_dual_norms("euclidean-vector").max()
     meas = lz.empirical_lipschitz(
         f, lambda r: r.standard_normal(n), "euclidean-vector", 10000, 9)
-    assert meas <= dual + 1e-9
+    assert meas <= f.piece_dual_norm() + 1e-9
 
 
 def test_max_affine_dimension_mismatch():
     f, n = _thm36_style(2, 0.2)
     with pytest.raises(InvalidInputError):
         f.eval(np.zeros((1, n + 1)))
-
-
-def test_subgrad_piece_tie_break():
-    f = lz.MaxAffine([[1.0], [1.0]], [0.0, 0.0], kappa=-10.0)
-    assert f.subgrad_piece(np.array([2.0])) == 0
-    assert f.subgrad_piece(np.array([-100.0])) is None  # constant wins
 
 
 def test_empirical_lipschitz_linear():
