@@ -40,17 +40,7 @@ _COMMON = {
 }
 
 _SCHEMAS = {
-    "construct": {
-        "kind": ("str", _REQUIRED),
-        "m": ("int", 8),
-        "eps": ("float", 0.25),
-        "kappa": ("float", 0.5),
-        "B": ("float", 4.0),
-        "L": ("float", 4.0),
-        "m_cap": ("int", 8),
-        "n": ("int", 256),
-        "max_resamples": ("int", 20),
-    },
+    "construct": {"kind": ("str", _REQUIRED)},
     "verify": {"instance": ("str", _REQUIRED)},
     "rademacher": {
         "instance": ("str", _REQUIRED),
@@ -58,22 +48,10 @@ _SCHEMAS = {
     },
     "cover": {
         "kind": ("str", _REQUIRED),
-        "B": ("float", None),
-        "b_x": ("float", None),
-        "r": ("float", None),
-        "L": ("float", None),
-        "k": ("float", None),
-        "c": ("float", 1.0),
         "eps_grid": ("float-list", [0.5]),
     },
     "dudley": {
         "kind": ("str", _REQUIRED),
-        "B": ("float", None),
-        "b_x": ("float", None),
-        "r": ("float", None),
-        "L": ("float", None),
-        "k": ("float", None),
-        "c": ("float", 1.0),
         "lb": ("float", _REQUIRED),
         "m": ("int", _REQUIRED),
         "eps_grid": ("float-list", None),
@@ -92,6 +70,31 @@ _SCHEMAS = {
     "bounds": {"params": ("str", _REQUIRED)},
 }
 
+_BUILDERS = {
+    "zero-init": constructions.zero_init_instance,
+    "nonzero-init": constructions.nonzero_init_instance,
+    "convex": constructions.convex_instance,
+}
+
+_FORMULA_SCHEMAS = {
+    kind: {key: ("float", 1.0 if key == "c" else _REQUIRED) for key in keys}
+    for kind, keys in complexity.COVER_PARAMS.items()
+}
+
+# command -> kind -> the keys that kind reads besides the command's own; a
+# construct kind's keys are its builder's parameters (zero-init's seed is --seed)
+_KINDS = {
+    "construct": {
+        "zero-init": {"B": ("float", 4.0), "L": ("float", 4.0), "eps": ("float", 0.25),
+                      "m_cap": ("int", 8), "n": ("int", 256),
+                      "max_resamples": ("int", 20)},
+        "nonzero-init": {"m": ("int", 8), "eps": ("float", 0.25)},
+        "convex": {"m": ("int", 8), "eps": ("float", 0.25), "kappa": ("float", 0.5)},
+    },
+    "cover": _FORMULA_SCHEMAS,
+    "dudley": _FORMULA_SCHEMAS,
+}
+
 
 def _finite(key, v):
     if not math.isfinite(v):
@@ -100,41 +103,50 @@ def _finite(key, v):
 
 
 def _convert(key, tag, raw):
+    if tag in ("float-list", "int-list"):
+        if isinstance(raw, str):
+            raw = [p for p in raw.split(",") if p]
+        if not isinstance(raw, list):
+            raise UsageError(f"parameter {key!r}: expected {tag}, got {raw!r}")
+        return [_convert(key, tag.removesuffix("-list"), v) for v in raw]
     try:
-        if tag == "int":
-            if isinstance(raw, bool) or (not isinstance(raw, (int, str))):
-                raise ValueError
+        if isinstance(raw, bool):
+            raise ValueError
+        if tag == "int" and isinstance(raw, (int, str)):
             return int(raw)
-        if tag == "float":
-            if raw is None:
-                return None
-            if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-                raise ValueError
+        if tag == "float" and isinstance(raw, (int, float, str)):
             return _finite(key, float(raw))
-        if tag == "str":
-            if raw is not None and not isinstance(raw, str):
-                raise ValueError
+        if tag == "str" and isinstance(raw, str):
             return raw
-        if tag == "float-list":
-            if isinstance(raw, str):
-                raw = [p for p in raw.split(",") if p]
-            if not isinstance(raw, list):
-                raise ValueError
-            return [_finite(key, float(v)) for v in raw]
-        if tag == "int-list":
-            if isinstance(raw, str):
-                raw = [p for p in raw.split(",") if p]
-            if not isinstance(raw, list):
-                raise ValueError
-            return [int(v) for v in raw]
-    except (ValueError, TypeError, OverflowError):
+        raise ValueError
+    except (ValueError, OverflowError):
         raise UsageError(f"parameter {key!r}: expected {tag}, got {raw!r}")
-    raise UsageError(f"unknown schema tag {tag!r}")
+
+
+def _schema(command, merged):
+    """The keys that `command` reads with the kind in `merged`.  Any other
+    key in `merged` is refused; without a valid kind, a key that no kind
+    reads is refused first, then the kind."""
+    kinds = _KINDS.get(command, {})
+    kind = merged.get("kind")
+    own = kinds.get(kind) if isinstance(kind, str) else None
+    schema = {**_COMMON, **_SCHEMAS[command], **(own or {})}
+    valid = set(schema).union(*kinds.values()) if own is None else set(schema)
+    scope = command if own is None else f"{command} --kind {kind}"
+    for key in merged:
+        if key not in valid:
+            raise UsageError(f"unknown key {key!r} for {scope}; valid keys: "
+                             + ", ".join(sorted(valid)))
+    if kinds and own is None and "kind" in merged:
+        raise UsageError(f"unknown kind {kind!r} for {command}; valid kinds: "
+                         + ", ".join(kinds))
+    return schema
 
 
 def parse_config(argv):
     """argv (without program name) -> RunConfig; flag values override the
-    optional --config JSON file; unknown keys are rejected."""
+    optional --config JSON file; keys that the command and its kind do not
+    read are rejected."""
     if not argv:
         raise UsageError(
             "usage: caplab <command> [--key value ...]; commands: "
@@ -145,22 +157,15 @@ def parse_config(argv):
         raise UsageError(
             f"unknown command {command!r}; valid: " + ", ".join(sorted(_SCHEMAS))
         )
-    schema = {**_COMMON, **_SCHEMAS[command]}
     flags = {}
     i = 1
     while i < len(argv):
         tok = argv[i]
         if not tok.startswith("--"):
             raise UsageError(f"expected a --flag, got {tok!r}")
-        key = tok[2:].replace("-", "_")
-        if key not in schema:
-            raise UsageError(
-                f"unknown key {key!r} for {command}; valid keys: "
-                + ", ".join(sorted(schema))
-            )
         if i + 1 >= len(argv):
             raise UsageError(f"flag {tok} is missing a value")
-        flags[key] = argv[i + 1]
+        flags[tok[2:].replace("-", "_")] = argv[i + 1]
         i += 2
 
     merged = {}
@@ -173,17 +178,11 @@ def parse_config(argv):
             raise UsageError(f"cannot read config file {cfg_path}: {e}")
         if not isinstance(file_vals, dict):
             raise UsageError("config file must hold a JSON object")
-        for key in file_vals:
-            if key.replace("-", "_") not in schema:
-                raise UsageError(
-                    f"unknown key {key!r} in config file; valid keys: "
-                    + ", ".join(sorted(schema))
-                )
         merged.update({k.replace("-", "_"): v for k, v in file_vals.items()})
     merged.update(flags)
 
     resolved = {}
-    for key, (tag, default) in schema.items():
+    for key, (tag, default) in _schema(command, merged).items():
         if key in merged:
             resolved[key] = _convert(key, tag, merged[key])
         elif default is _REQUIRED:
@@ -246,21 +245,15 @@ def _base_manifest(cfg):
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit_code)
+# command handlers; each returns None, or the failed check's message once
+# results.csv is written
 
 def _run_construct(cfg):
-    p = cfg.parameters
-    kind = p["kind"]
+    params = dict(cfg.parameters)
+    kind = params.pop("kind")
     if kind == "zero-init":
-        inst = constructions.zero_init_instance(
-            p["B"], p["L"], p["eps"], p["m_cap"], cfg.seed,
-            n=p["n"], max_resamples=p["max_resamples"])
-    elif kind == "nonzero-init":
-        inst = constructions.nonzero_init_instance(p["m"], p["eps"])
-    elif kind == "convex":
-        inst = constructions.convex_instance(p["m"], p["eps"], p["kappa"])
-    else:
-        raise InvalidInputError(f"unknown instance kind {kind!r}")
+        params["seed"] = cfg.seed
+    inst = _BUILDERS[kind](**params)
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     write_results(
@@ -269,7 +262,6 @@ def _run_construct(cfg):
         [[inst.kind, inst.m, inst.margin, inst.d, inst.n, inst.B,
           inst.declared_w0_norm]],
     )
-    return EXIT_OK
 
 
 def _run_verify(cfg):
@@ -284,7 +276,10 @@ def _run_verify(cfg):
         [[rep.passed, rep.worst_slack, rep.checked_labelings, rep.w0_norm_ok,
           rep.ball_ok, len(rep.failures)]],
     )
-    return EXIT_OK if rep.passed else EXIT_SCIENCE
+    if not rep.passed:
+        return (f"verify failed: worst slack {rep.worst_slack!r}, failures "
+                f"{len(rep.failures)}, w0_norm_ok {rep.w0_norm_ok}, "
+                f"ball_ok {rep.ball_ok}")
 
 
 def _run_rademacher(cfg):
@@ -297,15 +292,10 @@ def _run_rademacher(cfg):
     write_results(cfg.output_dir, manifest,
                   ["id", "m", "draws", "mean", "stderr", "strategy"],
                   [est.csv_row(inst.kind)])
-    return EXIT_OK
 
 
 def _formula_params(p):
-    out = {}
-    for key in ("B", "b_x", "r", "L", "k", "c"):
-        if p.get(key) is not None:
-            out[key] = p[key]
-    return out
+    return {key: p[key] for key in complexity.COVER_PARAMS[p["kind"]]}
 
 
 def _run_cover(cfg):
@@ -318,7 +308,6 @@ def _run_cover(cfg):
         rows.append([p["kind"], eps, complexity.cover_bound(f)])
     write_results(cfg.output_dir, _base_manifest(cfg),
                   ["kind", "eps", "log_cover"], rows)
-    return EXIT_OK
 
 
 def _run_dudley(cfg):
@@ -342,7 +331,6 @@ def _run_dudley(cfg):
     write_results(cfg.output_dir, manifest,
                   ["kind", "lb", "m", "bound"],
                   [[p["kind"], p["lb"], p["m"], value]])
-    return EXIT_OK
 
 
 def _run_sgd(cfg):
@@ -358,8 +346,11 @@ def _run_sgd(cfg):
             for r in table.rows]
     write_results(cfg.output_dir, manifest,
                   ["T", "seed", "excess", "bound", "pass"], rows)
-    ok = all(s["passed"] for s in summary)
-    return EXIT_OK if ok else EXIT_SCIENCE
+    for s in summary:
+        if not s["passed"]:
+            return (f"excess-risk check failed at T={s['T']}: mean excess "
+                    f"{s['mean_excess']!r} > bound {s['bound']!r} + tolerance "
+                    f"{p['tolerance']!r}")
 
 
 def _run_uc_gap(cfg):
@@ -373,9 +364,10 @@ def _run_uc_gap(cfg):
              bool(r["gap"] >= inst.margin)] for r in table.rows]
     write_results(cfg.output_dir, manifest,
                   ["m", "seed", "support", "gap", "pass"], rows)
-    ok = all(r["gap"] >= inst.margin or r["support"] > inst.m / 2
-             for r in table.rows)
-    return EXIT_OK if ok else EXIT_SCIENCE
+    for r in table.rows:
+        if not (r["gap"] >= inst.margin or r["support"] > inst.m / 2):
+            return (f"uc-gap check failed at seed {r['seed']}: gap {r['gap']!r} "
+                    f"< eps {inst.margin!r} with support {r['support']} <= m/2")
 
 
 def _run_bounds(cfg):
@@ -395,7 +387,6 @@ def _run_bounds(cfg):
         rows.append([rep.formula_id, rep.value, rep.log_value, rep.notes])
     write_results(cfg.output_dir, _base_manifest(cfg),
                   ["formula", "value", "log_value", "notes"], rows)
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -415,7 +406,10 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
-        return _HANDLERS[cfg.command](cfg)
+        failed = _HANDLERS[cfg.command](cfg)
+        if failed is None:
+            return EXIT_OK
+        message, code = failed, EXIT_SCIENCE
     except (UsageError, InvalidInputError, OSError) as e:
         message, code = e, EXIT_USAGE
     except ArithmeticError as e:

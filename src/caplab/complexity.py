@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import witness_table
-from .errors import CapacityExceededError, InvalidInputError
+from .errors import CapacityExceededError, InvalidInputError, NumericalFailureError
 
 ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
@@ -18,14 +18,17 @@ ASCENT_STEPS = 200
 
 DUDLEY_PANELS = 1024
 SCALE_GRID_SIZE = 64
+SCALE_GRID_LO = 1e-4    # smallest default scale, as a fraction of the range
 
-COVER_KINDS = (
-    "scalar-linear",
-    "matrix-linear",
-    "constants",
-    "lipschitz-composition",
-    "contraction",
-)
+# cover formula -> the parameters it reads besides eps
+COVER_PARAMS = {
+    "scalar-linear": ("B", "b_x", "c"),
+    "matrix-linear": ("B", "r", "c"),
+    "constants": ("B",),
+    "lipschitz-composition": ("B", "L", "r", "c"),
+    "contraction": ("B", "b_x", "L", "r", "k", "c"),
+}
+COVER_KINDS = tuple(COVER_PARAMS)
 
 
 @dataclass
@@ -98,6 +101,9 @@ def _chunk_rng(seed, chunk_index):
 
 def _finalize(values, m, strategy, lower):
     values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise NumericalFailureError(
+            "a sign draw's sup is not finite: the witness values overflow")
     mean = float(values.mean())
     if values.size > 1:
         stderr = float(values.std(ddof=1) / math.sqrt(values.size))
@@ -126,7 +132,9 @@ def _witness_sups(table, draws, seed):
     m = table.shape[1]
 
     def sups(bits):
-        return (_signs(bits) @ table.T).max(axis=1) / m
+        # an overflow leaves a non-finite sup, which _finalize refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_signs(bits) @ table.T).max(axis=1) / m
 
     if m > KEY_BITS:
         return np.concatenate([sups(bits) for bits in _sign_bits(seed, draws, m)])
@@ -309,12 +317,6 @@ def cover_bound(f):
 
 # ---------------------------------------------------------------------------
 
-def default_scale_grid(range_bound, size=SCALE_GRID_SIZE, lo_fraction=1e-4):
-    if not range_bound > 0:
-        raise InvalidInputError("range bound must be positive")
-    return np.geomspace(lo_fraction * range_bound, range_bound, size)
-
-
 def dudley_bound(log_cover, range_bound, m, grid=None):
     """min over the grid of 4 eps + (12/sqrt(m)) Integral_eps^{LB} sqrt(log N(tau)) dtau,
     with a 1024-panel composite trapezoid for the integral."""
@@ -323,7 +325,8 @@ def dudley_bound(log_cover, range_bound, m, grid=None):
     if m < 1:
         raise InvalidInputError("m must be >= 1")
     if grid is None:
-        grid = default_scale_grid(range_bound)
+        grid = np.geomspace(SCALE_GRID_LO * range_bound, range_bound,
+                            SCALE_GRID_SIZE)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise InvalidInputError("grid must be nonempty")

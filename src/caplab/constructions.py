@@ -16,6 +16,7 @@ ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in witness_table
 
+SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
 SLACK_TOL = 1e-12
 NORM_TOL = 1e-9
 
@@ -238,13 +239,14 @@ class SeparatedFamily:
     points: np.ndarray          # (m, d), unit rows
     matrices: np.ndarray        # (2^m, n, d)
     separation: float           # measured min pairwise distance of {W_s x_i}
-    separation_ok: bool         # reached the 1/4 target
+    separation_ok: bool         # reached SEPARATION_TARGET
     resamples_used: int
 
 
-def random_separated_family(d, m, n, seed, max_resamples=20, target=0.25):
+def random_separated_family(d, m, n, seed, max_resamples=20):
     """Sphere points plus Gaussian matrices, redrawn until the m*2^m encoded
-    vectors are pairwise at least `target` apart (or resamples run out)."""
+    vectors are pairwise at least SEPARATION_TARGET apart (or resamples run
+    out)."""
     if d < 20:
         raise InvalidInputError(f"d={d} < 20")
     if m < 1:
@@ -269,8 +271,8 @@ def random_separated_family(d, m, n, seed, max_resamples=20, target=0.25):
         encoded = np.einsum("snd,md->smn", W, X).reshape(-1, n)
         sep = _kernels.min_pairwise_dist(encoded)
         if best is None or sep > best.separation:
-            best = SeparatedFamily(X, W, sep, sep >= target, attempt + 1)
-        if sep >= target:
+            best = SeparatedFamily(X, W, sep, sep >= SEPARATION_TARGET, attempt + 1)
+        if sep >= SEPARATION_TARGET:
             break
     return best
 
@@ -286,12 +288,11 @@ class ShatterInstance:
     margin: float               # eps
     d: int
     n: int
-    points: np.ndarray          # (m, d), norms <= domain_radius
+    points: np.ndarray          # (m, d), unit-ball rows
     W0: np.ndarray              # (n, d)
     B: float                    # Frobenius radius around W0
     witness_fn: object          # evaluable on R^n rows
     metric: str
-    domain_radius: float        # b_x
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
     _witness_supplier: object = None
@@ -316,7 +317,6 @@ class ShatterInstance:
             "B": self.B,
             "W0_norm": self.declared_w0_norm,
             "metric": self.metric,
-            "domain_radius": self.domain_radius,
             "witness_fn": type(self.witness_fn).__name__,
             "params": self.params,
         }
@@ -416,7 +416,6 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
         B=float(B),
         witness_fn=fn,
         metric="euclidean-vector",
-        domain_radius=1.0,
         declared_w0_norm=0.0,
         params={
             "B": B, "L": L, "m_cap": m_cap, "seed": seed, "n": n,
@@ -474,7 +473,6 @@ def _encoded_instance(kind, m, eps, w0_coeff, kappa=0.5):
         B=b_x,
         witness_fn=fn,
         metric="infinity",
-        domain_radius=1.0,
         declared_w0_norm=(w0_coeff * eps) * b_x,
         params=params,
         _witness_supplier=witness,

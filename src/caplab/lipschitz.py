@@ -5,6 +5,8 @@ import numpy as np
 
 from .errors import BudgetTooSmallError, InvalidInputError
 
+PERTURB_FRACTION = 0.1   # anchor-pair radius, as a fraction of the anchor spacing
+
 
 def _pairwise_dist(X, metric):
     if metric == "euclidean-vector":
@@ -110,8 +112,7 @@ def mcshane_extend(anchors, values, L, metric="euclidean-vector"):
     return AnchoredLipschitz(anchors, values, L, metric)
 
 
-def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None,
-                        perturb_fraction=0.1):
+def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None):
     """Max sampled slope |f(u)-f(v)| / d(u,v): a lower estimate of the true
     Lipschitz constant.
 
@@ -129,9 +130,9 @@ def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None,
         if anchors.shape[0] >= 2:
             d = _pairwise_dist(anchors[: min(len(anchors), 512)], metric)
             np.fill_diagonal(d, np.inf)
-            radius = perturb_fraction * float(d.min())
+            radius = PERTURB_FRACTION * float(d.min())
         else:
-            radius = perturb_fraction
+            radius = PERTURB_FRACTION
     us, vs = [], []
     for k in range(pairs):
         if k < n_anchor_pairs:

@@ -12,6 +12,7 @@ NORM_KINDS = ("frobenius", "spectral", "euclidean-vector", "infinity")
 POWER_MAX_ITERS = 10_000
 POWER_REL_TOL = 1e-10
 JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 60
 SV_TIE_TOL = 1e-12
 
 _BALL_NET_STREAM_SEED = 0xC0FFEE
@@ -29,7 +30,7 @@ def as_matrix(M):
     return A
 
 
-def spectral_norm(M, max_iters=POWER_MAX_ITERS, rel_tol=POWER_REL_TOL):
+def spectral_norm(M):
     """Largest singular value via power iteration on the Gram matrix.
 
     Deterministic: the start vector comes from a fixed-seed generator.
@@ -46,14 +47,14 @@ def spectral_norm(M, max_iters=POWER_MAX_ITERS, rel_tol=POWER_REL_TOL):
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = G @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new_lam = float(v @ (G @ v))
-        if abs(new_lam - lam) <= rel_tol * max(new_lam, 1e-300):
+        if abs(new_lam - lam) <= POWER_REL_TOL * max(new_lam, 1e-300):
             return math.sqrt(max(new_lam, 0.0))
         lam = new_lam
     raise NumericalFailureError("power iteration did not converge")
@@ -76,7 +77,7 @@ def norm(M, kind):
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def jacobi_svd(M, tol=JACOBI_TOL, max_sweeps=60):
+def jacobi_svd(M):
     """One-sided Jacobi SVD.  Returns (U, s, Vt) with s descending."""
     A = as_matrix(M)
     transposed = A.shape[0] < A.shape[1]
@@ -85,7 +86,7 @@ def jacobi_svd(M, tol=JACOBI_TOL, max_sweeps=60):
     n, d = A.shape
     B = np.ascontiguousarray(A.copy())
     V = np.eye(d)
-    sweeps = _kernels.jacobi_orthogonalize(B, V, tol, max_sweeps)
+    sweeps = _kernels.jacobi_orthogonalize(B, V, JACOBI_TOL, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise NumericalFailureError("Jacobi SVD did not converge")
     s = np.linalg.norm(B, axis=0)
@@ -142,7 +143,7 @@ class BallNet:
         return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
-def ball_net(r, B, eps, stream_size=_BALL_NET_STREAM_SIZE):
+def ball_net(r, B, eps):
     """Greedy eps-packing of the radius-B ball in R^r.
 
     The candidate stream is a fixed-seed sequence of uniform ball points, so
@@ -160,9 +161,9 @@ def ball_net(r, B, eps, stream_size=_BALL_NET_STREAM_SIZE):
     if B == 0:
         return BallNet(B, r, eps, np.zeros((1, r)))
     rng = np.random.default_rng(_BALL_NET_STREAM_SEED)
-    g = rng.standard_normal((stream_size, r))
+    g = rng.standard_normal((_BALL_NET_STREAM_SIZE, r))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = B * rng.random(stream_size) ** (1.0 / r)
+    radii = B * rng.random(_BALL_NET_STREAM_SIZE) ** (1.0 / r)
     cands = np.vstack([np.zeros((1, r)), g * radii[:, None]])
     kept = _kernels.greedy_pack(cands, eps)
     return BallNet(B, r, eps, cands[kept])

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplab import cli, complexity, constructions
 from caplab.errors import CapacityExceededError, NumericalFailureError
@@ -66,13 +72,68 @@ def test_construct_verify_roundtrip(tmp_path):
     assert body[1].startswith("true,0.0")
 
 
-def test_verify_failure_is_exit_2(tmp_path):
+def _one_error_line(err):
+    return err.count("\n") == 1 and err.startswith("error: ") and err.endswith("\n")
+
+
+def test_verify_failure_is_exit_2(tmp_path, capsys):
     a = tmp_path / "a"
     # eps > 0.25 breaks the convex construction's exact outputs
     assert run(["construct", "--kind", "convex", "--m", "4",
                 "--eps", "0.3", "--out", str(a)]) == 0
+    capsys.readouterr()
     assert run(["verify", "--instance", str(a / "manifest.json"),
                 "--out", str(tmp_path / "v")]) == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("error: verify failed: worst slack -0.0999")
+    assert err.endswith(", failures 32, w0_norm_ok True, ball_ok True\n")
+    assert (tmp_path / "v" / "results.csv").read_text().splitlines()[1].startswith("false,")
+
+
+def test_sgd_failure_is_one_line_exit_2(tmp_path, capsys):
+    manifest = _construct_m3(tmp_path, "convex")
+    capsys.readouterr()
+    assert run(["sgd", "--instance", manifest, "--T-grid", "10,20", "--num-seeds",
+                "2", "--tolerance", "-1", "--out", str(tmp_path / "s")]) == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("error: excess-risk check failed at T=10: mean excess ")
+    assert "+ tolerance -1.0" in err
+    rows = (tmp_path / "s" / "results.csv").read_text().splitlines()
+    assert len(rows) == 5 and all(r.endswith(",false") for r in rows[1:])
+
+
+def test_uc_gap_failure_is_one_line_exit_2(tmp_path, capsys):
+    a = tmp_path / "a"
+    # at eps = 0.3 the convex witness's values miss +-eps, and so does the gap
+    assert run(["construct", "--kind", "convex", "--m", "4",
+                "--eps", "0.3", "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert run(["uc-gap", "--instance", str(a / "manifest.json"), "--sample-size",
+                "2", "--num-seeds", "3", "--out", str(tmp_path / "g")]) == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.startswith("error: uc-gap check failed at seed 0: gap 0.25")
+    assert "< eps 0.3 with support 2 <= m/2" in err
+    rows = (tmp_path / "g" / "results.csv").read_text().splitlines()
+    assert len(rows) == 4 and rows[1].endswith(",false")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rademacher_overflow_is_one_line_exit_2(tmp_path, capsys):
+    # witness values near the float limit overflow the sign-vector sums; the
+    # run must fail, not write a nan row
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "convex", "--m", "3", "--kappa", "1e308",
+                "--out", str(a)]) == 0
+    capsys.readouterr()
+    code = run(["rademacher", "--instance", str(a / "manifest.json"),
+                "--draws", "50", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SCIENCE
+    assert err == "error: a sign draw's sup is not finite: the witness values overflow\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_rademacher_command(tmp_path):
@@ -331,25 +392,70 @@ def test_negative_seed_and_no_resamples_are_refused(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-_EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "1e-308"]
-_COVER_BASE = {"B": "2", "b_x": "1", "r": "1", "L": "1", "k": "1", "c": "1",
-               "eps_grid": "0.5"}
+# a valid value of every key that a kind reads, cheap to run
+_BASE = {"m": "3", "eps": "0.25", "kappa": "0.5", "B": "4", "L": "4", "m_cap": "3",
+         "n": "64", "max_resamples": "2", "b_x": "1", "r": "1", "k": "1", "c": "1",
+         "eps_grid": "0.5", "lb": "1"}
+
+
+def _kind_schema(command, kind):
+    return {**cli._SCHEMAS[command], **cli._KINDS[command][kind]}
+
+
+def _kind_params(command, kind):
+    """A valid value of each key that `command` reads with `kind`."""
+    return {key: _BASE[key] for key in _kind_schema(command, kind) if key in _BASE}
 
 
 def _flags(params):
     return [t for k, v in params.items() for t in ("--" + k, v)]
 
 
+def _unread_keys():
+    """(command, kind, key) for each key that another kind of the command
+    reads and this kind does not."""
+    for command, kinds in cli._KINDS.items():
+        every = set().union(*kinds.values())
+        for kind, keys in kinds.items():
+            for key in sorted(every - set(keys)):
+                yield command, kind, key
+
+
+def test_every_unread_key_is_a_case():
+    # construct 13, cover 13, dudley 13
+    assert len(list(_unread_keys())) == 39
+
+
+@pytest.mark.parametrize("command,kind,key", list(_unread_keys()),
+                         ids=str)
+def test_key_the_kind_does_not_read_is_refused(tmp_path, capsys, command, kind, key):
+    out = tmp_path / "out"
+    argv = [command, "--kind", kind, *_flags(_kind_params(command, kind)),
+            "--" + key, _BASE[key], "--out", str(out)]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert _one_error_line(err)
+    assert err.startswith(f"error: unknown key {key!r} for {command} --kind {kind};")
+    assert not (out / "results.csv").exists()
+
+
+_EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "1e-308"]
+
+
 def _edge_cases(tmp_path):
-    """(label, argv) for every float key of the float-taking commands at
-    every edge value; rademacher takes its floats from the instance record."""
-    base = {"zero-init": {"m_cap": "3", "n": "64"}, "nonzero-init": {"m": "3"},
-            "convex": {"m": "3"}}
-    for kind, extra in base.items():
-        for key in ("eps", "kappa", "B", "L"):
-            for v in _EDGE_VALUES:
-                yield (f"construct {kind} {key}={v}",
-                       ["construct", "--kind", kind, *_flags({**extra, key: v})])
+    """(label, argv) for every float key that each kind reads at every edge
+    value; rademacher takes its floats from the instance record."""
+    for command, kinds in cli._KINDS.items():
+        for kind in kinds:
+            params = _kind_params(command, kind)
+            for key, (tag, _) in _kind_schema(command, kind).items():
+                if tag not in ("float", "float-list"):
+                    continue
+                for v in _EDGE_VALUES:
+                    yield (f"{command} {kind} {key}={v}",
+                           [command, "--kind", kind, *_flags({**params, key: v})])
     records = {
         "zero-init": ({"kind": "zero-init", "eps": 0.25,
                        "params": {"B": 4, "L": 4, "m_cap": 3, "seed": 1, "n": 64}},
@@ -367,16 +473,6 @@ def _edge_cases(tmp_path):
                 path.write_text(json.dumps({"instance": rec}))
                 yield (f"rademacher {kind} {key}={v}",
                        ["rademacher", "--instance", str(path), "--draws", "50"])
-    for kind in complexity.COVER_KINDS:
-        for key in _COVER_BASE:
-            for v in _EDGE_VALUES:
-                yield (f"cover {kind} {key}={v}",
-                       ["cover", "--kind", kind, *_flags({**_COVER_BASE, key: v})])
-        for key in (*_COVER_BASE, "lb"):
-            for v in _EDGE_VALUES:
-                params = {**_COVER_BASE, "lb": "1", "m": "10", key: v}
-                yield (f"dudley {kind} {key}={v}",
-                       ["dudley", "--kind", kind, *_flags(params)])
     manifest = _construct_m3(tmp_path, "convex")
     for v in _EDGE_VALUES:
         yield (f"sgd tolerance={v}",
@@ -386,11 +482,15 @@ def _edge_cases(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_float_flags_at_the_float_edge_end_in_one_line(tmp_path, capsys):
-    # nan, +-inf, 1e308 and 1e-308 in every float key: main returns (never
-    # raises), refuses non-finite values with exit 1, and a nonzero exit
-    # leaves exactly one "error:" line on stderr
+    # nan, +-inf, 1e308 and 1e-308 in every float key a kind reads: main
+    # returns (never raises), refuses non-finite values with exit 1, reaches
+    # past the key check, and a nonzero exit leaves exactly one "error:"
+    # line on stderr
     bad = []
-    for label, argv in _edge_cases(tmp_path):
+    cases = list(_edge_cases(tmp_path))
+    # construct 6 keys, rademacher 6, cover 22, dudley 27, sgd 1; five values each
+    assert len(cases) == 5 * (6 + 6 + 22 + 27 + 1)
+    for label, argv in cases:
         capsys.readouterr()
         try:
             code = run([*argv, "--out", str(tmp_path / "out")])
@@ -399,7 +499,9 @@ def test_float_flags_at_the_float_edge_end_in_one_line(tmp_path, capsys):
             continue
         err = capsys.readouterr().err
         lines = err.splitlines()
-        if code not in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SCIENCE):
+        if "unknown key" in err:
+            bad.append(f"{label}: refused as an unknown key: {err!r}")
+        elif code not in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SCIENCE):
             bad.append(f"{label}: exit {code!r}")
         elif code != cli.EXIT_OK and not (
                 len(lines) == 1 and lines[0].startswith("error: ")
@@ -409,3 +511,91 @@ def test_float_flags_at_the_float_edge_end_in_one_line(tmp_path, capsys):
                 and code != cli.EXIT_USAGE:
             bad.append(f"{label}: non-finite value not refused (exit {code})")
     assert not bad, "\n".join(bad)
+
+
+_SGD_SAMPLE = {"formula": "sgd-sample", "params": {"B": 1, "L": 2, "eps": 0.5}}
+
+
+def _readme_cli_block():
+    """The argv of each `caplab` line in the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("caplab ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps(_SGD_SAMPLE))
+    commands = _readme_cli_block()
+    assert {argv[0] for argv in commands} == set(cli._SCHEMAS)
+    for argv in commands:
+        assert run(argv) == cli.EXIT_OK, " ".join(argv)
+        assert (tmp_path / argv[argv.index("--out") + 1] / "results.csv").exists()
+
+
+# mistyped values of any key, and out-of-range numbers
+_MISTYPED = st.one_of(
+    st.booleans(), st.none(), st.text("xyz", min_size=1, max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1))
+_OUT_OF_RANGE = st.integers(-3, 0)
+_BAD = {
+    "int": st.one_of(_MISTYPED, _OUT_OF_RANGE, st.floats(-10, 10)),
+    "float": st.one_of(_MISTYPED, _OUT_OF_RANGE),
+    "str": _MISTYPED,
+    "int-list": st.one_of(_MISTYPED, st.lists(st.floats(-10, 10), max_size=2)),
+    "float-list": _MISTYPED,
+}
+
+
+def _schemas():
+    """(command, kind or None) for every schema the CLI checks keys against."""
+    for command in cli._SCHEMAS:
+        for kind in cli._KINDS.get(command, [None]):
+            yield command, kind
+
+
+@pytest.fixture(scope="module")
+def base_configs(tmp_path_factory):
+    """A valid, cheap config of every (command, kind) schema."""
+    tmp = tmp_path_factory.mktemp("schemas")
+    manifests = {}
+    for kind in ("nonzero-init", "convex"):
+        assert run(["construct", "--kind", kind, "--m", "3",
+                    "--out", str(tmp / kind)]) == 0
+        manifests[kind] = str(tmp / kind / "manifest.json")
+    (tmp / "params.json").write_text(json.dumps(_SGD_SAMPLE))
+    per_command = {
+        "verify": {"instance": manifests["nonzero-init"]},
+        "rademacher": {"instance": manifests["nonzero-init"], "draws": 50},
+        "sgd": {"instance": manifests["convex"], "T_grid": [10], "num_seeds": 2},
+        "uc-gap": {"instance": manifests["convex"], "sample_size": 2, "num_seeds": 2},
+        "bounds": {"params": str(tmp / "params.json")},
+    }
+    configs = {(command, kind): per_command[command] if kind is None
+               else {"kind": kind, **_kind_params(command, kind)}
+               for command, kind in _schemas()}
+    return tmp, configs
+
+
+@pytest.mark.parametrize("command,kind", list(_schemas()), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mistyped_config_value_ends_in_one_line(base_configs, command, kind, data):
+    # each key of the schema in turn, given a mistyped or out-of-range value
+    # through --config: main returns 0, 1 or 2, and a nonzero exit leaves
+    # exactly one "error:" line
+    tmp, configs = base_configs
+    schema = {**cli._SCHEMAS[command], **cli._KINDS.get(command, {}).get(kind, {}),
+              "seed": cli._COMMON["seed"]}
+    path = tmp / "config.json"
+    for key, (tag, _) in schema.items():
+        value = data.draw(_BAD[tag], label=key)
+        path.write_text(json.dumps({**configs[command, kind], key: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(path), "--out", str(tmp / "out")])
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SCIENCE)
+        if code != cli.EXIT_OK:
+            assert _one_error_line(err.getvalue()), err.getvalue()

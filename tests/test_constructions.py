@@ -315,7 +315,8 @@ def test_manifest_roundtrip():
 
 
 # instance records as written when the encoded instances were built at
-# radius sqrt(2) and then rescaled: params carry an always-true "rescaled"
+# radius sqrt(2) and then rescaled: params carry an always-true "rescaled",
+# and the record an always-1.0 "domain_radius"
 _RESCALED_RECORDS = [
     {"kind": "nonzero-init", "m": 4, "eps": 0.25, "d": 5, "n": 20,
      "B": 1.4142135623730951, "W0_norm": 0.7071067811865476,
@@ -337,9 +338,9 @@ def test_manifest_with_rescaled_key_loads_to_fresh_build(record):
     assert np.array_equal(inst.W0, fresh.W0)
     for y in range(inst.num_labelings):
         assert np.array_equal(inst.witness_for(y), fresh.witness_for(y))
-    # the record is written back as before, less the dropped key
-    want = {**record, "params": {k: v for k, v in record["params"].items()
-                                 if k != "rescaled"}}
+    # the record is written back as before, less the dropped keys
+    want = {k: v for k, v in record.items() if k != "domain_radius"}
+    want["params"] = {k: v for k, v in record["params"].items() if k != "rescaled"}
     assert inst.manifest() == want
 
 
