@@ -274,11 +274,11 @@ def _run_verify(cfg):
         ["passed", "worst_slack", "checked_labelings", "w0_norm_ok",
          "ball_ok", "failures"],
         [[rep.passed, rep.worst_slack, rep.checked_labelings, rep.w0_norm_ok,
-          rep.ball_ok, len(rep.failures)]],
+          rep.ball_ok, rep.failure_count]],
     )
     if not rep.passed:
         return (f"verify failed: worst slack {rep.worst_slack!r}, failures "
-                f"{len(rep.failures)}, w0_norm_ok {rep.w0_norm_ok}, "
+                f"{rep.failure_count}, w0_norm_ok {rep.w0_norm_ok}, "
                 f"ball_ok {rep.ball_ok}")
 
 

@@ -12,6 +12,7 @@ from .errors import CapacityExceededError, InvalidInputError, NumericalFailureEr
 ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
 KEY_BITS = 62           # sign vectors up to this length are keyed in an int64
+SUP_BLOCK = 1 << 20     # entries of one sign-vector-by-table-row product
 
 ASCENT_RESTARTS = 10
 ASCENT_STEPS = 200
@@ -128,8 +129,10 @@ def _witness_sups(table, draws, seed):
 
     Each distinct sign vector's sup is computed once: a draw is keyed by its
     bits read as an integer.  Wider tables cannot be keyed in an int64 and
-    take one product per draw."""
+    take one product per draw.  A product takes at most DRAW_CHUNK sign
+    vectors, and fewer when that many would hold over SUP_BLOCK entries."""
     m = table.shape[1]
+    step = max(1, min(DRAW_CHUNK, SUP_BLOCK // table.shape[0]))
 
     def sups(bits):
         # an overflow leaves a non-finite sup, which _finalize refuses
@@ -137,13 +140,15 @@ def _witness_sups(table, draws, seed):
             return (_signs(bits) @ table.T).max(axis=1) / m
 
     if m > KEY_BITS:
-        return np.concatenate([sups(bits) for bits in _sign_bits(seed, draws, m)])
+        return np.concatenate([sups(bits[s : s + step])
+                               for bits in _sign_bits(seed, draws, m)
+                               for s in range(0, bits.shape[0], step)])
     weights = np.left_shift(1, np.arange(m, dtype=np.int64))
     keys = np.concatenate([bits @ weights for bits in _sign_bits(seed, draws, m)])
     distinct, inv = np.unique(keys, return_inverse=True)
     sup = np.concatenate([
-        sups((distinct[start : start + DRAW_CHUNK, None] >> np.arange(m)) & 1)
-        for start in range(0, distinct.size, DRAW_CHUNK)
+        sups((distinct[start : start + step, None] >> np.arange(m)) & 1)
+        for start in range(0, distinct.size, step)
     ])
     return sup[inv]
 

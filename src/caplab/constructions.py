@@ -14,7 +14,7 @@ from .numerics import norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
-TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in witness_table
+TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
 
 SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
 SLACK_TOL = 1e-12
@@ -58,9 +58,30 @@ def _split_two_hot(Q, m):
     return mask, i[mask], y[mask], q_a[mask], q_b[mask]
 
 
+@dataclass
+class TwoHotRows:
+    """Rows q_a e_i + q_b e_{m+y} of R^n, held by their two entries: the
+    encoded queries as witness_table hands them to a witness's eval."""
+
+    n: int
+    i: np.ndarray
+    y: np.ndarray
+    q_a: np.ndarray
+    q_b: np.ndarray
+    ndim = 2    # a (rows, n) batch, as callers that count rows by shape expect
+
+    @property
+    def shape(self):
+        return (self.i.shape[0], self.n)
+
+
 def _eval_rows(fn, X, chunk):
     """fn on every row of X, chunk by chunk: two-hot rows through
-    fn._eval_two_hot, the rest through fn._eval_dense."""
+    fn._eval_two_hot, the rest through fn._eval_dense.  X is an array of
+    rows or TwoHotRows, whose rows with a non-finite entry are written out
+    and take the dense path."""
+    if isinstance(X, TwoHotRows):
+        return _eval_two_hot_rows(fn, X, chunk)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != fn.n:
         raise InvalidInputError("dimension mismatch")
@@ -72,6 +93,23 @@ def _eval_rows(fn, X, chunk):
         res[fast] = fn._eval_two_hot(i, y, q_a, q_b)
         if not fast.all():
             res[~fast] = fn._eval_dense(Q[~fast])
+    return out
+
+
+def _eval_two_hot_rows(fn, X, chunk):
+    if X.n != fn.n:
+        raise InvalidInputError("dimension mismatch")
+    out = np.empty(X.shape[0])
+    fast = np.isfinite(X.q_a) & np.isfinite(X.q_b)
+    out[fast] = fn._eval_two_hot(X.i[fast], X.y[fast], X.q_a[fast], X.q_b[fast])
+    slow = np.flatnonzero(~fast)
+    for s in range(0, slow.size, chunk):
+        r = slow[s : s + chunk]
+        k = np.arange(r.size)
+        Q = np.zeros((r.size, fn.n))
+        Q[k, X.i[r]] = X.q_a[r]
+        Q[k, fn.m + X.y[r]] = X.q_b[r]
+        out[r] = fn._eval_dense(Q)
     return out
 
 
@@ -295,7 +333,10 @@ class ShatterInstance:
     metric: str
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
-    _witness_supplier: object = None
+    _witness_supplier: object = None    # y -> W_y, for zero-init
+    # the encoded kinds: W_y = W0 + _entry_val[y] e_{_entry_row[y]} e_m^T
+    _entry_row: np.ndarray = None       # (2^m,) int, in [m, n)
+    _entry_val: np.ndarray = None       # (2^m,)
 
     @property
     def num_labelings(self):
@@ -305,7 +346,11 @@ class ShatterInstance:
         """Dense parameter matrix for labeling index y."""
         if not 0 <= y < self.num_labelings:
             raise InvalidInputError(f"labeling index {y} out of range")
-        return self._witness_supplier(y)
+        if self._entry_row is None:
+            return self._witness_supplier(y)
+        W = self.W0.copy()
+        W[self._entry_row[y], self.m] = self._entry_val[y]
+        return W
 
     def manifest(self):
         return {
@@ -449,20 +494,7 @@ def _encoded_instance(kind, m, eps, w0_coeff, kappa=0.5):
     points /= b_x
     W0 = np.zeros((n, d))
     W0[np.arange(m), np.arange(m)] = (w0_coeff * eps) * b_x
-
-    def witness(y):
-        W = W0.copy()
-        W[m + y, m] = b_x
-        return W
-
-    if kind == "convex":
-        fn, params = EncodedMaxAffine(m, n, eps, kappa), {"kappa": kappa}
-    else:
-        # coordinates read off an actual product, so that witness evaluation
-        # at the encoded points is bit-exact
-        z = witness(0) @ points[0]
-        fn, params = EncodedMinForm(m, n, eps, float(z[0]), float(z[m])), {}
-    return ShatterInstance(
+    inst = ShatterInstance(
         kind=kind,
         m=m,
         margin=eps,
@@ -471,12 +503,21 @@ def _encoded_instance(kind, m, eps, w0_coeff, kappa=0.5):
         points=points,
         W0=W0,
         B=b_x,
-        witness_fn=fn,
+        witness_fn=None,
         metric="infinity",
         declared_w0_norm=(w0_coeff * eps) * b_x,
-        params=params,
-        _witness_supplier=witness,
+        _entry_row=m + np.arange(1 << m, dtype=np.int64),
+        _entry_val=np.full(1 << m, b_x),
     )
+    if kind == "convex":
+        inst.witness_fn = EncodedMaxAffine(m, n, eps, kappa)
+        inst.params = {"kappa": kappa}
+    else:
+        # coordinates read off an actual product, so that witness evaluation
+        # at the encoded points is bit-exact
+        z = inst.witness_for(0) @ points[0]
+        inst.witness_fn = EncodedMinForm(m, n, eps, float(z[0]), float(z[m]))
+    return inst
 
 
 def nonzero_init_instance(m, eps):
@@ -499,21 +540,43 @@ def convex_instance(m, eps, kappa=0.5):
 class VerifyReport:
     passed: bool
     worst_slack: float
-    failures: list
+    failures: list              # the first max_failures failing checks
     w0_norm_ok: bool
     ball_ok: bool
     checked_labelings: int
+    failure_count: int          # every failing check
 
 
 def witness_table(inst):
     """Value table f(W_y x_i), shape (2^m, m), over every labeling y.
 
+    On the encoded kinds every query W_y x_i is two-hot: q_a = (W0 x_i)_i
+    at coordinate i and q_b = x_i[m] v_y at r_y, for the one entry v_y at
+    (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
+    the matmul, so the queries go to the witness's eval as TwoHotRows
+    without any W_y being built.  Other instances take the Q loop.
+
     Refuses m > ENUMERATION_M_CAP before any witness is built."""
-    m, n = inst.m, inst.n
+    m, rows = inst.m, inst._entry_row
     if m > ENUMERATION_M_CAP:
         raise CapacityExceededError(
             f"m={m} > {ENUMERATION_M_CAP}: full enumeration infeasible"
         )
+    if rows is None:
+        return _dense_table(inst)
+    X = inst.points
+    labelings = inst.num_labelings
+    q_a = np.diagonal(X @ inst.W0.T)
+    q_b = inst._entry_val[:, None] * X[:, m]
+    queries = TwoHotRows(inst.n, np.tile(np.arange(m), labelings),
+                         np.repeat(rows - m, m), np.tile(q_a, labelings),
+                         q_b.ravel())
+    return np.asarray(inst.witness_fn.eval(queries)).reshape(labelings, m)
+
+
+def _dense_table(inst):
+    """witness_table by the Q loop: Q = X W_y^T for every labeling."""
+    m, n = inst.m, inst.n
     table = np.empty((inst.num_labelings, m))
     X = inst.points
     for start in range(0, inst.num_labelings, TABULATE_BLOCK):
@@ -525,6 +588,15 @@ def witness_table(inst):
             inst.witness_fn.eval(Q)
         ).reshape(len(ys), m)
     return table
+
+
+def _ball_distances(inst):
+    """||W_y - W0||_F for every labeling y.  On the encoded kinds W_y - W0
+    is the one entry v_y, whose norm np.linalg.norm takes as sqrt(v_y v_y)."""
+    if inst._entry_val is not None:
+        return np.sqrt(inst._entry_val * inst._entry_val)
+    return np.array([np.linalg.norm(inst.witness_for(y) - inst.W0)
+                     for y in range(inst.num_labelings)])
 
 
 def verify_shattering(inst, max_failures=32):
@@ -539,12 +611,12 @@ def verify_shattering(inst, max_failures=32):
     bits = labeling_bits(np.arange(inst.num_labelings)[:, None], m)
     slack = np.where(bits == 1, table - eps, -eps - table)
     ok = slack >= -SLACK_TOL
+    failing = np.argwhere(~ok)
     failures = [(int(y), int(i), float(table[y, i]))
-                for y, i in np.argwhere(~ok)[:max_failures]]
+                for y, i in failing[:max_failures]]
     w0_norm = norm(inst.W0, "spectral")
     w0_ok = abs(w0_norm - inst.declared_w0_norm) <= NORM_TOL
-    ball_ok = all(np.linalg.norm(inst.witness_for(y) - inst.W0)
-                  <= inst.B + NORM_TOL for y in range(inst.num_labelings))
+    ball_ok = bool(np.all(_ball_distances(inst) <= inst.B + NORM_TOL))
     passed = bool(ok.all()) and w0_ok and ball_ok
     return VerifyReport(passed, float(slack.min()), failures, w0_ok, ball_ok,
-                        inst.num_labelings)
+                        inst.num_labelings, len(failing))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 BALL_TOL = 1e-12
 SAMPLE_BLOCK = 64    # steps drawn per sampler call
@@ -153,8 +153,13 @@ def _point_sampler(inst, fn):
 
 def population_loss(inst, W):
     """Exact expectation of f(Wx) under the uniform distribution on the
-    instance's points."""
-    return float(np.mean(inst.witness_fn.eval(inst.points @ W.T)))
+    instance's points.  A loss that overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean(inst.witness_fn.eval(inst.points @ W.T)))
+    if not math.isfinite(loss):
+        raise NumericalFailureError(
+            "the population loss is not finite: the witness values overflow")
+    return loss
 
 
 def best_witness_loss(inst):

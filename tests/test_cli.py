@@ -91,6 +91,39 @@ def test_verify_failure_is_exit_2(tmp_path, capsys):
     assert (tmp_path / "v" / "results.csv").read_text().splitlines()[1].startswith("false,")
 
 
+def test_verify_reports_every_failing_check(tmp_path, capsys):
+    # 192 of the 384 checks fail; the listed failures stop at 32
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "convex", "--m", "6",
+                "--eps", "0.3", "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(a / "manifest.json"),
+                "--out", str(tmp_path / "v")]) == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err.endswith(", failures 192, w0_norm_ok True, ball_ok True\n")
+    row = (tmp_path / "v" / "results.csv").read_text().splitlines()[1]
+    assert row.startswith("false,") and row.endswith(",192")
+
+
+def test_sgd_population_loss_overflow_is_one_line_exit_2(tmp_path):
+    # witness values near the float limit overflow the population mean; the
+    # run must fail with one line, not with numpy's warnings and an inf excess
+    caplab_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": caplab_root}
+    a = tmp_path / "a"
+    for argv, code in ((["construct", "--kind", "convex", "--m", "3",
+                         "--kappa", "1e308", "--out", str(a)], cli.EXIT_OK),
+                       (["sgd", "--instance", str(a / "manifest.json"),
+                         "--T-grid", "10", "--num-seeds", "2",
+                         "--out", str(tmp_path / "s")], cli.EXIT_SCIENCE)):
+        proc = subprocess.run([sys.executable, "-m", "caplab.cli"] + argv,
+                              capture_output=True, env=env, text=True)
+        assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ("error: the population loss is not finite: "
+                           "the witness values overflow\n")
+
+
 def test_sgd_failure_is_one_line_exit_2(tmp_path, capsys):
     manifest = _construct_m3(tmp_path, "convex")
     capsys.readouterr()
@@ -322,6 +355,31 @@ def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["nonzero-init", "convex"])
+def test_verify_and_rademacher_at_the_enumeration_cap(kind, tmp_path, monkeypatch):
+    # m = 14 = ENUMERATION_M_CAP: the encoded table and ball check read each
+    # witness's one entry, so a command builds at most the one W_y that
+    # nonzero-init's builder reads its coordinates off (the Q loop: 2^14)
+    m = constructions.ENUMERATION_M_CAP
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", kind, "--m", str(m), "--eps", "0.25",
+                "--out", str(a)]) == 0
+    calls = []
+    original = constructions.ShatterInstance.witness_for
+    monkeypatch.setattr(constructions.ShatterInstance, "witness_for",
+                        lambda self, y: calls.append(y) or original(self, y))
+    for argv in (["verify"], ["rademacher", "--draws", "100000"]):
+        calls.clear()
+        out = tmp_path / argv[0][0]
+        assert run(argv + ["--instance", str(a / "manifest.json"),
+                           "--out", str(out)]) == 0
+        assert len(calls) <= 1, f"{argv[0]} built {len(calls)} witnesses"
+    verify = (tmp_path / "v" / "results.csv").read_text().splitlines()
+    assert verify[1] == f"true,0.0,{1 << m},true,true,0"
+    rademacher = (tmp_path / "r" / "results.csv").read_text().splitlines()
+    assert rademacher[1] == f"{kind},{m},100000,0.25,0.0,enumerate-witnesses"
 
 
 @pytest.mark.parametrize("command,flags", [

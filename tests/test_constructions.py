@@ -196,111 +196,128 @@ def test_verify_agrees_with_brute_force():
         assert failing == []
 
 
+def _with_entries(inst, rows=None, vals=None):
+    """A copy of an encoded instance whose witnesses W_y = W0 + v_y e_{r_y}
+    e_m^T read the given rows r and values v."""
+    bad = copy.copy(inst)
+    if rows is not None:
+        bad._entry_row = rows
+    if vals is not None:
+        bad._entry_val = vals
+    return bad
+
+
+def _same_as_dense_oracle(inst):
+    """The table verify reads is the Q loop's, NaN for NaN, so the dense
+    oracle reaches the same verdict on every check."""
+    return np.array_equal(cn.witness_table(inst), cn._dense_table(inst),
+                          equal_nan=True)
+
+
 def test_verify_detects_corruption():
     inst = cn.nonzero_init_instance(4, 0.25)
-    good = inst._witness_supplier
-
-    def corrupt(y):
-        W = good(y)
-        if y == 5:
-            W = W.copy()
-            W[inst.m + y] = 0.0  # erase the labeling-encoding row
-        return W
-
-    bad = copy.copy(inst)
-    bad._witness_supplier = corrupt
+    vals = inst._entry_val.copy()
+    vals[5] = 0.0  # erase the labeling-encoding entry of W_5
+    bad = _with_entries(inst, vals=vals)
     rep = cn.verify_shattering(bad)
     assert not rep.passed
     assert any(y == 5 for (y, i, v) in rep.failures)
+    assert _same_as_dense_oracle(bad)
 
 
 def test_verify_failures_in_labeling_order_and_capped():
     # every labeling y encodes y ^ 0b11, so points 0 and 1 take the wrong
     # sign everywhere: 2 * 64 failing checks, listed y-major, first 32 kept
     inst = cn.nonzero_init_instance(6, 0.25)
-    m, good = inst.m, inst._witness_supplier
-
-    def corrupt(y):
-        W = good(y).copy()
-        W[[m + y, m + (y ^ 3)]] = W[[m + (y ^ 3), m + y]]
-        return W
-
-    bad = copy.copy(inst)
-    bad._witness_supplier = corrupt
+    m = inst.m
+    bad = _with_entries(inst, rows=m + (np.arange(1 << m) ^ 3))
     rep = cn.verify_shattering(bad)
     _, failing = brute_force_verify(bad)
     assert len(failing) == 128
     assert [(y, i) for (y, i, v) in rep.failures] == failing[:32]
+    assert rep.failure_count == 128
     assert not rep.passed and rep.ball_ok
     assert len(cn.verify_shattering(bad, max_failures=5).failures) == 5
+    assert _same_as_dense_oracle(bad)
 
 
 class _NanWitness:
-    """Wraps a witness; rows equal to `row` (every row if None) read NaN."""
+    """Wraps a witness; the query W_y x_i at `at` = (y, i) (every query if
+    None) reads NaN, whether it comes as TwoHotRows or as a dense row."""
 
-    def __init__(self, fn, row=None):
-        self.fn, self.row = fn, row
+    def __init__(self, inst, at=None):
+        self.fn, self.at = inst.witness_fn, at
+        if at is not None:
+            self.row = inst.points[at[1]] @ inst.witness_for(at[0]).T
 
     def eval(self, Q):
         out = self.fn.eval(Q)
-        hit = True if self.row is None else (Q == self.row).all(axis=1)
+        if self.at is None:
+            hit = True
+        elif isinstance(Q, cn.TwoHotRows):
+            hit = (Q.y == self.at[0]) & (Q.i == self.at[1])
+        else:
+            hit = (Q == self.row).all(axis=1)
         return np.where(hit, np.nan, out)
 
 
 def test_verify_fails_on_nan():
     inst = cn.nonzero_init_instance(4, 0.25)
     bad = copy.copy(inst)
-    bad.witness_fn = _NanWitness(inst.witness_fn)
+    bad.witness_fn = _NanWitness(inst)
     rep = cn.verify_shattering(bad)
     assert not rep.passed and math.isnan(rep.worst_slack)
     assert len(rep.failures) == 32
+    assert _same_as_dense_oracle(bad)
 
     # a single NaN value at labeling 5, point 2
-    bad.witness_fn = _NanWitness(inst.witness_fn,
-                                 inst.points[2] @ inst.witness_for(5).T)
+    bad.witness_fn = _NanWitness(inst, at=(5, 2))
     rep = cn.verify_shattering(bad)
     assert not rep.passed
     assert [(y, i) for (y, i, v) in rep.failures] == [(5, 2)]
     assert math.isnan(rep.failures[0][2])
+    assert _same_as_dense_oracle(bad)
 
     # a NaN entry in W_9: the ball check must reject it as well
-    good = inst._witness_supplier
-
-    def nan_entry(y):
-        W = good(y)
-        if y == 9:
-            W = W.copy()
-            W[inst.m + 3, 0] = np.nan
-        return W
-
-    bad = copy.copy(inst)
-    bad._witness_supplier = nan_entry
+    vals = inst._entry_val.copy()
+    vals[9] = np.nan
+    bad = _with_entries(inst, vals=vals)
     rep = cn.verify_shattering(bad)
     assert not rep.ball_ok and not rep.passed
+    assert _same_as_dense_oracle(bad)
 
 
 @pytest.mark.parametrize("kind", ["nonzero-init", "convex"])
-def test_verify_detects_wrong_labeling_encoding(kind):
+def test_verify_detects_wrong_labeling_encoding(kind, monkeypatch):
     # labeling 5 encodes labeling 4 instead: its queries stay two-hot, so
     # the closed-form path must be the one that finds the wrong sign
     inst = cn.nonzero_init_instance(4, 0.25) if kind == "nonzero-init" \
         else cn.convex_instance(4, 0.2)
     m, y_bad = inst.m, 5
-    good = inst._witness_supplier
+    rows = inst._entry_row.copy()
+    rows[y_bad] = m + (y_bad ^ 1)
+    bad = _with_entries(inst, rows=rows)
+    assert cn._split_two_hot(inst.points @ bad.witness_for(y_bad).T, m)[0].all()
+    assert _same_as_dense_oracle(bad)
 
-    def corrupt(y):
-        W = good(y)
-        if y == y_bad:
-            W = W.copy()
-            W[[m + y, m + (y ^ 1)]] = W[[m + (y ^ 1), m + y]]
-        return W
+    def refuse(Q):
+        raise AssertionError(f"{len(Q)} encoded rows took the dense path")
 
-    bad = copy.copy(inst)
-    bad._witness_supplier = corrupt
-    assert cn._split_two_hot(inst.points @ corrupt(y_bad).T, m)[0].all()
+    monkeypatch.setattr(inst.witness_fn, "_eval_dense", refuse)
     rep = cn.verify_shattering(bad)
     assert not rep.passed and rep.ball_ok
     assert (y_bad, 0) in {(y, i) for (y, i, v) in rep.failures}
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_table_and_ball_bit_equal_to_dense_oracle(m):
+    # eps = 0.3 is the convex instance that fails verify
+    for inst in (cn.nonzero_init_instance(m, 0.25), cn.nonzero_init_instance(m, 0.1),
+                 cn.convex_instance(m, 0.2), cn.convex_instance(m, 0.3)):
+        assert np.array_equal(cn.witness_table(inst), cn._dense_table(inst))
+        dense = [np.linalg.norm(inst.witness_for(y) - inst.W0)
+                 for y in range(inst.num_labelings)]
+        assert np.array_equal(cn._ball_distances(inst), dense)
 
 
 def test_manifest_roundtrip():
