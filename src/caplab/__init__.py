@@ -17,7 +17,6 @@ from .complexity import (
     CoverFormula,
     FiniteWitnessClass,
     LinearBallClass,
-    MatrixBallClass,
     RademacherEstimate,
     cover_bound,
     dudley_bound,
@@ -34,7 +33,6 @@ from .constructions import (
     zero_init_instance,
 )
 from .errors import (
-    BudgetTooSmallError,
     CapacityExceededError,
     InvalidInputError,
     NumericalFailureError,
@@ -50,7 +48,6 @@ from .learner import (
 from .lipschitz import (
     AnchoredLipschitz,
     budget,
-    mcshane_extend,
     min_feasible_slope,
 )
 from .numerics import (

@@ -14,9 +14,6 @@ DRAW_CHUNK = 4096
 KEY_BITS = 62           # sign vectors up to this length are keyed in an int64
 SUP_BLOCK = 1 << 20     # entries of one sign-vector-by-table-row product
 
-ASCENT_RESTARTS = 10
-ASCENT_STEPS = 200
-
 DUDLEY_PANELS = 1024
 SCALE_GRID_SIZE = 64
 SCALE_GRID_LO = 1e-4    # smallest default scale, as a fraction of the range
@@ -39,7 +36,6 @@ class RademacherEstimate:
     draws: int
     m: int
     sup_strategy: str
-    is_lower_estimate: bool
 
     def csv_row(self, row_id):
         return [row_id, self.m, self.draws, repr(self.mean), repr(self.stderr),
@@ -76,19 +72,6 @@ class LinearBallClass:
         self.B = float(B)
 
 
-class MatrixBallClass:
-    """{x -> f(Wx) : ||W - W0||_F <= B} for a witness f exposing loss_subgrad.
-    The inner sup is non-concave; only the projected-ascent lower estimate
-    applies."""
-
-    strategy = "projected-ascent"
-
-    def __init__(self, fn, W0, B):
-        self.fn = fn
-        self.W0 = np.asarray(W0, dtype=np.float64)
-        self.B = float(B)
-
-
 def instance_class(inst):
     return FiniteWitnessClass(witness_table(inst))
 
@@ -100,7 +83,7 @@ def _chunk_rng(seed, chunk_index):
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
-def _finalize(values, m, strategy, lower):
+def _finalize(values, m, strategy):
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise NumericalFailureError(
@@ -110,7 +93,7 @@ def _finalize(values, m, strategy, lower):
         stderr = float(values.std(ddof=1) / math.sqrt(values.size))
     else:
         stderr = 0.0
-    return RademacherEstimate(mean, stderr, values.size, m, strategy, lower)
+    return RademacherEstimate(mean, stderr, values.size, m, strategy)
 
 
 def _signs(bits):
@@ -156,9 +139,8 @@ def _witness_sups(table, draws, seed):
 def rademacher_mc(points, class_handle, draws, seed):
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
-    The handle's class sets the sup strategy.  Per sign draw the inner sup
-    is exact for the enumerate and closed-form strategies; the
-    projected-ascent strategy is a lower estimate."""
+    The handle's class sets the sup strategy; per sign draw the inner sup is
+    exact under both."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = points.shape[0]
     if draws < 1:
@@ -168,66 +150,17 @@ def rademacher_mc(points, class_handle, draws, seed):
         table = class_handle.table
         if table.shape[1] != m:
             raise InvalidInputError("table width != number of points")
-        return _finalize(_witness_sups(table, draws, seed), m, strategy, False)
-    per_draw = np.empty(draws)
-    for ci, start in enumerate(range(0, draws, DRAW_CHUNK)):
-        count = min(DRAW_CHUNK, draws - start)
-        rng = _chunk_rng(seed, ci)
-        signs = _signs(rng.integers(0, 2, size=(count, m)))
-        if strategy == "linear-closed-form":
-            sums = signs @ points
-            per_draw[start : start + count] = (
-                class_handle.B / m
-            ) * np.linalg.norm(sums, axis=1)
-        elif strategy == "projected-ascent":
-            for k in range(count):
-                per_draw[start + k] = _ascend(
-                    points, class_handle, signs[k], rng
-                )
-        else:
-            raise InvalidInputError(f"unknown strategy {strategy!r}")
-    return _finalize(per_draw, m, strategy, strategy == "projected-ascent")
-
-
-def _ascend(points, handle, signs, rng):
-    """Projected gradient ascent on W -> (1/m) sum_i eps_i f(W x_i)."""
-    m = points.shape[0]
-    W0, B = handle.W0, handle.B
-    best = -np.inf
-    for _ in range(ASCENT_RESTARTS):
-        D = rng.standard_normal(W0.shape)
-        W = W0 + (B * rng.random() / np.linalg.norm(D)) * D
-        for t in range(1, ASCENT_STEPS + 1):
-            G = np.zeros_like(W)
-            val = 0.0
-            for i in range(m):
-                fi, rows, Gi = handle.fn.loss_subgrad(W[None], points[i][None])
-                val += signs[i] * fi[0]
-                G[rows[0]] += signs[i] * Gi[0]
-            best = max(best, val / m)
-            W = W + (0.1 * B / math.sqrt(t)) * (G / m)
-            delta = W - W0
-            nrm = np.linalg.norm(delta)
-            if nrm > B:
-                W = W0 + (B / nrm) * delta
-        val = 0.0
-        for i in range(m):
-            fi, _, _ = handle.fn.loss_subgrad(W[None], points[i][None])
-            val += signs[i] * fi[0]
-        best = max(best, val / m)
-    return best
+        return _finalize(_witness_sups(table, draws, seed), m, strategy)
+    if strategy != "linear-closed-form":
+        raise InvalidInputError(f"unknown strategy {strategy!r}")
+    per_draw = np.concatenate([
+        (class_handle.B / m) * np.linalg.norm(_signs(bits) @ points, axis=1)
+        for bits in _sign_bits(seed, draws, m)
+    ])
+    return _finalize(per_draw, m, strategy)
 
 
 # ---------------------------------------------------------------------------
-
-def empirical_metric(table):
-    """Pairwise empirical L2 distances d_m between the table rows."""
-    table = np.atleast_2d(np.asarray(table, dtype=np.float64))
-    sq = np.einsum("ij,ij->i", table, table)
-    g = sq[:, None] + sq[None, :] - 2.0 * (table @ table.T)
-    np.maximum(g, 0.0, out=g)
-    return np.sqrt(g / table.shape[1])
-
 
 def empirical_cover(function_table, eps):
     """Greedy farthest-point proper cover under d_m; returns center indices."""
@@ -247,16 +180,6 @@ def empirical_cover(function_table, eps):
         d_new = np.linalg.norm(table - table[far], axis=1) / math.sqrt(m)
         np.minimum(d_min, d_new, out=d_min)
     return centers
-
-
-def cover_coverage(function_table, centers):
-    """Max over rows of the distance to the nearest chosen center."""
-    table = np.atleast_2d(np.asarray(function_table, dtype=np.float64))
-    m = table.shape[1]
-    d = np.full(table.shape[0], np.inf)
-    for c in centers:
-        np.minimum(d, np.linalg.norm(table - table[c], axis=1) / math.sqrt(m), out=d)
-    return float(d.max())
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +267,6 @@ def dudley_bound(log_cover, range_bound, m, grid=None):
         else:
             taus = np.linspace(eps, range_bound, DUDLEY_PANELS + 1)
             vals = np.sqrt(np.maximum([log_cover(t) for t in taus], 0.0))
-            # np.trapezoid is numpy >= 2.0; np.trapz is gone from numpy 2.4
-            trap = getattr(np, "trapezoid", None) or np.trapz
-            integral = float(trap(vals, taus))
+            integral = float(np.trapezoid(vals, taus))
         best = min(best, 4.0 * eps + 12.0 / math.sqrt(m) * integral)
     return best

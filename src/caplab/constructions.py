@@ -131,10 +131,6 @@ class EncodedMinForm:
         bits = (z >> self.j_arr) & 1
         self.vals = np.where(bits == 1, self.eps, -self.eps)
 
-    @property
-    def num_anchors(self):
-        return self.j_arr.shape[0]
-
     def eval(self, X, chunk=512):
         return _eval_rows(self, X, chunk)
 
@@ -170,15 +166,6 @@ class EncodedMinForm:
 
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])
-
-    def anchors_dense(self):
-        A = np.zeros((self.num_anchors, self.n))
-        A[np.arange(self.num_anchors), self.j_arr] = self.coord_a
-        A[np.arange(self.num_anchors), self.zc_arr] = self.coord_b
-        return A
-
-    def to_anchored(self):
-        return AnchoredLipschitz(self.anchors_dense(), self.vals, self.L, self.metric)
 
 
 class EncodedMaxAffine:

@@ -11,17 +11,3 @@ class NumericalFailureError(RuntimeError):
 
 class CapacityExceededError(InvalidInputError):
     """Requested size would blow past the desk-scale guards."""
-
-
-class BudgetTooSmallError(InvalidInputError):
-    """Lipschitz budget below the minimal feasible slope.
-
-    Carries the minimal feasible value so callers can retry.
-    """
-
-    def __init__(self, requested: float, minimal: float):
-        self.requested = requested
-        self.minimal = minimal
-        super().__init__(
-            f"Lipschitz budget {requested!r} below minimal feasible slope {minimal!r}"
-        )

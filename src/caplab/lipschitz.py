@@ -3,7 +3,7 @@ the slope-budget formula, and empirical slope measurement."""
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, InvalidInputError
+from .errors import InvalidInputError
 
 PERTURB_FRACTION = 0.1   # anchor-pair radius, as a fraction of the anchor spacing
 
@@ -98,18 +98,6 @@ def min_feasible_slope(anchors, values, metric):
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.where(d > 0, vd / d, 0.0)
     return float(slopes.max())
-
-
-def mcshane_extend(anchors, values, L, metric="euclidean-vector"):
-    """Min-form extension of the anchor values at slope budget L.
-
-    Raises BudgetTooSmallError (reporting the minimal feasible slope) when L
-    cannot interpolate the anchors.
-    """
-    slope = min_feasible_slope(anchors, values, metric)
-    if L < slope * (1.0 - 1e-12):
-        raise BudgetTooSmallError(L, slope)
-    return AnchoredLipschitz(anchors, values, L, metric)
 
 
 def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None):

@@ -1,7 +1,5 @@
 """Dense linear algebra primitives: norms, SVD truncation, ball nets."""
 
-import math
-
 import numpy as np
 
 from . import _kernels
@@ -9,8 +7,6 @@ from .errors import CapacityExceededError, InvalidInputError, NumericalFailureEr
 
 NORM_KINDS = ("frobenius", "spectral", "euclidean-vector", "infinity")
 
-POWER_MAX_ITERS = 10_000
-POWER_REL_TOL = 1e-10
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
 SV_TIE_TOL = 1e-12
@@ -31,33 +27,8 @@ def as_matrix(M):
 
 
 def spectral_norm(M):
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Deterministic: the start vector comes from a fixed-seed generator.
-    """
-    A = as_matrix(M)
-    if A.size == 0 or not A.any():
-        return 0.0
-    # iterate on the smaller Gram matrix
-    if A.shape[0] < A.shape[1]:
-        A = A.T
-    G = A.T @ A
-    d = G.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_lam = float(v @ (G @ v))
-        if abs(new_lam - lam) <= POWER_REL_TOL * max(new_lam, 1e-300):
-            return math.sqrt(max(new_lam, 0.0))
-        lam = new_lam
-    raise NumericalFailureError("power iteration did not converge")
+    """Largest singular value, from LAPACK."""
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 def norm(M, kind):
@@ -120,27 +91,12 @@ def svd_truncate(W, eps):
 class BallNet:
     """Greedy maximal packing of a Euclidean ball, doubling as a cover."""
 
-    def __init__(self, radius, dim, resolution, centers):
-        self.radius = float(radius)
-        self.dim = int(dim)
-        self.resolution = float(resolution)
+    def __init__(self, centers):
         self.centers = np.asarray(centers, dtype=np.float64)
 
     @property
     def size(self):
         return self.centers.shape[0]
-
-    def size_limit(self):
-        return (1.0 + 2.0 * self.radius / self.resolution) ** self.dim
-
-    def nearest_center_dist(self, points):
-        P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        d2 = (
-            np.sum(P * P, axis=1)[:, None]
-            + np.sum(self.centers**2, axis=1)[None, :]
-            - 2.0 * P @ self.centers.T
-        )
-        return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
 def ball_net(r, B, eps):
@@ -159,11 +115,11 @@ def ball_net(r, B, eps):
     if B < 0:
         raise InvalidInputError("radius must be nonnegative")
     if B == 0:
-        return BallNet(B, r, eps, np.zeros((1, r)))
+        return BallNet(np.zeros((1, r)))
     rng = np.random.default_rng(_BALL_NET_STREAM_SEED)
     g = rng.standard_normal((_BALL_NET_STREAM_SIZE, r))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     radii = B * rng.random(_BALL_NET_STREAM_SIZE) ** (1.0 / r)
     cands = np.vstack([np.zeros((1, r)), g * radii[:, None]])
     kept = _kernels.greedy_pack(cands, eps)
-    return BallNet(B, r, eps, cands[kept])
+    return BallNet(cands[kept])

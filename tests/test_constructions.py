@@ -7,6 +7,7 @@ import pytest
 from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
+from caplab.lipschitz import AnchoredLipschitz
 
 
 def brute_force_verify(inst):
@@ -27,6 +28,21 @@ def brute_force_verify(inst):
             if not slack >= -cn.SLACK_TOL:
                 failing.append((y, i))
     return worst, sorted(failing)
+
+
+def dense_anchors(fn):
+    """The encoded min-form witness's m*2^m anchors as dense rows: anchor k
+    is coord_a at coordinate j_arr[k] and coord_b at zc_arr[k]."""
+    k = np.arange(fn.j_arr.shape[0])
+    A = np.zeros((k.size, fn.n))
+    A[k, fn.j_arr] = fn.coord_a
+    A[k, fn.zc_arr] = fn.coord_b
+    return A
+
+
+def anchored_min_form(fn):
+    """The encoded min-form witness as an AnchoredLipschitz over dense anchors."""
+    return AnchoredLipschitz(dense_anchors(fn), fn.vals, fn.L, fn.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +142,7 @@ def test_nonzero_init_m1_both_labelings():
 def test_nonzero_init_encoded_min_linf_distance():
     # exhaustive scan: min pairwise l-inf distance of the 2048 encoded points
     inst = cn.nonzero_init_instance(8, 0.25)
-    A = inst.witness_fn.anchors_dense()
+    A = dense_anchors(inst.witness_fn)
     best = np.inf
     for s in range(0, A.shape[0], 128):
         blk = A[s : s + 128]
@@ -146,7 +162,7 @@ def test_nonzero_init_deterministic():
 def test_encoded_witness_matches_dense_form():
     inst = cn.nonzero_init_instance(4, 0.25)
     fn = inst.witness_fn
-    dense = fn.to_anchored()
+    dense = anchored_min_form(fn)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((200, inst.n))
     assert np.allclose(fn.eval(X), dense.eval(X), atol=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from caplab import lipschitz as lz
 from caplab.constructions import EncodedMaxAffine
-from caplab.errors import BudgetTooSmallError, InvalidInputError
+from caplab.errors import InvalidInputError
 
 
 def test_budget_examples():
@@ -24,14 +24,17 @@ def test_budget_times_alpha_identity():
             assert lz.budget([-eps, eps], alpha) * alpha == pytest.approx(2 * eps)
 
 
+# The McShane extension of anchor values at slope L is the min-form
+# interpolant AnchoredLipschitz; min_feasible_slope is the least such L.
+
 def test_mcshane_single_anchor():
-    f = lz.mcshane_extend([[0.0, 0.0]], [3.0], 1.0)
+    f = lz.AnchoredLipschitz([[0.0, 0.0]], [3.0], 1.0, "euclidean-vector")
     assert f([0.0, 0.0]) == pytest.approx(3.0)
     assert f([3.0, 4.0]) == pytest.approx(8.0)
 
 
 def test_mcshane_midpoint():
-    f = lz.mcshane_extend([[0.0], [2.0]], [0.0, 2.0], 1.0)
+    f = lz.AnchoredLipschitz([[0.0], [2.0]], [0.0, 2.0], 1.0, "euclidean-vector")
     assert f([1.0]) == pytest.approx(1.0)
 
 
@@ -41,7 +44,7 @@ def test_mcshane_interpolates_exactly():
     p = rng.standard_normal(50)
     for metric in ("euclidean-vector", "infinity"):
         slope = lz.min_feasible_slope(A, p, metric)
-        f = lz.mcshane_extend(A, p, slope * 1.5, metric)
+        f = lz.AnchoredLipschitz(A, p, slope * 1.5, metric)
         assert np.abs(f.eval(A) - p).max() <= 1e-12
 
 
@@ -51,16 +54,10 @@ def test_mcshane_measured_slope_within_budget():
     p = rng.standard_normal(50)
     for metric in ("euclidean-vector", "infinity"):
         L = lz.min_feasible_slope(A, p, metric) * 1.2
-        f = lz.mcshane_extend(A, p, L, metric)
+        f = lz.AnchoredLipschitz(A, p, L, metric)
         meas = lz.empirical_lipschitz(
             f, lambda r: 2 * r.standard_normal(5), metric, 10000, 3, anchors=A)
         assert meas <= L + 1e-9
-
-
-def test_mcshane_budget_too_small():
-    with pytest.raises(BudgetTooSmallError) as ei:
-        lz.mcshane_extend([[0.0], [1.0]], [0.0, 5.0], 1.0)
-    assert ei.value.minimal == pytest.approx(5.0)
 
 
 def test_duplicate_anchor_conflict():

@@ -22,6 +22,21 @@ def test_norm_rejects_nonfinite():
         nm.norm(np.array([[1.0, np.nan]]), "frobenius")
 
 
+def _gapped_matrix(gap):
+    """A 60x40 matrix with singular values 1 and 1 - gap, then 0.5 down to 0.01."""
+    rng = np.random.default_rng(31)
+    U, _ = np.linalg.qr(rng.standard_normal((60, 40)))
+    V, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    s = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.01, 38)])
+    return (U * s) @ V.T
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_spectral_norm_exact_at_small_singular_value_gap(gap):
+    # power iteration's step-change stopping rule ends 1e-8 to 1e-7 short here
+    assert abs(nm.spectral_norm(_gapped_matrix(gap)) - 1.0) <= 1e-12
+
+
 def test_spectral_matches_svd_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -92,12 +107,23 @@ def test_svd_truncate_idempotent():
         assert np.allclose(nm.svd_truncate(Wt, 0.7), Wt, atol=1e-12)
 
 
+def nearest_center_dist(net, points):
+    """Distance from each point to its nearest net center."""
+    d = np.linalg.norm(points[:, None, :] - net.centers[None, :, :], axis=2)
+    return d.min(axis=1)
+
+
+def size_limit(r, B, eps):
+    """Volume bound on an eps-packing of the radius-B ball in R^r."""
+    return (1.0 + 2.0 * B / eps) ** r
+
+
 def test_ball_net_line():
     net = nm.ball_net(1, 1.0, 0.5)
     assert net.size <= 5
     rng = np.random.default_rng(0)
     probes = (2 * rng.random((1000, 1)) - 1)
-    assert net.nearest_center_dist(probes).max() <= 0.5 * 1.01
+    assert nearest_center_dist(net, probes).max() <= 0.5 * 1.01
 
 
 def test_ball_net_degenerate():
@@ -109,7 +135,7 @@ def test_ball_net_size_limit():
     assert nm.ball_net(2, 1.0, 1.0).size <= 9
     for r in (1, 2, 3):
         net = nm.ball_net(r, 2.0, 0.75)
-        assert net.size <= net.size_limit()
+        assert net.size <= size_limit(r, 2.0, 0.75)
         # packing property and ball membership
         C = net.centers
         assert np.linalg.norm(C, axis=1).max() <= 2.0 + 1e-12
