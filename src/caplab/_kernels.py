@@ -139,8 +139,9 @@ def min_pairwise_dist(X, chunk=512):
 # in R^n, carrying value vals[z*m + j].  For each query row we need
 #   min over anchors of  vals + max(max_{c not in {j, m+z}} |q_c|,
 #                                   |q_j - a|, |q_{m+z} - b|)
-# The excluded max comes from the query's top-3 |q_c| entries.  Two-hot
-# rows never get here: EncodedMinForm.eval evaluates them in closed form.
+# The excluded max comes from the query's top-3 |q_c| entries.  Encoded
+# queries come as TwoHotRows, which EncodedMinForm.eval evaluates in closed
+# form; only dense arrays of rows get here.
 
 def _top3_abs(Q):
     """Per-row top-3 |entry| values and their indices, descending."""

@@ -231,6 +231,8 @@ def _load_instance(path):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InvalidInputError(f"cannot read instance manifest {path}: {e}")
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object")
     if "instance" not in obj:
         raise InvalidInputError(f"{path} holds no instance record")
     return constructions.instance_from_manifest(obj["instance"])
@@ -379,6 +381,8 @@ def _run_bounds(cfg):
         raise InvalidInputError(f"cannot read parameter file {path}: {e}")
     if isinstance(spec_list, dict):
         spec_list = [spec_list]
+    if not isinstance(spec_list, list):
+        raise InvalidInputError(f"{path} must hold a JSON object or list")
     rows = []
     for entry in spec_list:
         if not isinstance(entry, dict) or "formula" not in entry:

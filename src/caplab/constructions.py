@@ -34,34 +34,16 @@ def labeling_bits(y, m):
 # matrix-vector product so evaluation at the encoded points is bit-exact.
 #
 # Every encoded query W_y x_i is two-hot: q_a at coordinate i, q_b at m+y,
-# zero elsewhere.  On such a row each witness is evaluated in closed form,
-# grouping the anchors/pieces by whether they share i and/or y; every other
-# row, and any row with a non-finite entry, takes the dense path.
-
-
-def _split_two_hot(Q, m):
-    """Rows of Q with at most one nonzero among the first m coordinates and
-    at most one among the rest, lying in the first 2^m of those.
-
-    Returns (mask, i, y, q_a, q_b) with q_a = Q[r, i], q_b = Q[r, m+y] for
-    the masked rows r; a row without a nonzero in a block reads index 0."""
-    nz = Q != 0
-    head, tail = nz[:, :m], nz[:, m:]
-    i = head.argmax(axis=1)
-    y = tail.argmax(axis=1)
-    rows = np.arange(Q.shape[0])
-    q_a = Q[rows, i]
-    q_b = Q[rows, m + y]
-    mask = ((np.count_nonzero(head, axis=1) <= 1)
-            & (np.count_nonzero(tail, axis=1) <= 1) & (y < 1 << m)
-            & np.isfinite(q_a) & np.isfinite(q_b))
-    return mask, i[mask], y[mask], q_a[mask], q_b[mask]
+# zero elsewhere.  witness_values hands such queries to a witness as
+# TwoHotRows, which are evaluated in closed form, grouping the anchors/pieces
+# by whether they share i and/or y; a dense array of rows, and any two-hot
+# row with a non-finite entry, takes the dense path.
 
 
 @dataclass
 class TwoHotRows:
     """Rows q_a e_i + q_b e_{m+y} of R^n, held by their two entries: the
-    encoded queries as witness_table hands them to a witness's eval."""
+    encoded queries as witness_values hands them to a witness's eval."""
 
     n: int
     i: np.ndarray
@@ -76,10 +58,9 @@ class TwoHotRows:
 
 
 def _eval_rows(fn, X, chunk):
-    """fn on every row of X, chunk by chunk: two-hot rows through
-    fn._eval_two_hot, the rest through fn._eval_dense.  X is an array of
-    rows or TwoHotRows, whose rows with a non-finite entry are written out
-    and take the dense path."""
+    """fn on every row of X, chunk by chunk: TwoHotRows through
+    fn._eval_two_hot (those with a non-finite entry are written out and
+    take the dense path), an array of rows through fn._eval_dense."""
     if isinstance(X, TwoHotRows):
         return _eval_two_hot_rows(fn, X, chunk)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -87,12 +68,7 @@ def _eval_rows(fn, X, chunk):
         raise InvalidInputError("dimension mismatch")
     out = np.empty(X.shape[0])
     for s in range(0, X.shape[0], chunk):
-        Q = X[s : s + chunk]
-        res = out[s : s + chunk]  # a view: writes land in out
-        fast, i, y, q_a, q_b = _split_two_hot(Q, fn.m)
-        res[fast] = fn._eval_two_hot(i, y, q_a, q_b)
-        if not fast.all():
-            res[~fast] = fn._eval_dense(Q[~fast])
+        out[s : s + chunk] = fn._eval_dense(X[s : s + chunk])
     return out
 
 
@@ -180,22 +156,35 @@ class EncodedMaxAffine:
         self.eps = float(eps)
         self.kappa = float(kappa)
         self.shift = -(0.5 + self.eps)
-        j = np.tile(np.arange(m, dtype=np.int64), 1 << m)
-        z = np.repeat(np.arange(1 << m, dtype=np.int64), m)
-        keep = ((z >> j) & 1) == 1
-        self.j_arr = j[keep]
-        self.zc_arr = m + z[keep]
 
     @property
     def num_pieces(self):
-        return self.j_arr.shape[0]
+        return self.m << (self.m - 1)   # each j lies in half of the 2^m z
 
     def eval(self, X, chunk=256):
         return _eval_rows(self, X, chunk) + self.shift
 
     def _eval_dense(self, Q):
-        piece_vals = 0.5 * (Q[:, self.j_arr] + Q[:, self.zc_arr])
-        return np.maximum(piece_vals.max(axis=1), self.kappa)
+        return np.maximum(self._best_pieces(Q).max(axis=1), self.kappa)
+
+    def _best_pieces(self, Q):
+        """The best piece of each z >= 1 (column z - 1) on each row of Q.
+
+        Piece (j, z) reads 0.5*(a_j + t_z) with a = Q[:, :m], t = Q[:, m:],
+        and rounding is monotone, so the best piece of z reads
+        0.5*(g_z + t_z) with g_z the max of a_j over the bits j of z: the
+        max over the gathered pieces, bit for bit and NaN for NaN, except
+        that a row holding both +inf and -inf can read +inf for its NaN."""
+        m = self.m
+        a, t = Q[:, :m], Q[:, m : m + (1 << m)]
+        g = np.empty_like(t)
+        g[:, 0] = -np.inf
+        for b in range(m):  # bits(z + 2^b) = bits(z) + {b} for z < 2^b
+            np.maximum(g[:, : 1 << b], a[:, b : b + 1], out=g[:, 1 << b : 2 << b])
+        g[:, 0] = 0.0   # z = 0 has no pieces; 0.0 keeps the add below valid
+        g += t          # in place on all of g: faster than on g[:, 1:]
+        g *= 0.5
+        return g[:, 1:]
 
     def _eval_two_hot(self, i, y, q_a, q_b):
         """Floored max over the pieces on rows q_a*e_i + q_b*e_{m+y}: each
@@ -229,23 +218,19 @@ class EncodedMaxAffine:
         the best piece, where it is (x/2, x/2) if that piece reaches kappa
         and zero otherwise.  The best piece is the first maximum in (z, j)
         order, as an argmax over all pieces would pick, found without
-        gathering them: with a = (Wx)[:m] and t = (Wx)[m:m+2^m], piece
-        (j, z) reads 0.5*(a_j + t_z), rounding is monotone, so the best
-        piece of each z reads 0.5*(g_z + t_z) with g_z the max of a_j over
-        the bits j of z.  Exact for W and X without infinities."""
+        gathering them: _best_pieces gives the best piece of each z, and
+        the first j in z that reaches it is the piece.  Exact for W and X
+        without infinities."""
         m = self.m
         runs = np.arange(W.shape[0])
         q = np.matmul(W, X[:, :, None])[:, :, 0]
-        a, t = q[:, :m], q[:, m : m + (1 << m)]
-        g = np.empty_like(t)
-        g[:, 0] = -np.inf
-        for b in range(m):  # bits(z + 2^b) = bits(z) + {b} for z < 2^b
-            np.maximum(g[:, : 1 << b], a[:, b : b + 1], out=g[:, 1 << b : 2 << b])
-        # z = 0 has no pieces; np.argmax takes the first max, or first NaN
-        z = 1 + np.argmax(0.5 * (t[:, 1:] + g[:, 1:]), axis=1)
-        t_z = t[runs, z][:, None]
-        top = 0.5 * (g[runs, z][:, None] + t_z)
-        pieces = 0.5 * (a + t_z)                   # (j, z) for every j
+        tops = self._best_pieces(q)
+        # np.argmax takes the first max, or the first NaN
+        col = np.argmax(tops, axis=1)
+        z = col + 1
+        top = tops[runs, col][:, None]
+        t_z = q[:, m:][runs, z][:, None]
+        pieces = 0.5 * (q[:, :m] + t_z)            # (j, z) for every j
         in_z = ((z[:, None] >> np.arange(m)) & 1) == 1
         j = np.argmax(in_z & ((pieces == top) | np.isnan(pieces)), axis=1)
         best = pieces[runs, j]
@@ -537,43 +522,47 @@ class VerifyReport:
 def witness_table(inst):
     """Value table f(W_y x_i), shape (2^m, m), over every labeling y.
 
+    Refuses m > ENUMERATION_M_CAP before any witness is built."""
+    if inst.m > ENUMERATION_M_CAP:
+        raise CapacityExceededError(
+            f"m={inst.m} > {ENUMERATION_M_CAP}: full enumeration infeasible"
+        )
+    return witness_values(inst, np.arange(inst.num_labelings))
+
+
+def witness_values(inst, ys):
+    """Values f(W_y x_i), shape (len(ys), m), for the labelings ys.
+
     On the encoded kinds every query W_y x_i is two-hot: q_a = (W0 x_i)_i
     at coordinate i and q_b = x_i[m] v_y at r_y, for the one entry v_y at
     (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
     the matmul, so the queries go to the witness's eval as TwoHotRows
-    without any W_y being built.  Other instances take the Q loop.
-
-    Refuses m > ENUMERATION_M_CAP before any witness is built."""
-    m, rows = inst.m, inst._entry_row
-    if m > ENUMERATION_M_CAP:
-        raise CapacityExceededError(
-            f"m={m} > {ENUMERATION_M_CAP}: full enumeration infeasible"
-        )
-    if rows is None:
-        return _dense_table(inst)
-    X = inst.points
-    labelings = inst.num_labelings
+    without any W_y being built.  Other instances take the Q loop."""
+    ys = np.asarray(ys, dtype=np.int64)
+    if inst._entry_row is None:
+        return _dense_table(inst, ys)
+    m, X = inst.m, inst.points
     q_a = np.diagonal(X @ inst.W0.T)
-    q_b = inst._entry_val[:, None] * X[:, m]
-    queries = TwoHotRows(inst.n, np.tile(np.arange(m), labelings),
-                         np.repeat(rows - m, m), np.tile(q_a, labelings),
-                         q_b.ravel())
-    return np.asarray(inst.witness_fn.eval(queries)).reshape(labelings, m)
+    q_b = inst._entry_val[ys][:, None] * X[:, m]
+    queries = TwoHotRows(inst.n, np.tile(np.arange(m), ys.size),
+                         np.repeat(inst._entry_row[ys] - m, m),
+                         np.tile(q_a, ys.size), q_b.ravel())
+    return np.asarray(inst.witness_fn.eval(queries)).reshape(ys.size, m)
 
 
-def _dense_table(inst):
-    """witness_table by the Q loop: Q = X W_y^T for every labeling."""
+def _dense_table(inst, ys):
+    """witness_values by the Q loop: Q = X W_y^T for each labeling in ys."""
     m, n = inst.m, inst.n
-    table = np.empty((inst.num_labelings, m))
+    table = np.empty((len(ys), m))
     X = inst.points
-    for start in range(0, inst.num_labelings, TABULATE_BLOCK):
-        ys = range(start, min(start + TABULATE_BLOCK, inst.num_labelings))
-        Q = np.empty((len(ys) * m, n))
-        for k, y in enumerate(ys):
-            Q[k * m : (k + 1) * m] = X @ inst.witness_for(y).T
-        table[start : start + len(ys)] = np.asarray(
+    for start in range(0, len(ys), TABULATE_BLOCK):
+        block = ys[start : start + TABULATE_BLOCK]
+        Q = np.empty((len(block) * m, n))
+        for k, y in enumerate(block):
+            Q[k * m : (k + 1) * m] = X @ inst.witness_for(int(y)).T
+        table[start : start + len(block)] = np.asarray(
             inst.witness_fn.eval(Q)
-        ).reshape(len(ys), m)
+        ).reshape(len(block), m)
     return table
 
 

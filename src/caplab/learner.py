@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constructions import witness_values
 from .errors import InvalidInputError, NumericalFailureError
 
 BALL_TOL = 1e-12
@@ -238,8 +239,7 @@ def uc_gap_experiment(inst, sample_size, seeds):
         idx = rng.integers(0, m, size=sample_size)
         support = np.unique(idx)
         y = int(np.sum(1 << support.astype(np.int64)))
-        W = inst.witness_for(y)
-        vals = np.asarray(inst.witness_fn.eval(inst.points @ W.T))
+        vals = witness_values(inst, [y])[0]
         empirical = float(vals[idx].mean())
         population = float(vals.mean())
         table.append(seed=seed, m=m, sample_size=int(sample_size),

@@ -127,6 +127,7 @@ def test_criterion_6_learnable_without_uc():
 
 def test_criterion_7_truncation_vs_oracle():
     rng = np.random.default_rng(7)
+    known = np.random.default_rng(70)   # matrices with a known top singular value
     ok = True
     for trial in range(100):
         B = [1.0, 2.0, 4.0][trial % 3]
@@ -137,8 +138,13 @@ def test_criterion_7_truncation_vs_oracle():
         Wt = nm.svd_truncate(W, eps)
         ok &= np.linalg.matrix_rank(Wt, tol=1e-10) <= int(B * B / eps**2)
         ok &= np.linalg.norm(W - Wt, 2) <= eps + 1e-9
-        ok &= abs(nm.spectral_norm(W) - np.linalg.norm(W, 2)) <= 1e-8
-    _report(7, "svd_truncate rank/error vs full-SVD oracle (100 matrices)", ok)
+        U, _ = np.linalg.qr(known.standard_normal((rows, rows)))
+        V, _ = np.linalg.qr(known.standard_normal((cols, cols)))
+        s = B * np.sort(0.1 + known.random(min(rows, cols)))[::-1]
+        k = s.size
+        ok &= abs(nm.spectral_norm((U[:, :k] * s) @ V[:, :k].T) - s[0]) <= 1e-12 * s[0]
+    _report(7, "svd_truncate rank/error vs full-SVD oracle, spectral_norm vs "
+               "known top singular value (100 matrices)", ok)
 
 
 def test_criterion_8_covering():

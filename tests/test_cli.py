@@ -357,6 +357,15 @@ def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _count_witnesses_built(monkeypatch):
+    """The labelings whose W_y is built from now on, in call order."""
+    calls = []
+    original = constructions.ShatterInstance.witness_for
+    monkeypatch.setattr(constructions.ShatterInstance, "witness_for",
+                        lambda self, y: calls.append(y) or original(self, y))
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["nonzero-init", "convex"])
 def test_verify_and_rademacher_at_the_enumeration_cap(kind, tmp_path, monkeypatch):
     # m = 14 = ENUMERATION_M_CAP: the encoded table and ball check read each
@@ -366,10 +375,7 @@ def test_verify_and_rademacher_at_the_enumeration_cap(kind, tmp_path, monkeypatc
     a = tmp_path / "a"
     assert run(["construct", "--kind", kind, "--m", str(m), "--eps", "0.25",
                 "--out", str(a)]) == 0
-    calls = []
-    original = constructions.ShatterInstance.witness_for
-    monkeypatch.setattr(constructions.ShatterInstance, "witness_for",
-                        lambda self, y: calls.append(y) or original(self, y))
+    calls = _count_witnesses_built(monkeypatch)
     for argv in (["verify"], ["rademacher", "--draws", "100000"]):
         calls.clear()
         out = tmp_path / argv[0][0]
@@ -380,6 +386,22 @@ def test_verify_and_rademacher_at_the_enumeration_cap(kind, tmp_path, monkeypatc
     assert verify[1] == f"true,0.0,{1 << m},true,true,0"
     rademacher = (tmp_path / "r" / "results.csv").read_text().splitlines()
     assert rademacher[1] == f"{kind},{m},100000,0.25,0.0,enumerate-witnesses"
+
+
+@pytest.mark.parametrize("kind,m,most", [("nonzero-init", 14, 1), ("convex", 16, 0)])
+def test_uc_gap_builds_no_witness_for_its_values(kind, m, most, tmp_path, monkeypatch):
+    # uc-gap reads each drawn labeling's values off its one entry as
+    # TwoHotRows; only nonzero-init's builder reads one W_y
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", kind, "--m", str(m), "--eps", "0.25",
+                "--out", str(a)]) == 0
+    calls = _count_witnesses_built(monkeypatch)
+    out = tmp_path / "u"
+    assert run(["uc-gap", "--instance", str(a / "manifest.json"),
+                "--sample-size", str(m // 2), "--out", str(out)]) == 0
+    assert len(calls) <= most, f"uc-gap built {len(calls)} witnesses"
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) > 1
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -434,6 +456,35 @@ def test_malformed_instance_record_is_one_line_exit_1(tmp_path, capsys, record, 
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+_TOP_LEVELS = {"number": 5, "string": "instance", "null": None, "list": ["instance"]}
+
+
+@pytest.mark.parametrize("command", ["verify", "sgd"])
+@pytest.mark.parametrize("top", _TOP_LEVELS.values(), ids=_TOP_LEVELS.keys())
+def test_manifest_not_an_object_is_one_line_exit_1(tmp_path, capsys, command, top):
+    manifest = tmp_path / "f.json"
+    manifest.write_text(json.dumps(top))
+    out = tmp_path / "v"
+    capsys.readouterr()
+    code = run([command, "--instance", str(manifest), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {manifest} must hold a JSON object\n"
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("top", [5, None], ids=["number", "null"])
+def test_bounds_params_not_object_or_list_is_one_line_exit_1(tmp_path, capsys, top):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(top))
+    out = tmp_path / "b"
+    capsys.readouterr()
+    code = run(["bounds", "--params", str(pfile), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {pfile} must hold a JSON object or list\n"
+    assert not (out / "results.csv").exists()
 
 
 def test_negative_seed_and_no_resamples_are_refused(tmp_path, capsys):

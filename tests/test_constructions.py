@@ -8,6 +8,7 @@ from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 from caplab.lipschitz import AnchoredLipschitz
+from tests_helpers_regret import dense_loss_subgrad, max_affine_pieces
 
 
 def brute_force_verify(inst):
@@ -223,10 +224,15 @@ def _with_entries(inst, rows=None, vals=None):
     return bad
 
 
+def _dense_oracle_table(inst):
+    """The Q loop's table: every W_y built, every query a dense row."""
+    return cn._dense_table(inst, np.arange(inst.num_labelings))
+
+
 def _same_as_dense_oracle(inst):
     """The table verify reads is the Q loop's, NaN for NaN, so the dense
     oracle reaches the same verdict on every check."""
-    return np.array_equal(cn.witness_table(inst), cn._dense_table(inst),
+    return np.array_equal(cn.witness_table(inst), _dense_oracle_table(inst),
                           equal_nan=True)
 
 
@@ -313,7 +319,8 @@ def test_verify_detects_wrong_labeling_encoding(kind, monkeypatch):
     rows = inst._entry_row.copy()
     rows[y_bad] = m + (y_bad ^ 1)
     bad = _with_entries(inst, rows=rows)
-    assert cn._split_two_hot(inst.points @ bad.witness_for(y_bad).T, m)[0].all()
+    Q = inst.points @ bad.witness_for(y_bad).T
+    assert np.array_equal(np.flatnonzero(Q[0]), [0, m + (y_bad ^ 1)])
     assert _same_as_dense_oracle(bad)
 
     def refuse(Q):
@@ -330,7 +337,10 @@ def test_table_and_ball_bit_equal_to_dense_oracle(m):
     # eps = 0.3 is the convex instance that fails verify
     for inst in (cn.nonzero_init_instance(m, 0.25), cn.nonzero_init_instance(m, 0.1),
                  cn.convex_instance(m, 0.2), cn.convex_instance(m, 0.3)):
-        assert np.array_equal(cn.witness_table(inst), cn._dense_table(inst))
+        table = cn.witness_table(inst)
+        assert np.array_equal(table, _dense_oracle_table(inst))
+        ys = np.array([(1 << m) - 1, 0, 1 % (1 << m), (1 << m) - 1])
+        assert np.array_equal(cn.witness_values(inst, ys), table[ys])
         dense = [np.linalg.norm(inst.witness_for(y) - inst.W0)
                  for y in range(inst.num_labelings)]
         assert np.array_equal(cn._ball_distances(inst), dense)
@@ -380,27 +390,47 @@ def test_manifest_with_rescaled_key_loads_to_fresh_build(record):
 # ---------------------------------------------------------------------------
 # closed-form evaluation on two-hot rows against the dense path
 
+def _two_hot(m, n, i, y, q_a, q_b):
+    """Rows q_a e_i + q_b e_{m+y} of R^n, as TwoHotRows and written out."""
+    R = cn.TwoHotRows(n, np.asarray(i), np.asarray(y),
+                      np.asarray(q_a, dtype=float), np.asarray(q_b, dtype=float))
+    k = np.arange(R.shape[0])
+    Q = np.zeros(R.shape)
+    Q[k, R.i] = R.q_a
+    Q[k, m + R.y] = R.q_b
+    return R, Q
+
+
 def _encoded_queries(inst):
-    return np.concatenate([inst.points @ inst.witness_for(y).T
-                           for y in range(inst.num_labelings)])
+    """Every W_y x_i, read off the dense products as TwoHotRows, and the
+    products themselves."""
+    m = inst.m
+    Q = np.concatenate([inst.points @ inst.witness_for(y).T
+                        for y in range(inst.num_labelings)])
+    i = np.tile(np.arange(m), inst.num_labelings)
+    y = np.repeat(np.arange(inst.num_labelings), m)
+    k = np.arange(Q.shape[0])
+    R, written = _two_hot(m, inst.n, i, y, Q[k, i], Q[k, m + y])
+    assert np.array_equal(written, Q)   # the products are two-hot
+    return R, Q
 
 
 def _probe_rows(m, n, rng, count=300):
     """All-zero, one-hot and two-hot rows mixing signed zeros, exact values
-    and Gaussian draws, then a few dense rows."""
+    and Gaussian draws, as TwoHotRows and written out."""
     special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-300, 3.0])
-    R = np.zeros((count, n))
+    i = rng.integers(0, m, size=count)
+    y = rng.integers(0, 1 << m, size=count)
+    q_a, q_b = np.zeros(count), np.zeros(count)
     for r in range(count):
         kind = r % 4
         if kind == 0 and r % 8 == 0:
-            R[r] = -0.0
+            q_a[r] = q_b[r] = -0.0
         if kind in (1, 3):
-            R[r, rng.integers(0, m)] = rng.choice(special) if r % 2 \
-                else rng.standard_normal()
+            q_a[r] = rng.choice(special) if r % 2 else rng.standard_normal()
         if kind in (2, 3):
-            R[r, m + rng.integers(0, 1 << m)] = rng.choice(special) if r % 3 \
-                else rng.standard_normal()
-    return np.concatenate([R, rng.standard_normal((4, n))])
+            q_b[r] = rng.choice(special) if r % 3 else rng.standard_normal()
+    return _two_hot(m, n, i, y, q_a, q_b)
 
 
 def _dense_min_form(fn, Q):
@@ -409,59 +439,102 @@ def _dense_min_form(fn, Q):
 
 
 def _dense_max_affine(fn, Q):
-    piece_vals = 0.5 * (Q[:, fn.j_arr] + Q[:, fn.zc_arr])
+    """The convex witness by gathering every piece."""
+    j_arr, zc_arr = max_affine_pieces(fn.m)
+    piece_vals = 0.5 * (Q[:, j_arr] + Q[:, zc_arr])
     return np.maximum(piece_vals.max(axis=1), fn.kappa) + fn.shift
 
 
+def _refuse(Q):
+    raise AssertionError(f"{len(Q)} rows took the wrong path")
+
+
 @pytest.mark.parametrize("m", range(1, 9))
-def test_min_form_bit_equal_to_dense_kernel(m):
+def test_min_form_bit_equal_to_dense_kernel(m, monkeypatch):
     rng = np.random.default_rng(m)
     for eps in (0.1, 0.25, 0.5):
         inst = cn.nonzero_init_instance(m, eps)
-        Q = np.concatenate([_encoded_queries(inst), _probe_rows(m, inst.n, rng)])
         fn = inst.witness_fn
-        assert np.array_equal(fn.eval(Q), _dense_min_form(fn, Q)), eps
+        monkeypatch.setattr(fn, "_eval_dense", _refuse)
+        for R, Q in (_encoded_queries(inst), _probe_rows(m, inst.n, rng)):
+            assert np.array_equal(fn.eval(R), _dense_min_form(fn, Q)), eps
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_max_affine_bit_equal_to_dense_formula(m):
+def test_max_affine_bit_equal_to_dense_formula(m, monkeypatch):
     rng = np.random.default_rng(100 + m)
     # eps = 0.3 is the instance that fails verify; a negative floor lets
     # the all-zero pieces decide
     for eps, kappa in ((0.2, 0.5), (0.25, 0.5), (0.3, 0.5), (0.25, -1.0)):
         inst = cn.convex_instance(m, eps, kappa)
-        Q = np.concatenate([_encoded_queries(inst), _probe_rows(m, inst.n, rng)])
         fn = inst.witness_fn
-        assert np.array_equal(fn.eval(Q), _dense_max_affine(fn, Q)), (eps, kappa)
+        for R, Q in (_encoded_queries(inst), _probe_rows(m, inst.n, rng)):
+            want = _dense_max_affine(fn, Q)
+            assert np.array_equal(fn.eval(Q), want), (eps, kappa)
+            with monkeypatch.context() as mp:
+                mp.setattr(fn, "_eval_dense", _refuse)
+                assert np.array_equal(fn.eval(R), want), (eps, kappa)
 
 
 def test_two_hot_routing(monkeypatch):
-    min_form = cn.nonzero_init_instance(5, 0.25)
-    convex = cn.convex_instance(5, 0.25)
-    m, n = min_form.m, min_form.n
-    for enc in (min_form, convex):
-        def refuse(Q):
-            raise AssertionError(f"{len(Q)} encoded rows took the dense path")
-        monkeypatch.setattr(enc.witness_fn, "_eval_dense", refuse)
-        enc.witness_fn.eval(_encoded_queries(enc))
+    # TwoHotRows take the closed form and arrays the dense path, whatever
+    # their rows hold; a TwoHotRows row with a non-finite entry is written
+    # out and takes the dense path
+    for inst, dense in ((cn.nonzero_init_instance(5, 0.25), _dense_min_form),
+                        (cn.convex_instance(5, 0.25), _dense_max_affine)):
+        fn, m = inst.witness_fn, inst.m
+        R, Q = _encoded_queries(inst)
+        want = dense(fn, Q)
+        with monkeypatch.context() as mp:
+            mp.setattr(fn, "_eval_dense", _refuse)
+            assert np.array_equal(fn.eval(R), want)
+        with monkeypatch.context() as mp:
+            mp.setattr(fn, "_eval_two_hot", _refuse)
+            assert np.array_equal(fn.eval(Q), want)
+        R, Q = _two_hot(m, inst.n, [0, 1, 2, 3], [3, 7, 0, 31],
+                        [np.inf, 1.0, np.nan, 0.5], [1.0, -np.inf, 0.5, 1.0])
+        calls = []
+        original = fn._eval_dense
+        monkeypatch.setattr(fn, "_eval_dense",
+                            lambda Q: calls.append(len(Q)) or original(Q))
+        assert np.array_equal(fn.eval(R), dense(fn, Q), equal_nan=True)
+        assert calls == [3]
         monkeypatch.undo()
-    rng = np.random.default_rng(0)
-    R = np.zeros((6, n))
-    R[0, [1, 2]] = 1.0                # two nonzeros among the first m
-    R[1, [m + 3, m + 7]] = 1.0        # two among the last 2^m
-    R[2, [0, m]] = [np.inf, 1.0]      # two-hot but not finite
-    R[3, [0, m]] = [1.0, np.nan]
-    R[4:] = rng.standard_normal((2, n))
-    assert not cn._split_two_hot(R, m)[0].any()
-    for fn, dense in ((min_form.witness_fn, _dense_min_form),
-                      (convex.witness_fn, _dense_max_affine)):
-        assert np.array_equal(fn.eval(R), dense(fn, R), equal_nan=True)
-    # a nonzero past the 2^m encoding coordinates is not an encoded row
-    wide = cn.EncodedMinForm(3, 3 + 8 + 1, 0.25, 0.5, 1.0)
-    R = np.zeros((1, wide.n))
-    R[0, [0, wide.n - 1]] = [0.5, 1.0]
-    assert not cn._split_two_hot(R, 3)[0].any()
-    assert np.array_equal(wide.eval(R), _dense_min_form(wide, R))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_max_affine_recurrence_bit_equal_to_gather(m):
+    # the best piece per z, from the subset-max recurrence, against the
+    # gather over all m 2^(m-1) pieces: random, sparse, W0-like and
+    # perturbed rows, signed zeros, subnormals, +-1e308 and NaN
+    rng = np.random.default_rng(300 + m)
+    inst = cn.convex_instance(m, 0.25)
+    n = inst.n
+    Q = rng.standard_normal((240, n))
+    Q[40:80][rng.random((40, n)) < 0.8] = 0.0
+    Q[80:120] = inst.points[np.arange(40) % m] @ inst.W0.T
+    Q[120:160] = Q[80:120] + 1e-3 * rng.standard_normal((40, n))
+    Q[160:200] *= -0.0
+    special = np.array([np.nan, 5e-324, -5e-324, 1e308, -1e308, -0.0, 0.0])
+    hit = rng.random((240, n)) < 0.03
+    Q[hit] = rng.choice(special, size=hit.sum())
+    for kappa in (0.5, -1.0, -np.inf):
+        fn = cn.EncodedMaxAffine(m, n, 0.25, kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = fn.eval(Q), _dense_max_affine(fn, Q)
+        assert np.array_equal(got, want, equal_nan=True), kappa
+        assert np.array_equal(np.signbit(got), np.signbit(want)), kappa
+        assert np.isnan(got).any() and not np.isnan(got).all()
+    # a row holding both +inf and -inf stays non-finite (the gather reads
+    # NaN, the recurrence may read +inf)
+    fn = cn.EncodedMaxAffine(m, n, 0.25, 0.5)
+    Q = np.zeros((2, n))
+    Q[:, 0] = [np.inf, -np.inf]
+    Q[:, m + 1] = [-np.inf, np.inf]
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(fn.eval(Q)).any()
+        assert np.isnan(_dense_max_affine(fn, Q)).all()
+    assert fn.num_pieces == max_affine_pieces(m)[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +551,14 @@ def _subgrad_cases(inst, rng):
         x = X[k % inst.m] if k % 2 else rng.standard_normal(inst.d)
         cases.append((rng.integers(-1, 2, size=W0.shape).astype(float), x))
         cases.append((W0 + rng.standard_normal(W0.shape), x))
+    m = inst.m
     for scale in (0.99, 1.0, 1.01):
         W = W0 + 0.1 * rng.standard_normal(W0.shape)
         x = X[rng.integers(0, inst.m)]
         z = W @ x
-        top = (0.5 * (z[inst.witness_fn.j_arr] + z[inst.witness_fn.zc_arr])).max()
+        j_arr, zc_arr = max_affine_pieces(m)
+        top = (0.5 * (z[j_arr] + z[zc_arr])).max()
         cases.append((W * (scale * inst.witness_fn.kappa / top), x))
-    m = inst.m
     # NaN in t_0 (z = 0 has no pieces), in a later t_z, and in a_j
     for row in (m, m + min(2, (1 << m) - 1), m - 1):
         W = W0.copy()
@@ -507,7 +581,6 @@ def _subgrad_cases(inst, rng):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_loss_subgrad_bit_equal_to_dense_argmax(m):
-    from tests_helpers_regret import dense_loss_subgrad
     rng = np.random.default_rng(200 + m)
     inst = cn.convex_instance(m, 0.25)
     fn = inst.witness_fn

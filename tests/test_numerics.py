@@ -22,13 +22,19 @@ def test_norm_rejects_nonfinite():
         nm.norm(np.array([[1.0, np.nan]]), "frobenius")
 
 
+def _matrix_with_singular_values(s, rows, cols, seed):
+    """U diag(s) V^T with orthonormal columns U (rows x k) and V (cols x k),
+    k = len(s): a matrix whose singular values are known."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, len(s))))
+    return (U * s) @ V.T
+
+
 def _gapped_matrix(gap):
     """A 60x40 matrix with singular values 1 and 1 - gap, then 0.5 down to 0.01."""
-    rng = np.random.default_rng(31)
-    U, _ = np.linalg.qr(rng.standard_normal((60, 40)))
-    V, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     s = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.01, 38)])
-    return (U * s) @ V.T
+    return _matrix_with_singular_values(s, 60, 40, 31)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-4])
@@ -38,11 +44,15 @@ def test_spectral_norm_exact_at_small_singular_value_gap(gap):
 
 
 def test_spectral_matches_svd_oracle():
+    # the top singular value is built in, so the check does not compare
+    # LAPACK with itself; a Frobenius-norm stand-in fails it
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        M = rng.standard_normal((5, 4))
+    for trial in range(25):
+        rows, cols = rng.integers(2, 9, size=2)
+        s = 3.0 * np.sort(0.1 + rng.random(min(rows, cols)))[::-1]
+        M = _matrix_with_singular_values(s, rows, cols, trial)
         sp = nm.norm(M, "spectral")
-        assert abs(sp - np.linalg.norm(M, 2)) < 1e-8
+        assert abs(sp - s[0]) <= 1e-12 * s[0], trial
         assert sp <= nm.norm(M, "frobenius") + 1e-12
 
 

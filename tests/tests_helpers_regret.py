@@ -34,17 +34,27 @@ def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
     return sampler
 
 
+def max_affine_pieces(m):
+    """The convex witness's pieces (j, m+z), bit j of z set, in (z, j)
+    order: the order in which an argmax over all pieces breaks ties."""
+    j = np.tile(np.arange(m), 1 << m)
+    z = np.repeat(np.arange(1 << m), m)
+    keep = ((z >> j) & 1) == 1
+    return j[keep], m + z[keep]
+
+
 def dense_loss_subgrad(fn, W, x):
     """One run of the convex witness's (loss, subgradient): gather every
     piece 0.5*(z_j + z_{m+z}), take the first argmax, build V densely."""
+    j_arr, zc_arr = max_affine_pieces(fn.m)
     z = W @ x
-    piece_vals = 0.5 * (z[fn.j_arr] + z[fn.zc_arr])
+    piece_vals = 0.5 * (z[j_arr] + z[zc_arr])
     best = int(np.argmax(piece_vals))
     V = np.zeros_like(W)
     if piece_vals[best] >= fn.kappa:
-        V[fn.j_arr[best]] = 0.5 * x
-        V[fn.zc_arr[best]] += 0.5 * x
+        V[j_arr[best]] = 0.5 * x
+        V[zc_arr[best]] += 0.5 * x
         val = piece_vals[best] + fn.shift
     else:
         val = fn.kappa + fn.shift
-    return float(val), V, (int(fn.j_arr[best]), int(fn.zc_arr[best]))
+    return float(val), V, (int(j_arr[best]), int(zc_arr[best]))
