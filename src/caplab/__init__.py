@@ -53,7 +53,6 @@ from .lipschitz import (
 from .numerics import (
     BallNet,
     ball_net,
-    jacobi_svd,
     norm,
     spectral_norm,
     svd_truncate,

@@ -71,6 +71,7 @@ def greedy_pack(cands, eps):
 # ---------------------------------------------------------------------------
 # one-sided Jacobi SVD: orthogonalize the columns of A, accumulating V
 
+# reached by no command; kept as the tests' oracle and a benchmark trace target
 def jacobi_orthogonalize(A, V, tol, max_sweeps):
     """One-sided Jacobi column orthogonalization, in place.
 
@@ -139,9 +140,9 @@ def min_pairwise_dist(X, chunk=512):
 # in R^n, carrying value vals[z*m + j].  For each query row we need
 #   min over anchors of  vals + max(max_{c not in {j, m+z}} |q_c|,
 #                                   |q_j - a|, |q_{m+z} - b|)
-# The excluded max comes from the query's top-3 |q_c| entries.  Encoded
-# queries come as TwoHotRows, which EncodedMinForm.eval evaluates in closed
-# form; only dense arrays of rows get here.
+# The excluded max comes from the query's top-3 |q_c| entries.
+# EncodedMinForm.eval evaluates the same min in closed form on TwoHotRows and
+# by a subset-min recurrence on dense rows, so no command gets here.
 
 def _top3_abs(Q):
     """Per-row top-3 |entry| values and their indices, descending."""
@@ -160,6 +161,7 @@ def _top3_abs(Q):
     return top3v, top3i
 
 
+# reached by no command; kept as the tests' oracle and a benchmark trace target
 def encoded_min_eval(Q, j_arr, zc_arr, vals, a, b):
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     a, b = float(a), float(b)

@@ -14,7 +14,13 @@ from .numerics import norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
+# zero-init holds all 2^m witnesses and m 2^m anchors, and verify evaluates
+# every anchor densely: each unit of m costs ~4x the time and ~2x the memory.
+# At m_cap = 12 construct takes 33 s / 1.2 GB and verify 125 s / 2.0 GB (one
+# run, 2 cores); m_cap = 14 would need ~8 GB
+ZERO_INIT_M_CAP = 12
 TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
+DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
 
 SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
 SLACK_TOL = 1e-12
@@ -38,6 +44,32 @@ def labeling_bits(y, m):
 # TwoHotRows, which are evaluated in closed form, grouping the anchors/pieces
 # by whether they share i and/or y; a dense array of rows, and any two-hot
 # row with a non-finite entry, takes the dense path.
+
+
+def _subset_reduce(a, ufunc, empty):
+    """g[:, z] = ufunc over a[:, j] for the bits j of z, and `empty` at
+    z = 0: one ufunc call per bit, as bits(z + 2^b) = bits(z) + {b} for
+    z < 2^b.  NaN in a[:, j] reaches every z with bit j set."""
+    rows, m = a.shape
+    g = np.empty((rows, 1 << m))
+    g[:, 0] = empty
+    for b in range(m):
+        ufunc(g[:, : 1 << b], a[:, b : b + 1], out=g[:, 1 << b : 2 << b])
+    return g
+
+
+def _largest_three_abs(Q):
+    """Per row: the indices i0, i1 of the largest and second largest |q_c|,
+    and the three largest values t0 >= t1 >= t2 (exact; ties in any order)."""
+    absq = np.abs(Q)
+    rows = np.arange(Q.shape[0])
+    i0 = absq.argmax(axis=1)
+    t0 = absq[rows, i0]
+    absq[rows, i0] = -1.0
+    i1 = absq.argmax(axis=1)
+    t1 = absq[rows, i1]
+    absq[rows, i1] = -1.0
+    return i0, i1, t0, t1, absq.max(axis=1)
 
 
 @dataclass
@@ -101,18 +133,54 @@ class EncodedMinForm:
         self.eps = float(eps)
         self.coord_a = float(coord_a)
         self.coord_b = float(coord_b)
-        self.j_arr = np.tile(np.arange(m, dtype=np.int64), 1 << m)
-        z = np.repeat(np.arange(1 << m, dtype=np.int64), m)
-        self.zc_arr = m + z
-        bits = (z >> self.j_arr) & 1
-        self.vals = np.where(bits == 1, self.eps, -self.eps)
 
-    def eval(self, X, chunk=512):
-        return _eval_rows(self, X, chunk)
+    def eval(self, X, chunk=None):
+        """Values on the rows of X; dense rows go `chunk` at a time, by
+        default as many as fill DENSE_BLOCK_BYTES."""
+        rows = max(1, DENSE_BLOCK_BYTES // (8 * self.n))
+        return _eval_rows(self, X, chunk or rows)
 
     def _eval_dense(self, Q):
-        return _kernels.encoded_min_eval(Q, self.j_arr, self.zc_arr, self.vals,
-                                         self.coord_a, self.coord_b)
+        """The min over the m 2^m anchors on dense rows, in O(2^m) per row.
+
+        Anchor (z, j) reads v + max(x, |q_j - a|, |q_{m+z} - b|): v is +eps
+        if bit j of z is set and -eps if not, and x is the largest |q_c| off
+        the anchor's two coordinates.  Taking x = t0, the row's largest
+        |q_c|, is exact for every anchor off its index i0 and too large for
+        the others, and the min over j then reads eps + max(t0, E_z, S_z)
+        and -eps + max(t0, E_z, S'_z), with S_z (S'_z) the least |q_j - a|
+        over the set (clear) bits of z.  The anchors on i0 (a column j = i0
+        or a row z = i0 - m) are then taken exactly, with x = t1, or t2 on
+        the one that also holds i1.  max and min are exact and adding +-eps
+        rounds monotonically, so this is the anchor-by-anchor min bit for
+        bit, and NaN on a row with a NaN."""
+        m, eps = self.m, self.eps
+        D = np.abs(Q[:, :m] - self.coord_a)
+        E = np.abs(Q[:, m:] - self.coord_b)
+        i0, i1, t0, t1, t2 = _largest_three_abs(Q)
+        M = np.maximum(E, t0[:, None])
+        S = _subset_reduce(D, np.minimum, np.inf)
+        clear = np.maximum(M, S[:, ::-1]).min(axis=1) - eps
+        out = np.minimum(np.maximum(M, S, out=S).min(axis=1) + eps, clear)
+        r = np.flatnonzero(i0 < m)      # the anchors (z, i0), every z
+        if r.size:
+            j0 = i0[r]
+            x = np.repeat(t1[r, None], 1 << m, axis=1)
+            both = np.flatnonzero(i1[r] >= m)
+            x[both, i1[r][both] - m] = t2[r][both]
+            d = np.maximum(np.maximum(x, D[r, j0][:, None]), E[r])
+            v = np.where((np.arange(1 << m) >> j0[:, None]) & 1 == 1, eps, -eps)
+            out[r] = np.minimum(out[r], (v + d).min(axis=1))
+        r = np.flatnonzero(i0 >= m)     # the anchors (i0 - m, j), every j
+        if r.size:
+            z0 = i0[r] - m
+            x = np.repeat(t1[r, None], m, axis=1)
+            both = np.flatnonzero(i1[r] < m)
+            x[both, i1[r][both]] = t2[r][both]
+            d = np.maximum(np.maximum(x, D[r]), E[r, z0][:, None])
+            v = np.where((z0[:, None] >> np.arange(m)) & 1 == 1, eps, -eps)
+            out[r] = np.minimum(out[r], (v + d).min(axis=1))
+        return out
 
     def _eval_two_hot(self, i, y, q_a, q_b):
         """Dense kernel's value on rows q_a*e_i + q_b*e_{m+y}, in closed form.
@@ -176,13 +244,10 @@ class EncodedMaxAffine:
         max over the gathered pieces, bit for bit and NaN for NaN, except
         that a row holding both +inf and -inf can read +inf for its NaN."""
         m = self.m
-        a, t = Q[:, :m], Q[:, m : m + (1 << m)]
-        g = np.empty_like(t)
-        g[:, 0] = -np.inf
-        for b in range(m):  # bits(z + 2^b) = bits(z) + {b} for z < 2^b
-            np.maximum(g[:, : 1 << b], a[:, b : b + 1], out=g[:, 1 << b : 2 << b])
+        g = _subset_reduce(Q[:, :m], np.maximum, -np.inf)
         g[:, 0] = 0.0   # z = 0 has no pieces; 0.0 keeps the add below valid
-        g += t          # in place on all of g: faster than on g[:, 1:]
+        # in place on all of g: faster than on g[:, 1:]
+        g += Q[:, m : m + (1 << m)]
         g *= 0.5
         return g[:, 1:]
 
@@ -405,8 +470,10 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
         raise InvalidInputError(
             f"L^2 B^2 / (128 eps^2) = {d} < 20: inputs too small for the construction"
         )
-    if m_cap > ENUMERATION_M_CAP:
-        raise CapacityExceededError(f"m_cap={m_cap} > {ENUMERATION_M_CAP}")
+    if m_cap > ZERO_INIT_M_CAP:
+        raise CapacityExceededError(
+            f"m_cap={m_cap} > ZERO_INIT_M_CAP = {ZERO_INIT_M_CAP}: zero-init "
+            "memory doubles with each unit of m")
     fam = random_separated_family(d, m_cap, n, seed, max_resamples=max_resamples)
     m = m_cap
     scale = 8.0 * eps / L

@@ -127,24 +127,28 @@ def test_criterion_6_learnable_without_uc():
 
 def test_criterion_7_truncation_vs_oracle():
     rng = np.random.default_rng(7)
-    known = np.random.default_rng(70)   # matrices with a known top singular value
+    known = np.random.default_rng(70)   # matrices with known singular values
     ok = True
     for trial in range(100):
         B = [1.0, 2.0, 4.0][trial % 3]
         rows, cols = rng.integers(3, 10, size=2)
-        W = rng.standard_normal((rows, cols))
-        W *= B * rng.random() / np.linalg.norm(W)
         eps = float(rng.random() * 0.5 + 0.2)
-        Wt = nm.svd_truncate(W, eps)
-        ok &= np.linalg.matrix_rank(Wt, tol=1e-10) <= int(B * B / eps**2)
-        ok &= np.linalg.norm(W - Wt, 2) <= eps + 1e-9
         U, _ = np.linalg.qr(known.standard_normal((rows, rows)))
         V, _ = np.linalg.qr(known.standard_normal((cols, cols)))
-        s = B * np.sort(0.1 + known.random(min(rows, cols)))[::-1]
-        k = s.size
+        k = min(rows, cols)
+        # W = U diag(sw) V^T with ||W||_F <= B: its truncation is known
+        sw = np.sort(known.random(k))[::-1]
+        sw *= B * rng.random() / np.linalg.norm(sw)
+        W = (U[:, :k] * sw) @ V[:, :k].T
+        r = int(np.sum(sw > eps + nm.SV_TIE_TOL))
+        Wt = nm.svd_truncate(W, eps)
+        ok &= np.abs(Wt - (U[:, :r] * sw[:r]) @ V[:, :r].T).max() <= 1e-12 * B
+        ok &= np.linalg.matrix_rank(Wt, tol=1e-10) <= int(B * B / eps**2)
+        ok &= np.linalg.norm(W - Wt, 2) <= eps + 1e-9
+        s = B * np.sort(0.1 + known.random(k))[::-1]
         ok &= abs(nm.spectral_norm((U[:, :k] * s) @ V[:, :k].T) - s[0]) <= 1e-12 * s[0]
-    _report(7, "svd_truncate rank/error vs full-SVD oracle, spectral_norm vs "
-               "known top singular value (100 matrices)", ok)
+    _report(7, "svd_truncate rank/error vs known singular values, spectral_norm "
+               "vs known top singular value (100 matrices)", ok)
 
 
 def test_criterion_8_covering():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +337,24 @@ def test_memory_error_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def test_lapack_failure_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    # verify's spectral norm of W0 rests on LAPACK; its LinAlgError ends
+    # the command with one line, not a traceback
+    manifest = _construct_m3(tmp_path)
+    norm = np.linalg.norm
+
+    def fail_spectral(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", fail_spectral)
+    capsys.readouterr()
+    code = run(["verify", "--instance", manifest, "--out", str(tmp_path / "v")])
+    assert code == cli.EXIT_SCIENCE
+    assert capsys.readouterr().err == "error: spectral norm: SVD did not converge\n"
+
+
 def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys):
     # m = 15 is a valid lazy instance but 2^15 labelings exceed the
     # enumeration cap: tabulation must refuse before any witness is built
@@ -355,6 +374,52 @@ def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _zero_init_refusals(tmp_path, m_cap):
+    """(argv, expected code) for construct at m_cap, and for verify and
+    rademacher on a crafted zero-init record with that m_cap."""
+    record = {"kind": "zero-init", "eps": 0.25,
+              "params": {"B": 4, "L": 4, "m_cap": m_cap, "seed": 1, "n": 64}}
+    path = tmp_path / f"zero-init-{m_cap}.json"
+    path.write_text(json.dumps({"instance": record}))
+    return [["construct", "--kind", "zero-init", "--m-cap", str(m_cap)],
+            ["verify", "--instance", str(path)],
+            ["rademacher", "--instance", str(path), "--draws", "10"]]
+
+
+def test_zero_init_refuses_m_cap_over_its_cap(tmp_path, monkeypatch, capsys):
+    # zero-init's memory doubles per unit of m: construct and a crafted
+    # manifest refuse m_cap = ZERO_INIT_M_CAP + 1 with one line, before any
+    # family is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("separated family drawn past the zero-init cap")
+
+    monkeypatch.setattr(constructions, "random_separated_family", refuse)
+    cap = constructions.ZERO_INIT_M_CAP
+    for k, argv in enumerate(_zero_init_refusals(tmp_path, cap + 1)):
+        capsys.readouterr()
+        out = tmp_path / f"out{k}"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE, argv[0]
+        err = capsys.readouterr().err
+        assert _one_error_line(err), err
+        assert f"m_cap={cap + 1} > ZERO_INIT_M_CAP = {cap}" in err
+        assert not out.exists()
+
+
+def test_zero_init_accepts_m_cap_at_its_cap(tmp_path, monkeypatch):
+    # at the cap the check passes and the family is drawn (stopped here: a
+    # whole m_cap = 12 verify takes minutes)
+    class Drawn(Exception):
+        pass
+
+    def drawn(d, m, n, seed, max_resamples):
+        raise Drawn(m)
+
+    monkeypatch.setattr(constructions, "random_separated_family", drawn)
+    for argv in _zero_init_refusals(tmp_path, constructions.ZERO_INIT_M_CAP):
+        with pytest.raises(Drawn, match=str(constructions.ZERO_INIT_M_CAP)):
+            run(argv + ["--out", str(tmp_path / "out")])
 
 
 def _count_witnesses_built(monkeypatch):

@@ -8,7 +8,7 @@ from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 from caplab.lipschitz import AnchoredLipschitz
-from tests_helpers_regret import dense_loss_subgrad, max_affine_pieces
+from tests_helpers_regret import dense_loss_subgrad, max_affine_pieces, min_form_anchors
 
 
 def brute_force_verify(inst):
@@ -34,16 +34,18 @@ def brute_force_verify(inst):
 def dense_anchors(fn):
     """The encoded min-form witness's m*2^m anchors as dense rows: anchor k
     is coord_a at coordinate j_arr[k] and coord_b at zc_arr[k]."""
-    k = np.arange(fn.j_arr.shape[0])
+    j_arr, zc_arr, _ = min_form_anchors(fn.m, fn.eps)
+    k = np.arange(j_arr.shape[0])
     A = np.zeros((k.size, fn.n))
-    A[k, fn.j_arr] = fn.coord_a
-    A[k, fn.zc_arr] = fn.coord_b
+    A[k, j_arr] = fn.coord_a
+    A[k, zc_arr] = fn.coord_b
     return A
 
 
 def anchored_min_form(fn):
     """The encoded min-form witness as an AnchoredLipschitz over dense anchors."""
-    return AnchoredLipschitz(dense_anchors(fn), fn.vals, fn.L, fn.metric)
+    vals = min_form_anchors(fn.m, fn.eps)[2]
+    return AnchoredLipschitz(dense_anchors(fn), vals, fn.L, fn.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,8 @@ def _probe_rows(m, n, rng, count=300):
 
 
 def _dense_min_form(fn, Q):
-    return _kernels.encoded_min_eval(Q, fn.j_arr, fn.zc_arr, fn.vals,
+    """The min-form witness by the anchor-by-anchor kernel."""
+    return _kernels.encoded_min_eval(Q, *min_form_anchors(fn.m, fn.eps),
                                      fn.coord_a, fn.coord_b)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from caplab import _kernels as kn
 from caplab import constructions, numerics
+from tests_helpers_regret import min_form_anchors
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +305,72 @@ def test_encoded_min_eval_matches_dense_oracle(rng):
         axis=1,
     )
     assert np.array_equal(got, want)
+
+
+def _min_form_rows(fn, rng):
+    """Dense rows for the min-form witness, in blocks of 8: Gaussian rows;
+    rows whose largest |q| lies on a j coordinate, on a z coordinate, or on
+    both (tied, and with t1 = t2 as well); anchors exactly and with noise,
+    where the anchors on the top index decide; then NaN, +-inf, +-0,
+    +-5e-324 and +-1e308 on an anchor's own j or z coordinate and on a
+    Gaussian row's, and an all-zero and an all -0.0 row."""
+    m, n = fn.m, fn.n
+    z = rng.integers(0, 1 << m, 64)
+    j = rng.integers(0, m, 64)
+    k = np.arange(8)
+    gauss = 0.3 * rng.standard_normal((64, n))
+    anchor = np.zeros((64, n))
+    anchor[np.arange(64), j] = fn.coord_a
+    anchor[np.arange(64), m + z] = fn.coord_b
+    big = 3.0 * rng.choice([-1.0, 1.0], (8, 3))
+    blocks = [gauss[:8], gauss[8:16].copy(), gauss[16:24].copy(),
+              gauss[24:32].copy(), gauss[32:40].copy(), anchor[:8],
+              anchor[8:16] + 1e-3 * rng.standard_normal((8, n))]
+    blocks[1][k, j[:8]] = big[:, 0]                     # top on j
+    blocks[2][k, m + z[:8]] = big[:, 0]                 # top on z
+    blocks[3][k, j[:8]] = big[:, 0]                     # tied j and z
+    blocks[3][k, m + z[:8]] = big[:, 1]
+    blocks[4][k, j[:8]] = big[:, 0]                     # t0 = t1 = t2
+    blocks[4][k, m + z[:8]] = big[:, 1]
+    blocks[4][k, m + z[8:16]] = big[:, 2]
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+    for v in special:
+        rows = np.stack([anchor[16], anchor[17], gauss[40], gauss[41]])
+        rows[0, j[16]] = v
+        rows[1, m + z[17]] = v
+        rows[2, j[40]] = v
+        rows[3, m + z[41]] = v
+        blocks.append(rows)
+    blocks.append(np.zeros((1, n)))
+    blocks.append(np.full((1, n), -0.0))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_min_form_dense_recurrence_bit_equal_to_anchor_loop(m, monkeypatch):
+    # EncodedMinForm's dense path, a subset-min recurrence plus the anchors
+    # on the top index, against the anchor-by-anchor kernel on every row
+    # (NaN and sign bits included) and the scalar loop on the rows without
+    # NaN (its running `<` skips NaN); the kernel is patched to raise, so
+    # eval does not reach it
+    rng = np.random.default_rng(400 + m)
+
+    def refuse(*args):
+        raise AssertionError("EncodedMinForm.eval reached the anchor kernel")
+
+    for eps in (0.1, 0.25, 0.5):
+        fn = constructions.nonzero_init_instance(m, eps).witness_fn
+        anchors = min_form_anchors(m, eps)
+        Q = _min_form_rows(fn, rng)
+        want = kn.encoded_min_eval(Q, *anchors, fn.coord_a, fn.coord_b)
+        with monkeypatch.context() as mp:
+            mp.setattr(kn, "encoded_min_eval", refuse)
+            got = fn.eval(Q)
+        assert got.tobytes() == want.tobytes(), eps
+        nan = np.isnan(Q).any(axis=1)
+        assert np.array_equal(np.isnan(got), nan) and nan.any()
+        if eps == 0.25:
+            top3v, top3i = kn._top3_abs(Q[~nan])
+            loop = scalar_encoded_min_eval(Q[~nan], top3v, top3i, *anchors,
+                                           fn.coord_a, fn.coord_b)
+            assert got[~nan].tobytes() == loop.tobytes()

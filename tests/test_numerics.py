@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from caplab import numerics as nm
-from caplab.errors import CapacityExceededError, InvalidInputError
+from caplab.errors import CapacityExceededError, InvalidInputError, NumericalFailureError
 
 
 def test_norm_diag_examples():
@@ -22,12 +22,18 @@ def test_norm_rejects_nonfinite():
         nm.norm(np.array([[1.0, np.nan]]), "frobenius")
 
 
+def _orthonormal_factors(k, rows, cols, seed):
+    """Random U (rows x k) and V (cols x k) with orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return U, V
+
+
 def _matrix_with_singular_values(s, rows, cols, seed):
     """U diag(s) V^T with orthonormal columns U (rows x k) and V (cols x k),
     k = len(s): a matrix whose singular values are known."""
-    rng = np.random.default_rng(seed)
-    U, _ = np.linalg.qr(rng.standard_normal((rows, len(s))))
-    V, _ = np.linalg.qr(rng.standard_normal((cols, len(s))))
+    U, V = _orthonormal_factors(len(s), rows, cols, seed)
     return (U * s) @ V.T
 
 
@@ -89,13 +95,56 @@ def test_svd_truncate_zero_matrix():
 
 
 def test_svd_truncate_rank_and_error():
+    # U diag(s) V^T with known s on both sides of eps = 0.5 and
+    # ||W||_F < 2, tall and wide, every rank from 0 to full: the truncation
+    # is U_r diag(s_r) V_r^T and its spectral error is s[r]
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        W = rng.standard_normal((8, 6))
-        W *= 2.0 / np.linalg.norm(W)
+    for trial in range(20):
+        rows, cols = [(8, 6), (6, 8), (12, 3), (3, 12)][trial % 4]
+        k = min(rows, cols)
+        r = trial % (k + 1)
+        s = np.concatenate([np.sort(rng.uniform(0.6, 0.8, r))[::-1],
+                            np.sort(rng.uniform(0.01, 0.45, k - r))[::-1]])
+        U, V = _orthonormal_factors(k, rows, cols, trial)
+        W = (U * s) @ V.T
+        assert np.linalg.norm(s) < 2.0
         Wt = nm.svd_truncate(W, 0.5)
-        assert np.linalg.matrix_rank(Wt, tol=1e-10) <= 16
-        assert np.linalg.norm(W - Wt, 2) <= 0.5 + 1e-10
+        assert np.abs(Wt - (U[:, :r] * s[:r]) @ V[:, :r].T).max() <= 1e-12, trial
+        assert np.linalg.matrix_rank(Wt, tol=1e-10) == r <= 16
+        err = np.linalg.norm(W - Wt, 2)
+        assert err <= 0.5 + 1e-10
+        assert abs(err - (s[r] if r < k else 0.0)) <= 1e-12, trial
+
+
+@pytest.mark.parametrize("rows,cols", [(7, 7), (9, 7), (7, 9)])
+def test_svd_truncate_at_the_tie_tolerance(rows, cols):
+    # a signed, permuted diagonal: LAPACK returns its singular values
+    # exactly, so the ones at eps + SV_TIE_TOL and below are dropped and
+    # the ones above kept, bit for bit
+    eps, tol = 0.5, nm.SV_TIE_TOL
+    s = np.array([2.0, eps + 2 * tol, eps + tol, eps + tol / 2, eps, eps - tol, 0.1])
+    rng = np.random.default_rng(rows * cols)
+    W = np.zeros((rows, cols))
+    W[rng.permutation(rows)[:7], rng.permutation(cols)[:7]] = \
+        s * rng.choice([-1.0, 1.0], 7)
+    want = np.where(np.abs(W) > eps + tol, W, 0.0)
+    assert np.count_nonzero(want) == 2
+    assert np.array_equal(nm.svd_truncate(W, eps), want)
+    # rank 0 and full rank
+    assert not nm.svd_truncate(W, 2.0).any()
+    assert np.array_equal(nm.svd_truncate(W, 0.05), W)
+
+
+def test_lapack_failure_is_a_numerical_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        nm.svd_truncate(np.eye(3), 0.5)
+    monkeypatch.setattr(np.linalg, "norm", fail)
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        nm.spectral_norm(np.eye(3))
 
 
 def test_svd_truncate_unit_vector_property():

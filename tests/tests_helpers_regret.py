@@ -1,7 +1,8 @@
-"""Shared helpers for the SGD checks: a randomized convex piecewise-linear
-loss in the stacked sampler contract of `learner.sgd_run`, and the dense
-gather+argmax subgradient of the convex witness that the closed form in
-`EncodedMaxAffine.loss_subgrad` replaces."""
+"""Shared helpers for the SGD and witness checks: a randomized convex
+piecewise-linear loss in the stacked sampler contract of `learner.sgd_run`,
+the dense gather+argmax subgradient of the convex witness that the closed
+form in `EncodedMaxAffine.loss_subgrad` replaces, and the pieces and anchors
+of the two encoded witnesses, listed one by one."""
 
 import numpy as np
 
@@ -41,6 +42,14 @@ def max_affine_pieces(m):
     z = np.repeat(np.arange(1 << m), m)
     keep = ((z >> j) & 1) == 1
     return j[keep], m + z[keep]
+
+
+def min_form_anchors(m, eps):
+    """The min-form witness's m 2^m anchors (j, m+z) in (z, j) order, and
+    their values: +eps if bit j of z is set, -eps if not."""
+    j = np.tile(np.arange(m, dtype=np.int64), 1 << m)
+    z = np.repeat(np.arange(1 << m, dtype=np.int64), m)
+    return j, m + z, np.where(((z >> j) & 1) == 1, eps, -eps)
 
 
 def dense_loss_subgrad(fn, W, x):
