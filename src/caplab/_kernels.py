@@ -114,23 +114,34 @@ def jacobi_orthogonalize(A, V, tol, max_sweeps):
 
 # ---------------------------------------------------------------------------
 # minimum pairwise Euclidean distance, for separation measurements
+#
+# Each block of rows a:b takes the upper product X[a:b] X[a:]^T, so the
+# squared Gram distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j are formed only for
+# j >= a; the pairs j <= i are masked.  max(., 0) and the square root round
+# monotonically, so they commute with min: the scan keeps the least squared
+# distance and takes one root at the end.  A block whose minimum is NaN is
+# skipped, as min(best, nan) keeps best.
 
 def min_pairwise_dist(X, chunk=512):
     """Minimum distance over all pairs of rows (inf for fewer than two)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
+    size = min(chunk, n) * n
+    gbuf, dbuf = np.empty(size), np.empty(size)
     best = np.inf
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        # the full-width product keeps each Gram entry as a whole row gets
-        # it; the distances are formed only for the pairs j > i
-        G = (X[a:b] @ X.T)[:, a:]
-        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * G
-        np.maximum(d2, 0.0, out=d2)
-        d2[:, : b - a][np.tri(b - a, dtype=bool)] = np.inf
-        best = min(best, float(np.sqrt(d2.min())))
-    return best
+        rows, cols = b - a, n - a
+        G = gbuf[: rows * cols].reshape(rows, cols)
+        d2 = dbuf[: rows * cols].reshape(rows, cols)
+        np.matmul(X[a:b], X[a:].T, out=G)
+        G *= 2.0
+        np.add(sq[a:b, None], sq[None, a:], out=d2)
+        d2 -= G
+        d2[:, :rows][np.tri(rows, dtype=bool)] = np.inf
+        best = min(best, float(d2.min()))
+    return float(np.sqrt(np.maximum(best, 0.0)))
 
 
 # ---------------------------------------------------------------------------

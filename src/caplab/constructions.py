@@ -16,8 +16,9 @@ ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 # zero-init holds all 2^m witnesses and m 2^m anchors, and verify evaluates
 # every anchor densely: each unit of m costs ~4x the time and ~2x the memory.
-# At m_cap = 12 construct takes 33 s / 1.2 GB and verify 125 s / 2.0 GB (one
-# run, 2 cores); m_cap = 14 would need ~8 GB
+# At m_cap = 10 / 11 / 12 construct takes 1.6 / 5.2 / 19 s and verify 3.4 /
+# 15 / 77 s, peaking at 0.23 / 0.43 / 0.84 GB (one run each, 2 cores);
+# m_cap = 14 would need ~3.4 GB and ~20 min per verify (extrapolated)
 ZERO_INIT_M_CAP = 12
 TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block

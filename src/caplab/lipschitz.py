@@ -6,6 +6,22 @@ import numpy as np
 from .errors import InvalidInputError
 
 PERTURB_FRACTION = 0.1   # anchor-pair radius, as a fraction of the anchor spacing
+ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
+NEAR_DIST = 1e-6         # Gram distances below this are recomputed exactly
+
+
+def _least_sqrt_at_least(x):
+    """The least double t with sqrt(t) >= x."""
+    t = np.float64(x) * np.float64(x)
+    while np.sqrt(t) < x:
+        t = np.nextafter(t, np.inf)
+    while np.sqrt(np.nextafter(t, 0.0)) >= x:
+        t = np.nextafter(t, 0.0)
+    return float(t)
+
+
+# sqrt(max(t, 0)) < NEAR_DIST exactly when t < T_NEAR
+T_NEAR = _least_sqrt_at_least(NEAR_DIST)
 
 
 def _pairwise_dist(X, metric):
@@ -44,39 +60,75 @@ class AnchoredLipschitz:
         self.values = np.asarray(values, dtype=np.float64)
         if self.anchors.shape[0] != self.values.shape[0]:
             raise InvalidInputError("anchor/value count mismatch")
+        if self.values.size == 0:
+            raise InvalidInputError("need at least one anchor")
+        if not np.isfinite(self.values).all():
+            raise InvalidInputError("anchor values must be finite")
         if L < 0:
             raise InvalidInputError("L must be nonnegative")
         if metric not in ("euclidean-vector", "infinity"):
             raise InvalidInputError(f"unsupported metric {metric!r}")
         self.L = float(L)
         self.metric = metric
+        if metric == "euclidean-vector":
+            # the anchors sorted by value, so each value's anchors are one run
+            order = np.argsort(self.values, kind="stable")
+            v = self.values[order]
+            self._sorted = self.anchors[order]
+            self._sorted_sq = np.sum(self._sorted * self._sorted, axis=1)
+            self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+            self._group_values = v[self._starts]
 
-    def eval(self, X, chunk=1024):
+    def eval(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if self.metric == "euclidean-vector":
+            return self._eval_euclidean(X)
         out = np.empty(X.shape[0])
         A = self.anchors
-        if self.metric == "euclidean-vector":
-            a_sq = np.sum(A * A, axis=1)
-            for s in range(0, X.shape[0], chunk):
-                Q = X[s : s + chunk]
-                d2 = (
-                    np.sum(Q * Q, axis=1)[:, None]
-                    + a_sq[None, :]
-                    - 2.0 * Q @ A.T
-                )
-                d = np.sqrt(np.maximum(d2, 0.0))
-                # the Gram form cancels badly near zero (error ~sqrt(ulp));
-                # recompute tiny distances from the actual differences
-                near = np.argwhere(d < 1e-6)
-                if near.size:
-                    qi, ai = near[:, 0], near[:, 1]
-                    d[qi, ai] = np.linalg.norm(Q[qi] - A[ai], axis=1)
-                out[s : s + chunk] = np.min(self.values[None, :] + self.L * d, axis=1)
-        else:
-            for s in range(0, X.shape[0], chunk):
-                Q = X[s : s + chunk]
-                d = np.max(np.abs(Q[:, None, :] - A[None, :, :]), axis=2)
-                out[s : s + chunk] = np.min(self.values[None, :] + self.L * d, axis=1)
+        rows = max(1, ANCHOR_BLOCK_BYTES // (8 * max(A.size, 1)))
+        for s in range(0, X.shape[0], rows):
+            Q = X[s : s + rows]
+            d = np.max(np.abs(Q[:, None, :] - A[None, :, :]), axis=2)
+            out[s : s + rows] = np.min(self.values[None, :] + self.L * d, axis=1)
+        return out
+
+    def _eval_euclidean(self, X):
+        """min over anchors of p + L sqrt(max(d2, 0)), d2 the Gram form
+        |q|^2 + |a|^2 - (2q).a, or the exact sum of squared differences
+        where the Gram distance is below NEAR_DIST (the Gram form cancels
+        badly near zero, error ~sqrt(ulp)).
+
+        max(., 0), sqrt, times L and plus p each round monotonically, so they
+        commute with min: each value's anchors are reduced to their least d2
+        first, and the rest is applied to a (rows, values) array.  With
+        L = 0 the one distance that matters is +inf (0 * inf = NaN), so
+        the reduction takes the max instead.  A lone row goes through a matrix-vector
+        product, whose rounding differs from the matrix product's; no block
+        of a multi-row X is left with one row."""
+        A, a_sq, starts = self._sorted, self._sorted_sq, self._starts
+        n, N = X.shape[0], A.shape[0]
+        rows = max(2, ANCHOR_BLOCK_BYTES // (8 * N))
+        size = min(n, rows + 1)
+        D2, G = np.empty((size, N)), np.empty((size, N))
+        near = np.empty((size, N), dtype=bool)
+        reduce = np.maximum if self.L == 0 else np.minimum
+        out = np.empty(n)
+        s = 0
+        while s < n:
+            e = n if n - (s + rows) < 2 else s + rows
+            Q = X[s:e]
+            d2, g = D2[: e - s], G[: e - s]
+            np.matmul(2.0 * Q, A.T, out=g)
+            np.add(np.sum(Q * Q, axis=1)[:, None], a_sq[None, :], out=d2)
+            d2 -= g
+            idx = np.flatnonzero(np.less(d2, T_NEAR, out=near[: e - s]))
+            if idx.size:
+                qi, ai = np.divmod(idx, N)
+                diff = Q[qi] - A[ai]
+                d2.reshape(-1)[idx] = np.add.reduce(diff * diff, axis=1)
+            d = np.sqrt(np.maximum(reduce.reduceat(d2, starts, axis=1), 0.0))
+            out[s:e] = np.min(self._group_values[None, :] + self.L * d, axis=1)
+            s = e
         return out
 
     def __call__(self, x):
