@@ -38,6 +38,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .learner import (
+    Sampler,
     SgdConfig,
     SgdResult,
     excess_risk_experiment,

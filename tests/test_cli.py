@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplab import cli, complexity, constructions
+from caplab import cli, complexity, constructions, learner
 from caplab.errors import CapacityExceededError, NumericalFailureError
 
 
@@ -126,16 +126,37 @@ def test_sgd_population_loss_overflow_is_one_line_exit_2(tmp_path):
 
 
 def test_sgd_failure_is_one_line_exit_2(tmp_path, capsys):
-    manifest = _construct_m3(tmp_path, "convex")
+    # with kappa = 5 the loss sits on its floor, 4.5 above the best witness
+    # loss, far past the bound B L / sqrt(T) <= 1/sqrt(10)
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "convex", "--m", "3", "--eps", "0.25",
+                "--kappa", "5", "--out", str(a)]) == 0
     capsys.readouterr()
-    assert run(["sgd", "--instance", manifest, "--T-grid", "10,20", "--num-seeds",
-                "2", "--tolerance", "-1", "--out", str(tmp_path / "s")]) == cli.EXIT_SCIENCE
+    assert run(["sgd", "--instance", str(a / "manifest.json"), "--T-grid", "10,20",
+                "--num-seeds", "2", "--tolerance", "0",
+                "--out", str(tmp_path / "s")]) == cli.EXIT_SCIENCE
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert err.startswith("error: excess-risk check failed at T=10: mean excess ")
-    assert "+ tolerance -1.0" in err
+    assert "+ tolerance 0.0" in err
     rows = (tmp_path / "s" / "results.csv").read_text().splitlines()
     assert len(rows) == 5 and all(r.endswith(",false") for r in rows[1:])
+
+
+def test_sgd_negative_tolerance_is_refused_before_any_step(tmp_path, capsys,
+                                                           monkeypatch):
+    manifest = _construct_m3(tmp_path, "convex")
+    capsys.readouterr()
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("sgd_run called")
+
+    monkeypatch.setattr(learner, "sgd_run", no_steps)
+    assert run(["sgd", "--instance", manifest, "--T-grid", "10", "--num-seeds",
+                "2", "--tolerance", "-1", "--out", str(tmp_path / "s")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: tolerance must be >= 0, got -1.0\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_uc_gap_failure_is_one_line_exit_2(tmp_path, capsys):

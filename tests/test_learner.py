@@ -6,7 +6,8 @@ import pytest
 from caplab import constructions as cn
 from caplab import learner as lr
 from caplab.errors import InvalidInputError
-from tests_helpers_regret import dense_loss_subgrad, random_piecewise_sampler
+from tests_helpers_regret import (dense_loss_subgrad, random_hinge_sampler,
+                                  random_piecewise_sampler)
 
 
 def test_projection_inside_unchanged():
@@ -49,7 +50,8 @@ def _constant_sampler(V_run):
         return (np.zeros(S), np.broadcast_to(np.arange(n), (S, n)),
                 np.broadcast_to(V_run, (S,) + V_run.shape))
 
-    return lambda rngs, k: (range(k), oracle)
+    return lr.Sampler(1, lambda rngs, k: np.zeros((k, len(rngs)), dtype=np.intp),
+                      oracle)
 
 
 def test_zero_subgradients_keep_w0():
@@ -149,10 +151,10 @@ def _scalar_point_sampler(inst):
 def _scalar_piecewise_sampler(stacked):
     """One run of a stacked sampler, one step per draw, V made dense."""
     def sampler(rng):
-        xs, oracle = stacked([rng], 1)
+        xs = stacked.draw([rng], 1)
 
         def dense(W, x):
-            loss, rows, G = oracle(W[None], x)
+            loss, rows, G = stacked.oracle(W[None], x)
             V = np.zeros_like(W)
             V[rows[0]] = G[0]
             return float(loss[0]), V
@@ -175,26 +177,38 @@ def _lockstep_case(case):
         stacked = random_piecewise_sampler(n, d, L, 9)
         cfg = lr.SgdConfig(W0=W0, B=B, T=150, L=L, eta=0.3, seeds=SEEDS)
         return cfg, stacked, _scalar_piecewise_sampler(stacked), Wstar
+    if case == "hinge":
+        # hinges switch off as the runs descend, and a step on one can switch
+        # another back on: quiet draws go stale when their run moves
+        rng = np.random.default_rng(0)
+        W0 = rng.standard_normal((3, 4))
+        stacked = random_hinge_sampler(3, 4, 1.0, 0, pieces=6)
+        cfg = lr.SgdConfig(W0=W0, B=5.0, T=3 * lr.SAMPLE_BLOCK + 7, L=1.0,
+                           eta=0.5, seeds=SEEDS)
+        return cfg, stacked, _scalar_piecewise_sampler(stacked), None
     m, start = case
     inst = cn.convex_instance(m, 0.25)
     L = lr._loss_lipschitz(inst)
+    T = 150
     if start == "W0":
         # every t_z is 0 at W0: the first steps choose among tied pieces
         W0, B, eta = inst.W0, 0.02, 0.05
+    elif start == "far":
+        # at B = 1e5 a projection's rounding can leave dist above B + BALL_TOL:
+        # ball_ok turns False on the step after, with W_hat inside the ball
+        W0, B, eta, T = inst.W0, 1e5, 3e5, 3 * lr.SAMPLE_BLOCK + 7
     else:
         rng = np.random.default_rng(m)
         W0, B, eta = inst.W0 + 0.5 * rng.standard_normal(inst.W0.shape), 0.3, 0.2
     # a small ball and a long step, so that runs leave the ball
-    cfg = lr.SgdConfig(W0=W0, B=B, T=150, L=L, eta=eta, seeds=SEEDS)
+    cfg = lr.SgdConfig(W0=W0, B=B, T=T, L=L, eta=eta, seeds=SEEDS)
     return (cfg, lr._point_sampler(inst, inst.witness_fn),
             _scalar_point_sampler(inst), None)
 
 
-@pytest.mark.parametrize("case", [(3, "off"), (6, "off"), (8, "off"),
-                                  (8, "W0"), "piecewise"])
-def test_lockstep_bit_equal_to_per_seed_loop(case):
-    cfg, stacked, scalar, comparator = _lockstep_case(case)
-    res = lr.sgd_run(cfg, stacked, comparator=comparator)
+def _assert_runs_equal_per_seed_loop(cfg, res, scalar, comparator=None):
+    """Each run of the lockstep result, bit for bit against the one-run
+    loop; returns each run's projection count."""
     projected = []
     for s, seed in enumerate(cfg.seeds):
         W_hat, lhs, rhs, ball_ok, violations, projections = _per_seed_sgd(
@@ -204,9 +218,71 @@ def test_lockstep_bit_equal_to_per_seed_loop(case):
         assert res.ball_ok[s] == ball_ok, seed
         assert res.oracle_violations[s] == violations, seed
         projected.append(projections)
+    return projected
+
+
+@pytest.mark.parametrize("case", [(3, "off"), (6, "off"), (8, "off"),
+                                  (8, "W0"), "piecewise", (4, "far"), (8, "far"),
+                                  "hinge"])
+def test_lockstep_bit_equal_to_per_seed_loop(case):
+    cfg, stacked, scalar, comparator = _lockstep_case(case)
+    res = lr.sgd_run(cfg, stacked, comparator=comparator)
+    projected = _assert_runs_equal_per_seed_loop(cfg, res, scalar, comparator)
     # projection fired, for several runs, but not on every step
     assert sum(p > 0 for p in projected) >= 2, projected
     assert max(projected) < cfg.T, projected
+
+
+def _counting(sampler, calls):
+    """The sampler, with calls[b] counting its oracle calls in drawn block b."""
+    def draw(rngs, k):
+        calls.append(0)
+        return sampler.draw(rngs, k)
+
+    def oracle(W, x):
+        calls[-1] += 1
+        return sampler.oracle(W, x)
+
+    return lr.Sampler(sampler.K, draw, oracle)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_quiet_stretches_bit_equal_to_per_seed_loop(m):
+    # from W0, at the instance's own B and auto eta, each point's subgradient
+    # fires once per run and never again: the rest of the run is quiet steps,
+    # skipped in stretches that cross SAMPLE_BLOCK boundaries
+    inst = cn.convex_instance(m, 0.25)
+    cfg = lr.SgdConfig(W0=inst.W0, B=inst.B, T=3 * lr.SAMPLE_BLOCK + 7,
+                       L=lr._loss_lipschitz(inst), seeds=SEEDS)
+    calls = []
+    res = lr.sgd_run(cfg, _counting(lr._point_sampler(inst, inst.witness_fn),
+                                    calls))
+    _assert_runs_equal_per_seed_loop(cfg, res, _scalar_point_sampler(inst))
+    assert len(calls) == 4 and calls[0] > 0 and calls[2:] == [0, 0], calls
+
+
+def test_single_runs_bit_equal_to_per_seed_loop():
+    # a run on its own goes quiet right after its last move; there a
+    # projection's rounding can leave dist just above B, and the projection
+    # repeats, changing W, on steps whose draws were quiet before it
+    inst = cn.convex_instance(6, 0.25)
+    scalar = _scalar_point_sampler(inst)
+    for seed in SEEDS:
+        cfg = lr.SgdConfig(W0=inst.W0, B=0.02, T=3 * lr.SAMPLE_BLOCK + 7,
+                           L=lr._loss_lipschitz(inst), eta=0.02, seeds=(seed,))
+        res = lr.sgd_run(cfg, lr._point_sampler(inst, inst.witness_fn))
+        _assert_runs_equal_per_seed_loop(cfg, res, scalar)
+
+
+def test_quiet_memo_oracle_calls_pinned():
+    # the default sgd grid's longest run on convex m = 8: with the memo, the
+    # oracle runs on 47 of the 10^4 steps (each run moves about 8 times)
+    inst = cn.convex_instance(8, 0.25)
+    calls = []
+    lr.sgd_run(lr.SgdConfig(W0=inst.W0, B=inst.B, T=10_000,
+                            L=lr._loss_lipschitz(inst), seeds=range(20)),
+               _counting(lr._point_sampler(inst, inst.witness_fn), calls))
+    assert sum(calls) == 47, calls
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16])

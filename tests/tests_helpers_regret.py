@@ -1,10 +1,12 @@
-"""Shared helpers for the SGD and witness checks: a randomized convex
-piecewise-linear loss in the stacked sampler contract of `learner.sgd_run`,
+"""Shared helpers for the SGD and witness checks: randomized convex
+piecewise-linear losses in the sampler contract of `learner.sgd_run`,
 the dense gather+argmax subgradient of the convex witness that the closed
 form in `EncodedMaxAffine.loss_subgrad` replaces, and the pieces and anchors
 of the two encoded witnesses, listed one by one."""
 
 import numpy as np
+
+from caplab.learner import Sampler
 
 
 def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
@@ -28,11 +30,31 @@ def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
         rows = np.broadcast_to(np.arange(n), (len(W), n))
         return loss, rows, Gs[best]
 
-    def sampler(rngs, k):
-        noise = np.stack([rng.integers(0, pieces, size=k) for rng in rngs], axis=1)
-        return noise, oracle
+    def draw(rngs, k):
+        return np.stack([rng.integers(0, pieces, size=k) for rng in rngs], axis=1)
 
-    return sampler
+    return Sampler(pieces, draw, oracle)
+
+
+def random_hinge_sampler(n, d, L, rng_seed=0, pieces=5):
+    """Stochastic losses W -> max(<G_k, W> + c_k, 0) with ||G_k||_F = L, one
+    k drawn per run and step.  Many subgradients are zero, and a step on
+    one hinge can switch another on or off."""
+    master = np.random.default_rng(rng_seed)
+    Gs = master.standard_normal((pieces, n, d))
+    Gs *= (L / np.linalg.norm(Gs.reshape(pieces, -1), axis=1))[:, None, None]
+    cs = master.standard_normal(pieces)
+
+    def oracle(W, k):
+        vals = np.einsum("snd,snd->s", Gs[k], W) + cs[k]
+        on = vals > 0
+        rows = np.broadcast_to(np.arange(n), (len(W), n))
+        return np.maximum(vals, 0.0), rows, np.where(on[:, None, None], Gs[k], 0.0)
+
+    def draw(rngs, k):
+        return np.stack([rng.integers(0, pieces, size=k) for rng in rngs], axis=1)
+
+    return Sampler(pieces, draw, oracle)
 
 
 def max_affine_pieces(m):
