@@ -9,18 +9,23 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError
-from .lipschitz import AnchoredLipschitz, budget, min_feasible_slope
+from .lipschitz import (BOUND_SLACK, AnchoredLipschitz, budget, gamma, gram_error,
+                        min_feasible_slope)
 from .numerics import norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
-# zero-init holds all 2^m witnesses and m 2^m anchors, and verify evaluates
-# every anchor densely: each unit of m costs ~4x the time and ~2x the memory.
-# At m_cap = 10 / 11 / 12 construct takes 1.6 / 5.2 / 19 s and verify 3.4 /
-# 15 / 77 s, peaking at 0.23 / 0.43 / 0.84 GB (one run each, 2 cores);
-# m_cap = 14 would need ~3.4 GB and ~20 min per verify (extrapolated)
+# zero-init holds all 2^m witnesses and m 2^m anchors, and its separation
+# scan compares every pair of anchors: each unit of m costs ~4x the time and
+# ~2x the memory.  At m_cap = 12 construct and verify take 13.0 and 12.4 s
+# at 0.78 GB (one run each, 2 cores); m_cap = 14 would need ~3 GB
+# (extrapolated)
 ZERO_INIT_M_CAP = 12
+# zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
+ZERO_INIT_MAX_BYTES = 3 << 30
+FEASIBLE_PAIRS_CAP = 4096   # zero-init measures its slope over all anchor pairs up to this many
 TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
+FAMILY_BLOCK_BYTES = 1 << 23    # matrices whose Frobenius norms are taken at once
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
 
 SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
@@ -334,12 +339,17 @@ def random_separated_family(d, m, n, seed, max_resamples=20):
     if max_resamples < 1:
         raise InvalidInputError("max_resamples must be >= 1")
     rng = np.random.default_rng(seed)
+    block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
     best = None
     for attempt in range(max_resamples):
         X = rng.standard_normal((m, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        W = rng.standard_normal((1 << m, n, d)) / math.sqrt(n)
-        fro = np.linalg.norm(W.reshape(1 << m, -1), axis=1)
+        W = rng.standard_normal((1 << m, n, d))
+        W /= math.sqrt(n)
+        # by blocks, each row reduced as in one call, so no second stack
+        flat = W.reshape(1 << m, -1)
+        fro = np.concatenate([np.linalg.norm(flat[s : s + block], axis=1)
+                              for s in range(0, 1 << m, block)])
         cap = math.sqrt(2.0 * d)
         over = fro > cap
         if over.any():
@@ -372,6 +382,10 @@ class ShatterInstance:
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
     _witness_supplier: object = None    # y -> W_y, for zero-init
+    # zero-init: a lower bound on the distance between two anchors, from
+    # this process's separation scan (0.0 certifies nothing); never read
+    # from or written to a record
+    _anchor_separation: float = 0.0
     # the encoded kinds: W_y = W0 + _entry_val[y] e_{_entry_row[y]} e_m^T
     _entry_row: np.ndarray = None       # (2^m,) int, in [m, n)
     _entry_val: np.ndarray = None       # (2^m,)
@@ -455,12 +469,51 @@ def instance_from_manifest(obj):
 
 # ---------------------------------------------------------------------------
 
+def _zero_init_bytes(m, n, d):
+    """Bytes zero-init holds at its peak, estimated: two (2^m, n, d)
+    Gaussian stacks (the best draw is kept while the next is drawn), three
+    copies of the m 2^m encoded vectors (the scan's, the anchors and the
+    anchors sorted by value), the separation scan's two (512, m 2^m)
+    buffers, and six m 2^m square matrices where the slope is measured
+    over all anchor pairs."""
+    N = m << m
+    pairs = 6 * N * N if N <= FEASIBLE_PAIRS_CAP else 0
+    return 8 * (2 * (1 << m) * n * d + 3 * N * n + 2 * min(512, N) * N + pairs)
+
+
+def _anchor_separation(sep, scale, n, d, w_max, x_max):
+    """A lower bound on the exact distance between any two zero-init
+    anchors A_k = (scale W_s) x_i, from the family's separation sep: the
+    min_pairwise_dist of the encoded vectors E_k = W_s x_i as this process
+    scanned them.  w_max and x_max are the largest computed |W_s|_F and
+    |x_i|.
+
+    The scan's least Gram d2 is at least sep^2 less sep's rounding, and is
+    off from its pair's exact squared distance by at most gram_error(n)
+    (|E_i|^2 + |E_j|^2), where |E_k| <= |W_s|_F |x_i| up to the rounding of
+    the product and of both computed norms.  A_k and scale E_k are d-term
+    products of the same terms, one of them rounded once more, so each is
+    within gamma_{d+1} scale |W_s|_F |x_i| of scale W_s x_i and
+    |A_k - scale E_k| <= eta = 2 gamma_{d+1} scale |W_s|_F |x_i|: the bound
+    takes eta off for each of the two anchors."""
+    if not sep > 0:
+        return 0.0
+    e_max = w_max * x_max * (1.0 + gamma(n * d + 4) + gamma(2 * d + 4))
+    r2 = sep * sep * (1.0 - BOUND_SLACK) - 2.0 * gram_error(n) * e_max * e_max
+    if not r2 > 0:
+        return 0.0
+    eta = 2.0 * gamma(d + 1) * scale * e_max
+    return max(0.0, (scale * math.sqrt(r2) - 2.0 * eta) * (1.0 - BOUND_SLACK))
+
+
 def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     """Randomized instance around the zero reference matrix.
 
     The ambient input dimension is floor(L^2 B^2 / (128 eps^2)); witnesses
     are the separated-family matrices scaled by 8 eps / L, and the witness
-    function interpolates +/-eps over all m*2^m encoded points.
+    function interpolates +/-eps over all m*2^m encoded points.  A size
+    whose estimated peak (_zero_init_bytes) exceeds ZERO_INIT_MAX_BYTES is
+    refused before the family is drawn.
     """
     if B < 1 or L < 1:
         raise InvalidInputError("need B >= 1 and L >= 1")
@@ -475,10 +528,19 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
         raise CapacityExceededError(
             f"m_cap={m_cap} > ZERO_INIT_M_CAP = {ZERO_INIT_M_CAP}: zero-init "
             "memory doubles with each unit of m")
+    if m_cap >= 1 and n >= 1:   # smaller ones are refused by the family's builder
+        need = _zero_init_bytes(m_cap, n, d)
+        if need > ZERO_INIT_MAX_BYTES:
+            raise CapacityExceededError(
+                f"zero-init at m_cap={m_cap}, n={n}, d={d} needs about "
+                f"{need / 2**30:.1f} GiB > ZERO_INIT_MAX_BYTES = "
+                f"{ZERO_INIT_MAX_BYTES / 2**30:.1f} GiB")
     fam = random_separated_family(d, m_cap, n, seed, max_resamples=max_resamples)
     m = m_cap
     scale = 8.0 * eps / L
-    witnesses = scale * fam.matrices
+    witnesses = fam.matrices
+    w_max = math.sqrt(float(np.einsum("snd,snd->s", witnesses, witnesses).max()))
+    witnesses *= scale      # in place: the family's stack becomes the witnesses
     anchors = np.einsum("snd,md->smn", witnesses, fam.points).reshape(-1, n)
     # value of point i under labeling s is +/-eps by bit i of s
     s_idx = np.repeat(np.arange(1 << m), m)
@@ -487,7 +549,7 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     scaled_sep = scale * fam.separation
     slope_budget = budget([-eps, eps], 2.0 * eps / L)  # = L by the closed form
     feasible = min_feasible_slope(anchors, values, "euclidean-vector") \
-        if anchors.shape[0] <= 4096 else 2.0 * eps / max(scaled_sep, 1e-300)
+        if anchors.shape[0] <= FEASIBLE_PAIRS_CAP else 2.0 * eps / max(scaled_sep, 1e-300)
     L_eff = max(slope_budget, feasible)
     fn = AnchoredLipschitz(anchors, values, L_eff, "euclidean-vector")
     inst = ShatterInstance(
@@ -510,6 +572,9 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
             "witness_slope": L_eff,
         },
         _witness_supplier=lambda y: witnesses[y],
+        _anchor_separation=_anchor_separation(
+            fam.separation, scale, n, d, w_max,
+            float(np.linalg.norm(fam.points, axis=1).max())),
     )
     return inst
 
@@ -605,10 +670,14 @@ def witness_values(inst, ys):
     at coordinate i and q_b = x_i[m] v_y at r_y, for the one entry v_y at
     (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
     the matmul, so the queries go to the witness's eval as TwoHotRows
-    without any W_y being built.  Other instances take the Q loop."""
+    without any W_y being built.  Zero-init's query W_y x_i is its own
+    anchor up to rounding, so its value is read off that anchor when the
+    witness certifies every row (_own_anchor_table); otherwise, and on
+    other instances, the Q loop evaluates every anchor."""
     ys = np.asarray(ys, dtype=np.int64)
     if inst._entry_row is None:
-        return _dense_table(inst, ys)
+        table = _own_anchor_table(inst, ys)
+        return _dense_table(inst, ys) if table is None else table
     m, X = inst.m, inst.points
     q_a = np.diagonal(X @ inst.W0.T)
     q_b = inst._entry_val[ys][:, None] * X[:, m]
@@ -618,19 +687,41 @@ def witness_values(inst, ys):
     return np.asarray(inst.witness_fn.eval(queries)).reshape(ys.size, m)
 
 
-def _dense_table(inst, ys):
-    """witness_values by the Q loop: Q = X W_y^T for each labeling in ys."""
-    m, n = inst.m, inst.n
-    table = np.empty((len(ys), m))
-    X = inst.points
+def _query_blocks(inst, ys):
+    """(start, block, Q) per block of TABULATE_BLOCK labelings of ys, with
+    Q = X W_y^T for each labeling y of the block, stacked."""
+    m, X = inst.m, inst.points
     for start in range(0, len(ys), TABULATE_BLOCK):
         block = ys[start : start + TABULATE_BLOCK]
-        Q = np.empty((len(block) * m, n))
+        Q = np.empty((len(block) * m, inst.n))
         for k, y in enumerate(block):
             Q[k * m : (k + 1) * m] = X @ inst.witness_for(int(y)).T
+        yield start, block, Q
+
+
+def _dense_table(inst, ys):
+    """witness_values by the Q loop: the witness's eval on every query."""
+    table = np.empty((len(ys), inst.m))
+    for start, block, Q in _query_blocks(inst, ys):
         table[start : start + len(block)] = np.asarray(
             inst.witness_fn.eval(Q)
-        ).reshape(len(block), m)
+        ).reshape(len(block), inst.m)
+    return table
+
+
+def _own_anchor_table(inst, ys):
+    """Zero-init's witness_values from each query's own anchor, anchor
+    y m + i for the query (y, i), in O(n) per query; None unless the
+    witness certifies every row bit-equal to its eval (own_anchor_values),
+    against the separation this process measured."""
+    m = inst.m
+    table = np.empty((len(ys), m))
+    for start, block, Q in _query_blocks(inst, ys):
+        own = (block[:, None] * m + np.arange(m)).ravel()
+        vals, ok = inst.witness_fn.own_anchor_values(Q, own, inst._anchor_separation)
+        if not ok.all():
+            return None
+        table[start : start + len(block)] = vals.reshape(len(block), m)
     return table
 
 

@@ -443,6 +443,93 @@ def test_zero_init_accepts_m_cap_at_its_cap(tmp_path, monkeypatch):
             run(argv + ["--out", str(tmp_path / "out")])
 
 
+# (m_cap, n, B, L, eps) whose estimate exceeds ZERO_INIT_MAX_BYTES: a wide
+# input (d = 3200 and 8192), a wide output (n = 10^5 and 10^8), and the
+# stack at a small m
+_OVER_BUDGET = [(12, 256, 40, 4, 0.25), (10, 256, 64, 8, 0.5),
+                (8, 100_000, 4, 4, 0.25), (1, 10**8, 4, 4, 0.25),
+                (12, 4096, 4, 4, 0.25)]
+
+
+def _zero_init_args(m_cap, n, B, L, eps):
+    return ["--B", str(B), "--L", str(L), "--eps", str(eps),
+            "--m-cap", str(m_cap), "--n", str(n)]
+
+
+@pytest.mark.parametrize("size", _OVER_BUDGET, ids=str)
+def test_zero_init_refuses_sizes_over_its_byte_budget(size, tmp_path, monkeypatch, capsys):
+    # one line and exit 1 before the family is drawn, from construct and
+    # from a record that verify or rademacher reads
+    def refuse(*args, **kwargs):
+        raise AssertionError("separated family drawn over the zero-init budget")
+
+    monkeypatch.setattr(constructions, "random_separated_family", refuse)
+    m_cap, n, B, L, eps = size
+    d = int(L * L * B * B / (128.0 * eps * eps))
+    assert constructions._zero_init_bytes(m_cap, n, d) > constructions.ZERO_INIT_MAX_BYTES
+    record = {"kind": "zero-init", "eps": eps,
+              "params": {"B": B, "L": L, "m_cap": m_cap, "seed": 1, "n": n}}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"instance": record}))
+    for k, argv in enumerate([["construct", "--kind", "zero-init"] + _zero_init_args(*size),
+                              ["verify", "--instance", str(path)],
+                              ["rademacher", "--instance", str(path), "--draws", "10"]]):
+        capsys.readouterr()
+        out = tmp_path / f"out{k}"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE, argv[0]
+        err = capsys.readouterr().err
+        assert _one_error_line(err), err
+        assert f"m_cap={m_cap}, n={n}, d={d}" in err and "ZERO_INIT_MAX_BYTES" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [(9, 256, 4, 4, 0.25), (10, 256, 4, 4, 0.25),
+                                  (11, 256, 4, 4, 0.25)], ids=str)
+def test_zero_init_accepts_the_benchmark_and_ci_sizes(size, tmp_path, monkeypatch):
+    # dense-geometry builds m_cap 9 and CI 10 and 11 (the cap, 12, is in
+    # test_zero_init_accepts_m_cap_at_its_cap); each passes the estimate and
+    # reaches the family
+    class Drawn(Exception):
+        pass
+
+    def drawn(d, m, n, seed, max_resamples):
+        raise Drawn(m)
+
+    monkeypatch.setattr(constructions, "random_separated_family", drawn)
+    argv = ["construct", "--kind", "zero-init"] + _zero_init_args(*size)
+    with pytest.raises(Drawn, match=str(size[0])):
+        run(argv + ["--out", str(tmp_path / "out")])
+
+
+def test_zero_init_tampered_record_reads_the_same(tmp_path, monkeypatch):
+    # the certificate rests on this process's separation scan: a record
+    # claiming no separation, a failed scan and another slope gives verify
+    # and rademacher the same bytes, and the Q loop is never needed
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "zero-init", "--m-cap", "6", "--seed", "2",
+                "--out", str(a)]) == 0
+    man = json.loads((a / "manifest.json").read_text())
+    man["instance"]["params"].update(separation=0.0, separation_ok=False,
+                                     witness_slope=0.5)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(man))
+
+    def q_loop(*args):
+        raise AssertionError("zero-init table left the certified path")
+
+    monkeypatch.setattr(constructions, "_dense_table", q_loop)
+    for cmd in (["verify"], ["rademacher", "--draws", "500"]):
+        outs = []
+        for k, record in enumerate((a / "manifest.json", tampered)):
+            out = tmp_path / f"{cmd[0]}{k}"
+            assert run([cmd[0], "--instance", str(record)] + cmd[1:]
+                       + ["--out", str(out)]) == 0
+            outs.append(out)
+        assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
+        got = [json.loads((o / "manifest.json").read_text())["instance"] for o in outs]
+        assert got[0] == got[1] == json.loads((a / "manifest.json").read_text())["instance"]
+
+
 def _count_witnesses_built(monkeypatch):
     """The labelings whose W_y is built from now on, in call order."""
     calls = []

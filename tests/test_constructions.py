@@ -63,6 +63,23 @@ def test_separated_family_properties():
     assert fam.separation_ok == (fam.separation >= 0.25)
 
 
+def test_separated_family_draw_is_the_one_shot_draw():
+    # the stack is divided in place and its norms taken by blocks (2 blocks
+    # here): the same matrices as one division and one norm call
+    d, m, n, seed = 32, 8, 256, 4
+    assert (1 << m) * n * d * 8 > cn.FAMILY_BLOCK_BYTES
+    fam = cn.random_separated_family(d, m, n, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    W = rng.standard_normal((1 << m, n, d)) / math.sqrt(n)
+    fro = np.linalg.norm(W.reshape(1 << m, -1), axis=1)
+    over = fro > math.sqrt(2.0 * d)
+    W[over] *= (math.sqrt(2.0 * d) / fro[over])[:, None, None]
+    assert fam.resamples_used == 1
+    assert fam.points.tobytes() == X.tobytes() and fam.matrices.tobytes() == W.tobytes()
+
+
 def test_separated_family_m1():
     fam = cn.random_separated_family(25, 1, 64, seed=0)
     assert fam.matrices.shape[0] == 2
@@ -101,6 +118,71 @@ def test_zero_init_m1():
 def test_zero_init_precondition_named():
     with pytest.raises(InvalidInputError, match="128"):
         cn.zero_init_instance(1, 1, 1.0, 4, seed=0)
+
+
+# zero-init tables from each query's own anchor, against the Q loop.
+# (B, L, eps) with d = floor(L^2 B^2 / (128 eps^2)) = 32, 32, 63, 128, 32, 28
+_ZERO_SHAPES = [(4, 4, 0.25), (8, 2, 0.25), (6, 3, 0.2), (16, 1, 0.125),
+                (8, 4, 0.5), (12, 5, 1.0)]
+
+
+def _own_anchor_table_bit_equal(inst, rng):
+    """The certified table is taken (witness_values never reaches the Q
+    loop) and is the Q loop's, bit for bit, on all labelings and on a
+    repeated, unordered subset."""
+    everything = np.arange(inst.num_labelings)
+    assert cn._own_anchor_table(inst, everything) is not None
+    assert cn.witness_table(inst).tobytes() == cn._dense_table(inst, everything).tobytes()
+    ys = rng.integers(0, inst.num_labelings, size=inst.num_labelings // 2 + 3)
+    ys[-1] = ys[0]
+    assert cn.witness_values(inst, ys).tobytes() == cn._dense_table(inst, ys).tobytes()
+
+
+@pytest.mark.parametrize("shape", _ZERO_SHAPES, ids=str)
+def test_zero_init_own_anchor_table_bit_equal_to_q_loop(shape):
+    rng = np.random.default_rng(17)
+    for m in range(1, 9):
+        for seed in (1, 2, 3)[: 3 if m < 8 else 1]:
+            _own_anchor_table_bit_equal(cn.zero_init_instance(*shape, m, seed), rng)
+
+
+@pytest.mark.parametrize("m,seeds", [(9, (1, 2, 3)), (10, (4,))])
+def test_zero_init_own_anchor_table_bit_equal_at_larger_m(m, seeds):
+    rng = np.random.default_rng(m)
+    for seed in seeds:
+        _own_anchor_table_bit_equal(cn.zero_init_instance(4, 4, 0.25, m, seed), rng)
+
+
+def test_zero_init_anchor_separation_is_below_the_anchor_distances():
+    # the bound rests on the scan of the unscaled family; the anchors'
+    # distances, each from its own difference, are at least it
+    for m, seed in ((3, 1), (5, 2), (6, 3)):
+        inst = cn.zero_init_instance(4, 4, 0.25, m, seed)
+        rho = inst._anchor_separation
+        A = inst.witness_fn.anchors
+        least = min(np.linalg.norm(A[k + 1 :] - A[k], axis=1).min()
+                    for k in range(len(A) - 1))
+        scale = 8 * 0.25 / 4
+        assert 0.99 * scale * inst.params["separation"] <= rho <= least
+
+
+def test_zero_init_below_feasible_slope_falls_back_to_q_loop():
+    # a slope a tenth of the feasible one: another value's anchor undercuts
+    # the own one, so the certificate refuses and verify reports the Q
+    # loop's failures
+    inst = cn.zero_init_instance(4, 4, 0.25, 7, seed=3)
+    inst.witness_fn.L *= 0.1
+    everything = np.arange(inst.num_labelings)
+    assert cn._own_anchor_table(inst, everything) is None
+    table = cn._dense_table(inst, everything)
+    bits = cn.labeling_bits(everything[:, None], inst.m)
+    slack = np.where(bits == 1, table - inst.margin, -inst.margin - table)
+    failing = np.argwhere(slack < -cn.SLACK_TOL)
+    rep = cn.verify_shattering(inst)
+    assert not rep.passed and rep.failure_count == len(failing) > 0
+    assert rep.failures == [(int(y), int(i), float(table[y, i]))
+                            for y, i in failing[:32]]
+    assert rep.worst_slack == float(slack.min())
 
 
 # ---------------------------------------------------------------------------
