@@ -360,14 +360,17 @@ def _run_uc_gap(cfg):
     inst = _load_instance(p["instance"])
     seeds = [cfg.seed + i for i in range(p["num_seeds"])]
     table = learner.uc_gap_experiment(inst, p["sample_size"], seeds)
+    # zero-init's witness meets +-eps up to the rounding verify allows it;
+    # the encoded kinds meet it exactly
+    tol = constructions.SLACK_TOL if inst.kind == "zero-init" else 0.0
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     rows = [[r["m"], r["seed"], r["support"], r["gap"],
-             bool(r["gap"] >= inst.margin)] for r in table.rows]
+             bool(r["gap"] >= inst.margin - tol)] for r in table.rows]
     write_results(cfg.output_dir, manifest,
                   ["m", "seed", "support", "gap", "pass"], rows)
     for r in table.rows:
-        if not (r["gap"] >= inst.margin or r["support"] > inst.m / 2):
+        if not (r["gap"] >= inst.margin - tol or r["support"] > inst.m / 2):
             return (f"uc-gap check failed at seed {r['seed']}: gap {r['gap']!r} "
                     f"< eps {inst.margin!r} with support {r['support']} <= m/2")
 

@@ -13,7 +13,7 @@ from .constructions import witness_values
 from .errors import InvalidInputError, NumericalFailureError
 
 BALL_TOL = 1e-12
-SAMPLE_BLOCK = 64    # steps drawn per sampler call
+DRAW_BYTES = 1 << 17  # bytes of int64 draws per sampler call, all runs together
 
 
 @dataclass
@@ -53,21 +53,36 @@ class SgdResult:
     oracle_violations: np.ndarray  # (S,) int
 
 
+def _dots(A, C):
+    """The Frobenius inner product of A[s] and C[s], both (S, r, d), in the
+    canonical order: each row's products summed by einsum, then the row
+    sums added in sequence.  A row of zeros adds +-0 to the running sum,
+    so rows of zeros, anywhere, leave every nonzero sum as it is."""
+    if A.shape[1] == 0:
+        return np.zeros(len(A))
+    return np.cumsum(np.einsum("srd,srd->sr", A, C), axis=1)[:, -1]
+
+
+def _norms(A):
+    """The Frobenius norm of each A[s] in the canonical order of `_dots`:
+    the same on the rows that may be nonzero as on all of them."""
+    return np.sqrt(_dots(A, A))
+
+
+def _in_ball(dist, B):
+    """dist <= B up to BALL_TOL relative to B (absolute for B <= 1): a
+    projection to B = 1e5 can land a few ulps past it."""
+    return ~(dist > B + BALL_TOL * max(1.0, B))
+
+
 def project_frobenius_ball(W, W0, B):
     if B < 0:
         raise InvalidInputError("B must be nonnegative")
     delta = W - W0
-    nrm = np.linalg.norm(delta)
+    nrm = _norms(delta.reshape(1, len(delta), -1))[0]
     if nrm <= B:
         return W
     return W0 + (B / nrm) * delta
-
-
-def _norms(A):
-    """np.linalg.norm of each A[s], bit for bit: the same dot product per
-    run, batched through matmul."""
-    F = A.reshape(A.shape[0], -1)
-    return np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
 
 
 class Sampler(NamedTuple):
@@ -80,14 +95,41 @@ class Sampler(NamedTuple):
     oracle: Callable   # oracle(W, draws) -> (loss (S,), rows (S, r), G (S, r, d))
 
 
-def _add_repeatedly(W_sum, W, rows, times):
-    """`times` in-order adds of W into W_sum on the rows (a mask) of each
-    run: the sums of that many steps, bit for bit, on a gathered copy."""
+def _add_repeatedly(W_sum, W, live, times):
+    """`times` in-order adds of W[:, live] into W_sum, bit for bit, made on
+    the nonzero entries only: W_sum starts at +0 and so never holds -0, and
+    adding +-0 leaves every other value as it is.  W_sum must be
+    C-contiguous, so that its flat view writes through."""
     if times:
-        acc, W_rows = W_sum[:, rows], W[:, rows]
+        W_live = W[:, live]
+        nz = np.flatnonzero(W_live)
+        flat = W_sum.reshape(-1)
+        acc, w = flat[nz], W_live.reshape(-1)[nz]
         for _ in range(times):
-            acc += W_rows
-        W_sum[:, rows] = acc
+            acc += w
+        flat[nz] = acc
+
+
+def _grow(live, W_sum, is_live):
+    """The new live rows, ascending, and W_sum laid out on them: +0 on the
+    rows that just turned live."""
+    grown = np.flatnonzero(is_live)
+    out = np.zeros((len(W_sum), len(grown), W_sum.shape[2]))
+    out[:, np.searchsorted(grown, live)] = W_sum
+    return grown, out
+
+
+def _next_full_step(quiet, draws, i):
+    """The first step at or after i whose draw is not quiet for some run,
+    or len(draws): one gather of `quiet` per window, the window doubling."""
+    runs, w = np.arange(len(quiet)), 8
+    while i < len(draws):
+        still = quiet[runs, draws[i : i + w]].all(axis=1)
+        k = int(np.argmin(still))
+        if not still[k]:
+            return i + k
+        i, w = i + len(still), 2 * w
+    return len(draws)
 
 
 def sgd_run(cfg, sampler, comparator=None):
@@ -97,78 +139,91 @@ def sgd_run(cfg, sampler, comparator=None):
     rngs[s], as a (k, S) array of integers in [0, sampler.K).
     sampler.oracle(W, draws), with W of shape (S, n, d), returns
     (loss (S,), rows (S, r), G (S, r, d)): run s's subgradient V_s is G[s]
-    on the distinct rows rows[s] and zero elsewhere, and depends only on
-    W[s] and draws[s].  Per run, the averaged iterate and the two sides of
-    the regret inequality
+    on the distinct rows rows[s], listed in ascending order, and zero
+    elsewhere, and depends only on W[s] and draws[s].  Per run, the
+    averaged iterate and the two sides of the regret inequality
     sum <W_t - W*, V_t>  <=  ||W* - W0||_F^2 / (2 eta) + (eta/2) sum ||V_t||_F^2
     are returned for the given comparator (default W0), each bit-equal to
-    a run on its own.
+    a run on its own that takes every inner product and norm (of V, of
+    W - W0, and the projection's) in the canonical order of `_dots`.
 
     A (run, draw) whose G was zero stays marked quiet until that run's W
     is written.  A step on which every run's draw is quiet moves no
-    iterate, so it only adds W into W_sum, on the rows that W0 or a move
-    has made nonzero (every other row is +-0 in W and +0 in W_sum)."""
+    iterate, so the loop skips it: it looks ahead for the next full step
+    a window at a time and only counts the quiet steps between.  Those
+    are added into W_sum, before the next full step, on W's nonzero
+    entries.  W_sum and W - W0 are held, and the norms taken, on the live
+    rows only: the rows of W0 or of some move, in ascending order, off
+    which W is +-0 and W_sum is +0.  So a full step costs the oracle plus
+    O(S d) per live row, and W_hat is formed densely once, at the end.  W itself stays
+    dense for the oracle: its products with the points come from BLAS,
+    whose per-row rounding depends on the row's place in the matrix."""
     rngs = [np.random.default_rng(s) for s in cfg.seeds]
     W0, B, S = cfg.W0, cfg.B, len(cfg.seeds)
     Wstar = W0 if comparator is None else np.asarray(comparator, dtype=np.float64)
     runs = np.arange(S)[:, None]
     W = np.repeat(W0[None], S, axis=0)
-    D = W - W0                                   # W - W0, kept row by row
-    E = D if comparator is None else W - Wstar   # W - W*, likewise
-    V = np.zeros_like(W)
-    W_sum = np.zeros_like(W)
     lhs = np.zeros(S)
     vsq = np.zeros(S)
     violations = np.zeros(S, dtype=np.int64)
     ball_ok = np.ones(S, dtype=bool)
-    dist = _norms(D)
-    rows = np.zeros((S, 0), dtype=np.intp)   # rows of V that may be nonzero
+    is_live = np.any(W0 != 0, axis=1)
+    live = np.flatnonzero(is_live)
+    W_sum = np.zeros((S, len(live), W0.shape[1]))   # on the live rows
+    dist = np.zeros(S)                              # of W = W0
     quiet = np.zeros((S, sampler.K), dtype=bool)
-    live = np.any(W0 != 0, axis=1)           # rows of W that may be nonzero
-    stretch = 0                              # quiet steps not yet in W_sum
-    for start in range(0, cfg.T, SAMPLE_BLOCK):
-        for x in sampler.draw(rngs, min(SAMPLE_BLOCK, cfg.T - start)):
+    stretch = 0                                     # quiet steps not yet in W_sum
+    per_draw = max(1, DRAW_BYTES // (8 * S))
+    for start in range(0, cfg.T, per_draw):
+        draws = sampler.draw(rngs, min(per_draw, cfg.T - start))
+        i = _next_full_step(quiet, draws, 0)
+        stretch += i
+        while i < len(draws):
             # A run that moved or was projected has no quiet draw until a
-            # full step marks one, so here V is zero and every dist <= B:
-            # the oracle check, the ball check and the certificate change
-            # nothing.
-            if quiet[runs[:, 0], x].all():
-                stretch += 1
-                continue
+            # full step marks one, so on a quiet step V is zero and every
+            # dist <= B: the oracle check, the ball check and the
+            # certificate change nothing there.
             _add_repeatedly(W_sum, W, live, stretch)
             stretch = 0
-            V[runs, rows] = 0.0
+            x = draws[i]
             _, rows, G = sampler.oracle(W, x)
-            V[runs, rows] = G
-            vnorm = _norms(V)
+            vnorm = _norms(G)
             violations += vnorm > cfg.L + 1e-9
-            ball_ok &= ~(dist > B + BALL_TOL)
-            W_sum += W
-            lhs += np.einsum("sij,sij->s", E, V)
+            ball_ok &= _in_ball(dist, B)
+            W_sum += W[:, live]
+            lhs += _dots(W[runs, rows] - Wstar[rows], G)
             vsq += vnorm * vnorm
             # V is zero off `rows`, where W - eta V leaves W as it is
             W[runs, rows] -= cfg.eta * G
-            D[runs, rows] = W[runs, rows] - W0[rows]
-            if E is not D:
-                E[runs, rows] = W[runs, rows] - Wstar[rows]
             moved = G.reshape(S, -1).any(axis=1)
             quiet[moved] = False
             quiet[~moved, x[~moved]] = True
-            live[rows[moved]] = True
+            if not is_live[rows[moved]].all():
+                is_live[rows[moved]] = True
+                live, W_sum = _grow(live, W_sum, is_live)
+            D = W[:, live] - W0[live]
             dist = _norms(D)   # the projection's norm, and the next dist
-            # W0 + c (W - W0) keeps zero rows zero for a finite c; a
-            # non-finite one leaves dist NaN, and the run is never quiet
-            for s in np.flatnonzero(~(dist <= B)):
-                W[s] = project_frobenius_ball(W[s], W0, B)
-                D[s] = W[s] - W0
-                if E is not D:
-                    E[s] = W[s] - Wstar
-                dist[s] = np.linalg.norm(D[s])
+            far = np.flatnonzero(~(dist <= B))
+            if np.isnan(dist[far]).any():
+                # W0 + NaN (W - W0) is NaN on every row, not just the live ones
+                is_live[:] = True
+                live, W_sum = _grow(live, W_sum, is_live)
+                D = W[:, live] - W0[live]
+            # W0 + c (W - W0) keeps the rows off `live` as they are
+            for s in far:
+                W[s, live] = project_frobenius_ball(W[s, live], W0[live], B)
+                D[s] = W[s, live] - W0[live]
+                dist[s] = _norms(D[s : s + 1])[0]
                 quiet[s] = False
+            nxt = _next_full_step(quiet, draws, i + 1)
+            stretch += nxt - i - 1
+            i = nxt
     _add_repeatedly(W_sum, W, live, stretch)
-    del W, D, E, V   # free the stacked buffers before W_hat - W0 is formed
-    W_hat = np.divide(W_sum, cfg.T, out=W_sum)
-    ball_ok &= ~(_norms(W_hat - W0) > B + BALL_TOL)
+    del W   # free the stacked iterate before W_hat is formed
+    np.divide(W_sum, cfg.T, out=W_sum)
+    ball_ok &= _in_ball(_norms(W_sum - W0[live]), B)
+    W_hat = np.zeros((S,) + W0.shape)
+    W_hat[:, live] = W_sum
     rhs = (np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
            + cfg.eta / 2.0 * vsq)
     return SgdResult(W_hat, lhs, rhs, ball_ok, violations)
@@ -256,6 +311,7 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
                          ball_ok=bool(res.ball_ok[s]),
                          passed=bool(excess <= bound + tolerance))
             excesses.append(excess)
+        del res   # free W_hat before the next run stacks its iterates
         mean_excess = float(np.mean(excesses))
         summary.append({
             "T": T,

@@ -175,6 +175,59 @@ def test_uc_gap_failure_is_one_line_exit_2(tmp_path, capsys):
     assert len(rows) == 4 and rows[1].endswith(",false")
 
 
+@pytest.fixture(scope="module")
+def zero_init_m10(tmp_path_factory):
+    out = tmp_path_factory.mktemp("zero-init") / "i"
+    assert run(["construct", "--kind", "zero-init", "--B", "4", "--L", "4",
+                "--eps", "0.25", "--m-cap", "10", "--seed", "1",
+                "--out", str(out)]) == 0
+    return str(out / "manifest.json")
+
+
+def _uc_gap_rows(manifest, out, sample_size):
+    code = run(["uc-gap", "--instance", manifest, "--sample-size",
+                str(sample_size), "--out", str(out)])
+    return code, (out / "results.csv").read_text().splitlines()[1:]
+
+
+def test_uc_gap_zero_init_passes_within_verify_rounding(zero_init_m10, tmp_path):
+    # seed 1 draws 5 distinct points of 10, and the interpolant's values
+    # put the gap one ulp under eps: verify's SLACK_TOL admits that
+    code, rows = _uc_gap_rows(zero_init_m10, tmp_path / "g", 5)
+    assert code == 0
+    assert "10,1,5,0.24999999999999997,true" in rows
+    assert all(r.endswith(",true") for r in rows)
+
+
+def _shifted_gaps(monkeypatch, shift):
+    real = learner.uc_gap_experiment
+
+    def shifted(inst, sample_size, seeds):
+        table = real(inst, sample_size, seeds)
+        for r in table.rows:
+            r["gap"] = shift(inst.margin)
+        return table
+
+    monkeypatch.setattr(learner, "uc_gap_experiment", shifted)
+
+
+def test_uc_gap_zero_init_fails_past_verify_rounding(zero_init_m10, tmp_path,
+                                                     monkeypatch, capsys):
+    _shifted_gaps(monkeypatch, lambda eps: eps - 1e-6)
+    code, rows = _uc_gap_rows(zero_init_m10, tmp_path / "g", 5)
+    assert code == cli.EXIT_SCIENCE
+    assert "gap 0.249999 < eps 0.25" in capsys.readouterr().err
+    assert all(r.endswith(",false") for r in rows)
+
+
+def test_uc_gap_encoded_needs_an_exact_gap(tmp_path, monkeypatch):
+    manifest = _construct_m3(tmp_path, "convex")
+    _shifted_gaps(monkeypatch, lambda eps: float(np.nextafter(eps, 0.0)))
+    code, rows = _uc_gap_rows(manifest, tmp_path / "g", 1)
+    assert code == cli.EXIT_SCIENCE
+    assert all(r.endswith(",false") for r in rows)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rademacher_overflow_is_one_line_exit_2(tmp_path, capsys):
     # witness values near the float limit overflow the sign-vector sums; the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,12 +103,24 @@ def test_sgd_config_needs_a_seed():
 # ---------------------------------------------------------------------------
 # lockstep runs against one run at a time
 
+def _dot(A, C):
+    """<A, C>_F in the canonical order: each row's products summed by
+    einsum, then the rows added one after another in row order."""
+    return float(np.cumsum(np.einsum("ij,ij->i", A, C))[-1])
+
+
+def _norm(A):
+    return math.sqrt(_dot(A, A))
+
+
 def _per_seed_sgd(cfg, seed, sampler, comparator=None):
-    """The one-run projected SGD loop, step by step: sampler(rng) ->
-    (x, oracle), oracle(W, x) -> (loss, V).  Also counts projections."""
+    """The one-run projected SGD loop, step by step and on every row:
+    sampler(rng) -> (x, oracle), oracle(W, x) -> (loss, V).  Also counts
+    projections."""
     rng = np.random.default_rng(seed)
     W0 = cfg.W0
     Wstar = W0 if comparator is None else comparator
+    limit = cfg.B + lr.BALL_TOL * max(1.0, cfg.B)
     W = W0.copy()
     W_sum = np.zeros_like(W0)
     lhs = vsq = 0.0
@@ -116,22 +129,22 @@ def _per_seed_sgd(cfg, seed, sampler, comparator=None):
     for t in range(cfg.T):
         x, oracle = sampler(rng)
         loss, V = oracle(W, x)
-        vnorm = float(np.linalg.norm(V))
+        vnorm = _norm(V)
         if vnorm > cfg.L + 1e-9:
             violations += 1
-        if float(np.linalg.norm(W - W0)) > cfg.B + lr.BALL_TOL:
+        if _norm(W - W0) > limit:
             ball_ok = False
         W_sum += W
-        lhs += float(np.einsum("ij,ij->", W - Wstar, V))
+        lhs += _dot(W - Wstar, V)
         vsq += vnorm * vnorm
         W = W - cfg.eta * V
         delta = W - W0
-        nrm = np.linalg.norm(delta)
+        nrm = _norm(delta)
         if not nrm <= cfg.B:
             W = W0 + (cfg.B / nrm) * delta
             projections += 1
     W_hat = W_sum / cfg.T
-    if np.linalg.norm(W_hat - W0) > cfg.B + lr.BALL_TOL:
+    if _norm(W_hat - W0) > limit:
         ball_ok = False
     rhs = float(np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
                 + cfg.eta / 2.0 * vsq)
@@ -165,6 +178,12 @@ def _scalar_piecewise_sampler(stacked):
 
 
 SEEDS = (3, 11, 4, 0, 7, 12)
+BLOCK = 64   # steps per sampler call, for tests whose T crosses draw blocks
+
+
+def _small_draws(monkeypatch, runs):
+    """Make sgd_run draw BLOCK steps per sampler call for `runs` runs."""
+    monkeypatch.setattr(lr, "DRAW_BYTES", 8 * runs * BLOCK)
 
 
 def _lockstep_case(case):
@@ -183,7 +202,7 @@ def _lockstep_case(case):
         rng = np.random.default_rng(0)
         W0 = rng.standard_normal((3, 4))
         stacked = random_hinge_sampler(3, 4, 1.0, 0, pieces=6)
-        cfg = lr.SgdConfig(W0=W0, B=5.0, T=3 * lr.SAMPLE_BLOCK + 7, L=1.0,
+        cfg = lr.SgdConfig(W0=W0, B=5.0, T=3 * BLOCK + 7, L=1.0,
                            eta=0.5, seeds=SEEDS)
         return cfg, stacked, _scalar_piecewise_sampler(stacked), None
     m, start = case
@@ -194,9 +213,9 @@ def _lockstep_case(case):
         # every t_z is 0 at W0: the first steps choose among tied pieces
         W0, B, eta = inst.W0, 0.02, 0.05
     elif start == "far":
-        # at B = 1e5 a projection's rounding can leave dist above B + BALL_TOL:
-        # ball_ok turns False on the step after, with W_hat inside the ball
-        W0, B, eta, T = inst.W0, 1e5, 3e5, 3 * lr.SAMPLE_BLOCK + 7
+        # at B = 1e5 a projection's rounding can leave dist a few ulps above
+        # B: the ball check's tolerance, relative to B, admits that
+        W0, B, eta, T = inst.W0, 1e5, 3e5, 3 * BLOCK + 7
     else:
         rng = np.random.default_rng(m)
         W0, B, eta = inst.W0 + 0.5 * rng.standard_normal(inst.W0.shape), 0.3, 0.2
@@ -224,13 +243,17 @@ def _assert_runs_equal_per_seed_loop(cfg, res, scalar, comparator=None):
 @pytest.mark.parametrize("case", [(3, "off"), (6, "off"), (8, "off"),
                                   (8, "W0"), "piecewise", (4, "far"), (8, "far"),
                                   "hinge"])
-def test_lockstep_bit_equal_to_per_seed_loop(case):
+def test_lockstep_bit_equal_to_per_seed_loop(case, monkeypatch):
+    _small_draws(monkeypatch, len(SEEDS))
     cfg, stacked, scalar, comparator = _lockstep_case(case)
     res = lr.sgd_run(cfg, stacked, comparator=comparator)
     projected = _assert_runs_equal_per_seed_loop(cfg, res, scalar, comparator)
     # projection fired, for several runs, but not on every step
     assert sum(p > 0 for p in projected) >= 2, projected
     assert max(projected) < cfg.T, projected
+    if case in ((4, "far"), (8, "far")):
+        # projections to B = 1e5 land within ulps of B, inside the tolerance
+        assert res.ball_ok.all()
 
 
 def _counting(sampler, calls):
@@ -247,12 +270,13 @@ def _counting(sampler, calls):
 
 
 @pytest.mark.parametrize("m", [4, 8])
-def test_quiet_stretches_bit_equal_to_per_seed_loop(m):
+def test_quiet_stretches_bit_equal_to_per_seed_loop(m, monkeypatch):
     # from W0, at the instance's own B and auto eta, each point's subgradient
     # fires once per run and never again: the rest of the run is quiet steps,
-    # skipped in stretches that cross SAMPLE_BLOCK boundaries
+    # skipped in stretches that cross draw blocks
+    _small_draws(monkeypatch, len(SEEDS))
     inst = cn.convex_instance(m, 0.25)
-    cfg = lr.SgdConfig(W0=inst.W0, B=inst.B, T=3 * lr.SAMPLE_BLOCK + 7,
+    cfg = lr.SgdConfig(W0=inst.W0, B=inst.B, T=3 * BLOCK + 7,
                        L=lr._loss_lipschitz(inst), seeds=SEEDS)
     calls = []
     res = lr.sgd_run(cfg, _counting(lr._point_sampler(inst, inst.witness_fn),
@@ -261,14 +285,15 @@ def test_quiet_stretches_bit_equal_to_per_seed_loop(m):
     assert len(calls) == 4 and calls[0] > 0 and calls[2:] == [0, 0], calls
 
 
-def test_single_runs_bit_equal_to_per_seed_loop():
+def test_single_runs_bit_equal_to_per_seed_loop(monkeypatch):
     # a run on its own goes quiet right after its last move; there a
     # projection's rounding can leave dist just above B, and the projection
     # repeats, changing W, on steps whose draws were quiet before it
+    _small_draws(monkeypatch, 1)
     inst = cn.convex_instance(6, 0.25)
     scalar = _scalar_point_sampler(inst)
     for seed in SEEDS:
-        cfg = lr.SgdConfig(W0=inst.W0, B=0.02, T=3 * lr.SAMPLE_BLOCK + 7,
+        cfg = lr.SgdConfig(W0=inst.W0, B=0.02, T=3 * BLOCK + 7,
                            L=lr._loss_lipschitz(inst), eta=0.02, seeds=(seed,))
         res = lr.sgd_run(cfg, lr._point_sampler(inst, inst.witness_fn))
         _assert_runs_equal_per_seed_loop(cfg, res, scalar)
@@ -285,18 +310,177 @@ def test_quiet_memo_oracle_calls_pinned():
     assert sum(calls) == 47, calls
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16])
+def test_ball_tolerance_is_relative_to_B():
+    for B in (1.0, 1e5, 1e12):
+        dist = np.array([B, B * (1 + 4 * np.finfo(float).eps), B * (1 + 1e-9)])
+        assert lr._in_ball(dist, B).tolist() == [True, True, False], B
+    # at B <= 1 the tolerance stays the absolute BALL_TOL
+    for B in (1e-3, 0.5):
+        assert lr._in_ball(np.array([B + 0.5 * lr.BALL_TOL,
+                                     B + 2 * lr.BALL_TOL]), B).tolist() == [True, False]
+
+
+def test_iterates_just_outside_a_large_ball_are_flagged(monkeypatch):
+    # projections that land 1e-9 B outside the ball, at B = 1e5
+    real = lr.project_frobenius_ball
+    monkeypatch.setattr(lr, "project_frobenius_ball",
+                        lambda W, W0, B: real(W, W0, B * (1 + 1e-9)))
+    cfg, stacked, _, _ = _lockstep_case((8, "far"))
+    res = lr.sgd_run(cfg, stacked)
+    assert not res.ball_ok.any()
+
+
+def _scripted_sampler(n, d, p_move):
+    """Draw 1 (a move on rows 1 and 3) with probability p_move, else 0 (a
+    zero subgradient): long quiet stretches at known steps."""
+    G_move = np.arange(2 * d, dtype=float).reshape(2, d) - 2.5
+
+    def draw(rngs, k):
+        return np.stack([(rng.random(k) < p_move).astype(np.intp)
+                         for rng in rngs], axis=1)
+
+    def oracle(W, x):
+        S = len(W)
+        rows = np.broadcast_to(np.array([1, 3]), (S, 2))
+        return np.zeros(S), rows, np.where(x[:, None, None] == 1, G_move, 0.0)
+
+    return lr.Sampler(2, draw, oracle)
+
+
+def _full_steps(seeds, T, p_move):
+    """The steps on which some run's draw is not quiet, by the memo's rule."""
+    draws = np.stack([np.random.default_rng(s).random(T) < p_move
+                      for s in seeds], axis=1)
+    quiet = np.zeros((len(seeds), 2), dtype=bool)
+    full = []
+    for t, x in enumerate(draws.astype(int)):
+        if not quiet[np.arange(len(seeds)), x].all():
+            full.append(t)
+            for s, v in enumerate(x):
+                if v:
+                    quiet[s] = False
+                else:
+                    quiet[s, 0] = True
+    return full
+
+
+def test_quiet_stretch_crosses_look_ahead_windows_and_draw_blocks(monkeypatch):
+    seeds, T, p_move = SEEDS[:2], 10 * BLOCK, 0.01
+    _small_draws(monkeypatch, len(seeds))
+    W0 = np.zeros((5, 3))
+    W0[0] = [1.0, -2.0, 0.5]
+    W0[4] = -0.0
+    cfg = lr.SgdConfig(W0=W0, B=100.0, T=T, L=20.0, eta=0.1, seeds=seeds)
+    calls = []
+    res = lr.sgd_run(cfg, _counting(_scripted_sampler(5, 3, p_move), calls))
+    _assert_runs_equal_per_seed_loop(
+        cfg, res, _scalar_piecewise_sampler(_scripted_sampler(5, 3, p_move)))
+    full = _full_steps(seeds, T, p_move)
+    assert sum(calls) == len(full)
+    # a stretch longer than the first two windows (8 + 16 steps) that
+    # crosses a draw block boundary
+    assert any(b - a > 25 and a // BLOCK < b // BLOCK
+               for a, b in zip(full, full[1:])), full
+
+
+def test_overflowing_run_matches_per_seed_loop():
+    # G = 1e308 takes row 1 to -inf; the projection's scale B / inf = 0
+    # leaves it NaN, and the next projection's scale B / NaN turns every
+    # row NaN, the rows no move reached included
+    W0 = np.zeros((4, 3))
+    W0[0] = 1.0
+
+    def oracle(W, x):
+        S = len(W)
+        return (np.zeros(S), np.ones((S, 1), dtype=np.intp),
+                np.full((S, 1, 3), 1e308))
+
+    stacked = lr.Sampler(1, lambda rngs, k: np.zeros((k, len(rngs)), dtype=np.intp),
+                         oracle)
+    cfg = lr.SgdConfig(W0=W0, B=1.0, T=6, L=1.0, eta=10.0, seeds=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = lr.sgd_run(cfg, stacked)
+        for s, seed in enumerate(cfg.seeds):
+            want = _per_seed_sgd(cfg, seed, _scalar_piecewise_sampler(stacked))
+            np.testing.assert_array_equal(res.W_hat[s], want[0])
+            np.testing.assert_array_equal(
+                [res.regret_lhs[s], res.regret_rhs[s]], want[1:3])
+            assert (res.ball_ok[s], res.oracle_violations[s]) == want[3:5]
+    assert np.isnan(res.W_hat[:, 2:]).all()
+
+
+def test_add_repeatedly_bit_equal_to_full_adds():
+    rng = np.random.default_rng(8)
+    W = rng.standard_normal((3, 5, 4))
+    W[rng.random(W.shape) < 0.5] = 0.0
+    W[rng.random(W.shape) < 0.3] = -0.0
+    W_sum = rng.standard_normal(W.shape)
+    W_sum[rng.random(W.shape) < 0.4] = 0.0
+    want = W_sum.copy()
+    for _ in range(7):
+        want += W
+    lr._add_repeatedly(W_sum, W, np.arange(5), 7)
+    assert np.signbit(W).any() and (want == 0).any()
+    assert W_sum.tobytes() == want.tobytes()   # -0 and +0 told apart
+
+
+def test_norms_unchanged_by_zero_rows():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        S, r, d = rng.integers(1, 6), rng.integers(0, 40), rng.integers(1, 20)
+        A = rng.standard_normal((S, r, d)) * 10.0 ** rng.integers(-5, 6)
+        C = rng.standard_normal((S, r, d))
+        n = r + int(rng.integers(0, 40))
+        rows = np.sort(rng.choice(n, size=r, replace=False))
+        zero = np.where(rng.random((S, n, d)) < 0.5, -0.0, 0.0)
+        A_full, C_full = zero.copy(), zero.copy()
+        A_full[:, rows], C_full[:, rows] = A, C
+        assert np.array_equal(lr._norms(A_full), lr._norms(A))
+        assert np.array_equal(lr._dots(A_full, C_full), lr._dots(A, C))
+        for s in range(S):
+            assert lr._norms(A_full)[s] == _norm(A_full[s])
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sgd_peak_memory_in_stacked_buffers():
+    # the dense loop peaked at 4.33 (S, n, d) float64 buffers: W, V, D,
+    # W_sum, and W_hat - W0 at the end
+    inst = cn.convex_instance(12, 0.25)
+    buffer = 20 * inst.W0.size * 8
+    cfg = lr.SgdConfig(W0=inst.W0, B=inst.B, T=1000,
+                       L=lr._loss_lipschitz(inst), seeds=range(20))
+    sampler = lr._point_sampler(inst, inst.witness_fn)
+    assert _peak(lambda: lr.sgd_run(cfg, sampler)) < 2.5 * buffer
+    # one T's W_hat is freed before the next T stacks its iterate
+    peak = _peak(lambda: lr.excess_risk_experiment(inst, [100, 100], range(20)))
+    assert peak < 1.75 * buffer, peak / buffer
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16, 3 << 30])
 def test_block_draws_equal_scalar_draws(m):
-    """The samplers draw SAMPLE_BLOCK steps per call; numpy gives the same
-    integers as one draw per step."""
-    T = 3 * lr.SAMPLE_BLOCK + 7
+    """The samplers draw many steps per call, in blocks of any size; numpy
+    gives the same integers as one draw per step, and as one draw of all
+    of them, for odd and uneven splits alike."""
+    T = 3 * BLOCK + 7
+    splits = ([BLOCK] * 3 + [7], [1, 3, 5, 2 * BLOCK + 1, BLOCK - 3],
+              [T - 1, 1], [T])
     for seed in (0, 1, 2):
-        blocks = np.random.default_rng(seed)
-        drawn = np.concatenate([
-            blocks.integers(0, m, size=min(lr.SAMPLE_BLOCK, T - start))
-            for start in range(0, T, lr.SAMPLE_BLOCK)])
         one = np.random.default_rng(seed)
-        assert drawn.tolist() == [int(one.integers(0, m)) for _ in range(T)]
+        scalar = [int(one.integers(0, m)) for _ in range(T)]
+        assert np.random.default_rng(seed).integers(0, m, size=T).tolist() == scalar
+        for sizes in splits:
+            assert sum(sizes) == T
+            blocks = np.random.default_rng(seed)
+            drawn = np.concatenate([blocks.integers(0, m, size=k) for k in sizes])
+            assert drawn.tolist() == scalar, sizes
 
 
 # ---------------------------------------------------------------------------
