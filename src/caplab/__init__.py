@@ -14,13 +14,11 @@ from .bounds import (
     smooth_one_layer_bound,
 )
 from .complexity import (
-    CoverFormula,
-    FiniteWitnessClass,
-    LinearBallClass,
     RademacherEstimate,
     cover_bound,
     dudley_bound,
     empirical_cover,
+    linear_rademacher_mc,
     rademacher_mc,
 )
 from .constructions import (
@@ -54,7 +52,6 @@ from .lipschitz import (
 from .numerics import (
     BallNet,
     ball_net,
-    norm,
     spectral_norm,
     svd_truncate,
 )

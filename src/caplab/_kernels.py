@@ -117,17 +117,30 @@ def jacobi_orthogonalize(A, V, tol, max_sweeps):
 #
 # Each block of rows a:b takes the upper product X[a:b] X[a:]^T, so the
 # squared Gram distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j are formed only for
-# j >= a; the pairs j <= i are masked.  max(., 0) and the square root round
-# monotonically, so they commute with min: the scan keeps the least squared
-# distance and takes one root at the end.  A block whose minimum is NaN is
-# skipped, as min(best, nan) keeps best.
+# j >= a; the pairs j <= i are masked.  max(., 0) and the square root
+# round monotonically, so they commute with min: the scan keeps the least
+# squared distance and takes one root at the end.  A block whose minimum is
+# NaN is skipped, as min(best, nan) keeps best.
 
-def min_pairwise_dist(X, chunk=512):
+PAIR_BLOCK_BYTES = 1 << 23      # one of a block's two (rows, n) buffers
+# thinner blocks take longer in all: at n = 49,152 (zero-init m_cap 12) the
+# scan took 11.3 s in 128-row blocks, 13.3 s in 64 and 22.9 s in 21 (8 MB)
+PAIR_MIN_ROWS = 128
+
+
+def _pair_block_rows(n):
+    """Rows of a min_pairwise_dist block over n rows: as many as fill
+    PAIR_BLOCK_BYTES, but at least PAIR_MIN_ROWS, and at most n."""
+    return max(1, min(n, max(PAIR_MIN_ROWS, PAIR_BLOCK_BYTES // (8 * max(n, 1)))))
+
+
+def min_pairwise_dist(X):
     """Minimum distance over all pairs of rows (inf for fewer than two)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
-    size = min(chunk, n) * n
+    chunk = _pair_block_rows(n)
+    size = chunk * n
     gbuf, dbuf = np.empty(size), np.empty(size)
     best = np.inf
     for a in range(0, n, chunk):

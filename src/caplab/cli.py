@@ -287,13 +287,14 @@ def _run_verify(cfg):
 def _run_rademacher(cfg):
     p = cfg.parameters
     inst = _load_instance(p["instance"])
-    handle = complexity.instance_class(inst)
-    est = complexity.rademacher_mc(inst.points, handle, p["draws"], cfg.seed)
+    est = complexity.rademacher_mc(complexity.witness_table(inst), p["draws"],
+                                   cfg.seed)
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     write_results(cfg.output_dir, manifest,
                   ["id", "m", "draws", "mean", "stderr", "strategy"],
-                  [est.csv_row(inst.kind)])
+                  [[inst.kind, est.m, est.draws, est.mean, est.stderr,
+                    "enumerate-witnesses"]])
 
 
 def _formula_params(p):
@@ -306,8 +307,8 @@ def _run_cover(cfg):
         raise InvalidInputError("need at least one eps in eps_grid")
     rows = []
     for eps in p["eps_grid"]:
-        f = complexity.CoverFormula(p["kind"], {**_formula_params(p), "eps": eps})
-        rows.append([p["kind"], eps, complexity.cover_bound(f)])
+        rows.append([p["kind"], eps, complexity.cover_bound(
+            p["kind"], {**_formula_params(p), "eps": eps})])
     write_results(cfg.output_dir, _base_manifest(cfg),
                   ["kind", "eps", "log_cover"], rows)
 
@@ -315,14 +316,10 @@ def _run_cover(cfg):
 def _run_dudley(cfg):
     p = cfg.parameters
     base = _formula_params(p)
-
-    def log_cover(tau):
-        f = complexity.CoverFormula(p["kind"], {**base, "eps": tau})
-        return complexity.cover_bound(f)
-
     grid = p["eps_grid"]
     value = complexity.dudley_bound(
-        log_cover, p["lb"], p["m"],
+        lambda tau: complexity.cover_bound(p["kind"], {**base, "eps": tau}),
+        p["lb"], p["m"],
         grid=None if grid is None else np.asarray(grid))
     manifest = _base_manifest(cfg)
     manifest["discretization"] = {
@@ -339,13 +336,13 @@ def _run_sgd(cfg):
     p = cfg.parameters
     inst = _load_instance(p["instance"])
     seeds = [cfg.seed + i for i in range(p["num_seeds"])]
-    table, summary = learner.excess_risk_experiment(
+    runs, summary = learner.excess_risk_experiment(
         inst, p["T_grid"], seeds, tolerance=p["tolerance"])
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     manifest["summary"] = summary
     rows = [[r["T"], r["seed"], r["excess"], r["bound"], r["passed"]]
-            for r in table.rows]
+            for r in runs]
     write_results(cfg.output_dir, manifest,
                   ["T", "seed", "excess", "bound", "pass"], rows)
     for s in summary:
@@ -359,17 +356,17 @@ def _run_uc_gap(cfg):
     p = cfg.parameters
     inst = _load_instance(p["instance"])
     seeds = [cfg.seed + i for i in range(p["num_seeds"])]
-    table = learner.uc_gap_experiment(inst, p["sample_size"], seeds)
+    runs = learner.uc_gap_experiment(inst, p["sample_size"], seeds)
     # zero-init's witness meets +-eps up to the rounding verify allows it;
     # the encoded kinds meet it exactly
     tol = constructions.SLACK_TOL if inst.kind == "zero-init" else 0.0
     manifest = _base_manifest(cfg)
     manifest["instance"] = inst.manifest()
     rows = [[r["m"], r["seed"], r["support"], r["gap"],
-             bool(r["gap"] >= inst.margin - tol)] for r in table.rows]
+             bool(r["gap"] >= inst.margin - tol)] for r in runs]
     write_results(cfg.output_dir, manifest,
                   ["m", "seed", "support", "gap", "pass"], rows)
-    for r in table.rows:
+    for r in runs:
         if not (r["gap"] >= inst.margin - tol or r["support"] > inst.m / 2):
             return (f"uc-gap check failed at seed {r['seed']}: gap {r['gap']!r} "
                     f"< eps {inst.margin!r} with support {r['support']} <= m/2")

@@ -13,6 +13,12 @@ ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
 KEY_BITS = 62           # sign vectors up to this length are keyed in an int64
 SUP_BLOCK = 1 << 20     # entries of one sign-vector-by-table-row product
+# bytes a draw holds until the estimate is taken: about 56 on the keyed path
+# (keys, np.unique's sort and inverse, the per-draw sups and the std's
+# temporaries; peak RSS 504 MB at 1e7 draws and 1.6 GB at 3e7, m = 4)
+BYTES_PER_DRAW = 64
+# draw counts whose estimate (draws * BYTES_PER_DRAW) exceeds this are refused
+RADEMACHER_MAX_BYTES = 3 << 30
 
 DUDLEY_PANELS = 1024
 SCALE_GRID_SIZE = 64
@@ -35,45 +41,6 @@ class RademacherEstimate:
     stderr: float
     draws: int
     m: int
-    sup_strategy: str
-
-    def csv_row(self, row_id):
-        return [row_id, self.m, self.draws, repr(self.mean), repr(self.stderr),
-                self.sup_strategy]
-
-
-# ---------------------------------------------------------------------------
-# class handles
-
-class FiniteWitnessClass:
-    """Finite function class given by its value table on the sample points."""
-
-    strategy = "enumerate-witnesses"
-
-    def __init__(self, table):
-        table = np.atleast_2d(np.asarray(table, dtype=np.float64))
-        if table.size == 0:
-            raise InvalidInputError("empty function table")
-        if table.shape[0] > ENUMERATE_CAP:
-            raise CapacityExceededError(
-                f"{table.shape[0]} witnesses exceed the enumeration cap {ENUMERATE_CAP}"
-            )
-        self.table = table
-
-
-class LinearBallClass:
-    """{x -> <w, x> : ||w|| <= B}; the sign-draw sup has a closed form."""
-
-    strategy = "linear-closed-form"
-
-    def __init__(self, B):
-        if not B >= 0:
-            raise InvalidInputError("B must be nonnegative")
-        self.B = float(B)
-
-
-def instance_class(inst):
-    return FiniteWitnessClass(witness_table(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +50,19 @@ def _chunk_rng(seed, chunk_index):
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
-def _finalize(values, m, strategy):
+def _check_draws(draws):
+    """Refuse a draw count below 1, or one whose draws would not fit in
+    RADEMACHER_MAX_BYTES, before any is drawn."""
+    if draws < 1:
+        raise InvalidInputError("draws must be >= 1")
+    if draws * BYTES_PER_DRAW > RADEMACHER_MAX_BYTES:
+        raise CapacityExceededError(
+            f"{draws} draws at about {BYTES_PER_DRAW} bytes each exceed "
+            f"RADEMACHER_MAX_BYTES = {RADEMACHER_MAX_BYTES / 2**30:.1f} GiB: "
+            f"at most {RADEMACHER_MAX_BYTES // BYTES_PER_DRAW} draws")
+
+
+def _finalize(values, m):
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise NumericalFailureError(
@@ -93,7 +72,7 @@ def _finalize(values, m, strategy):
         stderr = float(values.std(ddof=1) / math.sqrt(values.size))
     else:
         stderr = 0.0
-    return RademacherEstimate(mean, stderr, values.size, m, strategy)
+    return RademacherEstimate(mean, stderr, values.size, m)
 
 
 def _signs(bits):
@@ -136,28 +115,34 @@ def _witness_sups(table, draws, seed):
     return sup[inv]
 
 
-def rademacher_mc(points, class_handle, draws, seed):
-    """Monte Carlo estimate of the empirical Rademacher complexity.
+def rademacher_mc(table, draws, seed):
+    """Monte Carlo estimate of the empirical Rademacher complexity of the
+    finite class given by its value table, shape (K, m): row k holds
+    function k's values on the m sample points.  Per sign draw the inner
+    sup is exact."""
+    table = np.atleast_2d(np.asarray(table, dtype=np.float64))
+    if table.size == 0:
+        raise InvalidInputError("empty function table")
+    if table.shape[0] > ENUMERATE_CAP:
+        raise CapacityExceededError(
+            f"{table.shape[0]} functions exceed the enumeration cap {ENUMERATE_CAP}")
+    _check_draws(draws)
+    return _finalize(_witness_sups(table, draws, seed), table.shape[1])
 
-    The handle's class sets the sup strategy; per sign draw the inner sup is
-    exact under both."""
+
+def linear_rademacher_mc(points, B, draws, seed):
+    """rademacher_mc for {x -> <w, x> : ||w|| <= B} on the rows of points:
+    the sup of a sign draw has the closed form (B/m) ||sum_i sigma_i x_i||."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not B >= 0:
+        raise InvalidInputError("B must be nonnegative")
+    _check_draws(draws)
     m = points.shape[0]
-    if draws < 1:
-        raise InvalidInputError("draws must be >= 1")
-    strategy = class_handle.strategy
-    if strategy == "enumerate-witnesses":
-        table = class_handle.table
-        if table.shape[1] != m:
-            raise InvalidInputError("table width != number of points")
-        return _finalize(_witness_sups(table, draws, seed), m, strategy)
-    if strategy != "linear-closed-form":
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
     per_draw = np.concatenate([
-        (class_handle.B / m) * np.linalg.norm(_signs(bits) @ points, axis=1)
+        (float(B) / m) * np.linalg.norm(_signs(bits) @ points, axis=1)
         for bits in _sign_bits(seed, draws, m)
     ])
-    return _finalize(per_draw, m, strategy)
+    return _finalize(per_draw, m)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +169,6 @@ def empirical_cover(function_table, eps):
 
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CoverFormula:
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in COVER_KINDS:
-            raise InvalidInputError(f"unknown cover formula kind {self.kind!r}")
-
-
 def _need(params, *names):
     vals = []
     for name in names:
@@ -206,8 +181,10 @@ def _need(params, *names):
     return vals
 
 
-def cover_bound(f):
-    """Log covering number under the named formula; c defaults to 1.
+def cover_bound(kind, params):
+    """Log covering number at params["eps"] under the named formula; the
+    other parameters are those COVER_PARAMS lists for the kind, and c
+    defaults to 1.
 
     scalar-linear        (c B b_x / eps)^2
     matrix-linear        c r^2 B^2 / eps^2
@@ -216,31 +193,30 @@ def cover_bound(f):
     contraction          k scalar-linear factors evaluated at the
                          sqrt(k) L r - rescaled radius
     """
-    p = dict(f.parameters)
-    c = float(p.get("c", 1.0))
+    if kind not in COVER_PARAMS:
+        raise InvalidInputError(f"unknown cover formula kind {kind!r}")
+    c = float(params.get("c", 1.0))
     if not c > 0:
         raise InvalidInputError("parameter 'c' must be positive")
-    if f.kind == "scalar-linear":
-        B, b_x, eps = _need(p, "B", "b_x", "eps")
+    if kind == "scalar-linear":
+        B, b_x, eps = _need(params, "B", "b_x", "eps")
         return (c * B * b_x / eps) ** 2
-    if f.kind == "matrix-linear":
-        B, r, eps = _need(p, "B", "r", "eps")
+    if kind == "matrix-linear":
+        B, r, eps = _need(params, "B", "r", "eps")
         return c * r * r * B * B / (eps * eps)
-    if f.kind == "constants":
-        B, eps = _need(p, "B", "eps")
+    if kind == "constants":
+        B, eps = _need(params, "B", "eps")
         if B < 2:
             raise InvalidInputError("constants formula requires B >= 2")
         return math.log(math.ceil(B / eps))
-    if f.kind == "lipschitz-composition":
-        B, L, r, eps = _need(p, "B", "L", "r", "eps")
+    if kind == "lipschitz-composition":
+        B, L, r, eps = _need(params, "B", "L", "r", "eps")
         if 8.0 * B / eps <= 1.0:
             raise InvalidInputError("need 8B/eps > 1")
         return c * (1.0 + 8.0 * B * L / eps) ** r * math.log(8.0 * B / eps)
-    if f.kind == "contraction":
-        B, b_x, L, r, k, eps = _need(p, "B", "b_x", "L", "r", "k", "eps")
-        scaled = eps / (math.sqrt(k) * L * r)
-        return k * (c * B * b_x / scaled) ** 2
-    raise InvalidInputError(f"unknown cover formula kind {f.kind!r}")
+    B, b_x, L, r, k, eps = _need(params, "B", "b_x", "L", "r", "k", "eps")
+    scaled = eps / (math.sqrt(k) * L * r)
+    return k * (c * B * b_x / scaled) ** 2
 
 
 # ---------------------------------------------------------------------------

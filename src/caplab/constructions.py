@@ -11,15 +11,14 @@ from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError
 from .lipschitz import (BOUND_SLACK, AnchoredLipschitz, budget, gamma, gram_error,
                         min_feasible_slope)
-from .numerics import norm
+from .numerics import spectral_norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 # zero-init holds all 2^m witnesses and m 2^m anchors, and its separation
 # scan compares every pair of anchors: each unit of m costs ~4x the time and
-# ~2x the memory.  At m_cap = 12 construct and verify take 13.0 and 12.4 s
-# at 0.78 GB (one run each, 2 cores); m_cap = 14 would need ~3 GB
-# (extrapolated)
+# ~2x the memory.  At m_cap = 12 construct and verify take 15.5-16.4 s at
+# 0.59 GB (2 cores); m_cap = 14 would need ~3 GB (extrapolated)
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
@@ -48,8 +47,9 @@ def labeling_bits(y, m):
 # Every encoded query W_y x_i is two-hot: q_a at coordinate i, q_b at m+y,
 # zero elsewhere.  witness_values hands such queries to a witness as
 # TwoHotRows, which are evaluated in closed form, grouping the anchors/pieces
-# by whether they share i and/or y; a dense array of rows, and any two-hot
-# row with a non-finite entry, takes the dense path.
+# by whether they share i and/or y; a dense array of rows takes the dense
+# path.  q_a = (W0 x_i)_i is finite on every instance, and with a finite q_a
+# the closed form equals the dense path also where q_b is NaN or +-inf.
 
 
 def _subset_reduce(a, ufunc, empty):
@@ -96,34 +96,18 @@ class TwoHotRows:
 
 
 def _eval_rows(fn, X, chunk):
-    """fn on every row of X, chunk by chunk: TwoHotRows through
-    fn._eval_two_hot (those with a non-finite entry are written out and
-    take the dense path), an array of rows through fn._eval_dense."""
+    """fn on every row of X: TwoHotRows through fn._eval_two_hot, an array
+    of rows through fn._eval_dense, chunk rows at a time."""
     if isinstance(X, TwoHotRows):
-        return _eval_two_hot_rows(fn, X, chunk)
+        if X.n != fn.n:
+            raise InvalidInputError("dimension mismatch")
+        return fn._eval_two_hot(X.i, X.y, X.q_a, X.q_b)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != fn.n:
         raise InvalidInputError("dimension mismatch")
     out = np.empty(X.shape[0])
     for s in range(0, X.shape[0], chunk):
         out[s : s + chunk] = fn._eval_dense(X[s : s + chunk])
-    return out
-
-
-def _eval_two_hot_rows(fn, X, chunk):
-    if X.n != fn.n:
-        raise InvalidInputError("dimension mismatch")
-    out = np.empty(X.shape[0])
-    fast = np.isfinite(X.q_a) & np.isfinite(X.q_b)
-    out[fast] = fn._eval_two_hot(X.i[fast], X.y[fast], X.q_a[fast], X.q_b[fast])
-    slow = np.flatnonzero(~fast)
-    for s in range(0, slow.size, chunk):
-        r = slow[s : s + chunk]
-        k = np.arange(r.size)
-        Q = np.zeros((r.size, fn.n))
-        Q[k, X.i[r]] = X.q_a[r]
-        Q[k, fn.m + X.y[r]] = X.q_b[r]
-        out[r] = fn._eval_dense(Q)
     return out
 
 
@@ -381,7 +365,7 @@ class ShatterInstance:
     metric: str
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
-    _witness_supplier: object = None    # y -> W_y, for zero-init
+    _witnesses: np.ndarray = None       # (2^m, n, d): zero-init's W_y
     # zero-init: a lower bound on the distance between two anchors, from
     # this process's separation scan (0.0 certifies nothing); never read
     # from or written to a record
@@ -399,7 +383,7 @@ class ShatterInstance:
         if not 0 <= y < self.num_labelings:
             raise InvalidInputError(f"labeling index {y} out of range")
         if self._entry_row is None:
-            return self._witness_supplier(y)
+            return self._witnesses[y]
         W = self.W0.copy()
         W[self._entry_row[y], self.m] = self._entry_val[y]
         return W
@@ -473,12 +457,13 @@ def _zero_init_bytes(m, n, d):
     """Bytes zero-init holds at its peak, estimated: two (2^m, n, d)
     Gaussian stacks (the best draw is kept while the next is drawn), three
     copies of the m 2^m encoded vectors (the scan's, the anchors and the
-    anchors sorted by value), the separation scan's two (512, m 2^m)
+    anchors sorted by value), the separation scan's two (rows, m 2^m)
     buffers, and six m 2^m square matrices where the slope is measured
     over all anchor pairs."""
     N = m << m
     pairs = 6 * N * N if N <= FEASIBLE_PAIRS_CAP else 0
-    return 8 * (2 * (1 << m) * n * d + 3 * N * n + 2 * min(512, N) * N + pairs)
+    scan = 2 * _kernels._pair_block_rows(N) * N
+    return 8 * (2 * (1 << m) * n * d + 3 * N * n + scan + pairs)
 
 
 def _anchor_separation(sep, scale, n, d, w_max, x_max):
@@ -571,7 +556,7 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
             "separation_ok": bool(fam.separation_ok),
             "witness_slope": L_eff,
         },
-        _witness_supplier=lambda y: witnesses[y],
+        _witnesses=witnesses,
         _anchor_separation=_anchor_separation(
             fam.separation, scale, n, d, w_max,
             float(np.linalg.norm(fam.points, axis=1).max())),
@@ -749,7 +734,7 @@ def verify_shattering(inst, max_failures=32):
     failing = np.argwhere(~ok)
     failures = [(int(y), int(i), float(table[y, i]))
                 for y, i in failing[:max_failures]]
-    w0_norm = norm(inst.W0, "spectral")
+    w0_norm = spectral_norm(inst.W0)
     w0_ok = abs(w0_norm - inst.declared_w0_norm) <= NORM_TOL
     ball_ok = bool(np.all(_ball_distances(inst) <= inst.B + NORM_TOL))
     passed = bool(ok.all()) and w0_ok and ball_ok

@@ -4,16 +4,20 @@ the convex construction, and the empirical-vs-population gap of the witness
 that memorizes the drawn support."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .constructions import witness_values
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import CapacityExceededError, InvalidInputError, NumericalFailureError
 
 BALL_TOL = 1e-12
 DRAW_BYTES = 1 << 17  # bytes of int64 draws per sampler call, all runs together
+# run counts whose stacked iterates would exceed this are refused; the
+# estimate is two (S, n, d) stacks, over the 1.35 that sgd_run's iterate and
+# the oracle's temporaries peak at (tracemalloc, convex m = 12, 20 seeds)
+SGD_MAX_BYTES = 3 << 30
 
 
 @dataclass
@@ -30,6 +34,12 @@ class SgdConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
+        per_run = 2 * 8 * self.W0.size
+        if len(self.seeds) * per_run > SGD_MAX_BYTES:
+            raise CapacityExceededError(
+                f"{len(self.seeds)} runs at two {self.W0.shape} stacks each "
+                f"exceed SGD_MAX_BYTES = {SGD_MAX_BYTES / 2**30:.1f} GiB: at "
+                f"most {SGD_MAX_BYTES // per_run} runs")
         if self.T < 1:
             raise InvalidInputError("T must be >= 1")
         if not self.B > 0:
@@ -264,23 +274,9 @@ def population_loss(inst, W):
     return loss
 
 
-def best_witness_loss(inst):
-    """Smallest exact population loss over the enumerated witnesses: the
-    all-negative labeling attains -eps, and labeling values average to
-    eps (2 pop(y)/m - 1) >= -eps, so we return -eps without enumeration."""
-    return -inst.margin
-
-
-@dataclass
-class ExperimentTable:
-    rows: list = field(default_factory=list)
-
-    def append(self, **kw):
-        self.rows.append(kw)
-
-
 def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
-    """SGD excess population risk on the convex instance, per (T, seed).
+    """SGD excess population risk on the convex instance: one dict per
+    (T, seed), and a per-T summary.
 
     excess = exact population loss of the averaged iterate minus the best
     witness loss; each row checks excess <= B L / sqrt(T) + tolerance, and
@@ -297,9 +293,11 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
         raise InvalidInputError(f"tolerance must be >= 0, got {tolerance!r}")
     L = _loss_lipschitz(inst)
     B = inst.B
-    base = best_witness_loss(inst)
+    # the best witness loss: the all-negative labeling attains -eps, and a
+    # labeling's values average to eps (2 pop(y)/m - 1) >= -eps
+    base = -inst.margin
     sampler = _point_sampler(inst, inst.witness_fn)
-    table = ExperimentTable()
+    rows = []
     summary = []
     for T in T_grid:
         res = sgd_run(SgdConfig(W0=inst.W0, B=B, T=T, L=L, seeds=seeds), sampler)
@@ -307,9 +305,9 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
         excesses = []
         for s, seed in enumerate(seeds):
             excess = population_loss(inst, res.W_hat[s]) - base
-            table.append(T=T, seed=seed, excess=excess, bound=bound,
-                         ball_ok=bool(res.ball_ok[s]),
-                         passed=bool(excess <= bound + tolerance))
+            rows.append(dict(T=T, seed=seed, excess=excess, bound=bound,
+                             ball_ok=bool(res.ball_ok[s]),
+                             passed=bool(excess <= bound + tolerance)))
             excesses.append(excess)
         del res   # free W_hat before the next run stacks its iterates
         mean_excess = float(np.mean(excesses))
@@ -319,12 +317,12 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
             "bound": bound,
             "passed": bool(mean_excess <= bound + tolerance),
         })
-    return table, summary
+    return rows, summary
 
 
 def uc_gap_experiment(inst, sample_size, seeds):
     """Gap between empirical and population averages for the witness labeled
-    +eps exactly on the drawn support.
+    +eps exactly on the drawn support: one dict per seed.
 
     Empirical average over the drawn points is +eps by construction; the
     population average over the full support is eps (2 |support|/m - 1),
@@ -337,7 +335,7 @@ def uc_gap_experiment(inst, sample_size, seeds):
     if not seeds:
         raise InvalidInputError("need at least one seed")
     eps = inst.margin
-    table = ExperimentTable()
+    rows = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, m, size=sample_size)
@@ -346,7 +344,7 @@ def uc_gap_experiment(inst, sample_size, seeds):
         vals = witness_values(inst, [y])[0]
         empirical = float(vals[idx].mean())
         population = float(vals.mean())
-        table.append(seed=seed, m=m, sample_size=int(sample_size),
-                     support=int(support.size), empirical=empirical,
-                     population=population, gap=empirical - population)
-    return table
+        rows.append(dict(seed=seed, m=m, sample_size=int(sample_size),
+                         support=int(support.size), empirical=empirical,
+                         population=population, gap=empirical - population))
+    return rows

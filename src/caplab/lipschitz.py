@@ -5,7 +5,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-PERTURB_FRACTION = 0.1   # anchor-pair radius, as a fraction of the anchor spacing
 ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
 NEAR_DIST = 1e-6         # Gram distances below this are recomputed exactly
 
@@ -217,36 +216,16 @@ def min_feasible_slope(anchors, values, metric):
     return float(slopes.max())
 
 
-def empirical_lipschitz(f, sampler, metric, pairs, seed, anchors=None):
-    """Max sampled slope |f(u)-f(v)| / d(u,v): a lower estimate of the true
-    Lipschitz constant.
-
-    When an anchor set is supplied, half the pairs are drawn as small
-    perturbations of random anchors (the max slope of min-form interpolants
-    is attained near anchors); the rest come from the sampler.
-    """
+def empirical_lipschitz(f, sampler, metric, pairs, seed):
+    """Max sampled slope |f(u)-f(v)| / d(u,v) over pairs (u, v) drawn from
+    the sampler: a lower estimate of the true Lipschitz constant."""
     if pairs < 1:
         raise InvalidInputError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    n_anchor_pairs = 0
-    if anchors is not None and len(anchors) >= 1:
-        anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-        n_anchor_pairs = pairs // 2
-        if anchors.shape[0] >= 2:
-            d = _pairwise_dist(anchors[: min(len(anchors), 512)], metric)
-            np.fill_diagonal(d, np.inf)
-            radius = PERTURB_FRACTION * float(d.min())
-        else:
-            radius = PERTURB_FRACTION
     us, vs = [], []
-    for k in range(pairs):
-        if k < n_anchor_pairs:
-            i, j = rng.integers(0, anchors.shape[0], size=2)
-            us.append(anchors[i] + radius * rng.standard_normal(anchors.shape[1]))
-            vs.append(anchors[j] + radius * rng.standard_normal(anchors.shape[1]))
-        else:
-            us.append(np.asarray(sampler(rng), dtype=np.float64))
-            vs.append(np.asarray(sampler(rng), dtype=np.float64))
+    for _ in range(pairs):
+        us.append(np.asarray(sampler(rng), dtype=np.float64))
+        vs.append(np.asarray(sampler(rng), dtype=np.float64))
     U = np.vstack(us)
     V = np.vstack(vs)
     if metric == "euclidean-vector":

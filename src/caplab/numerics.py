@@ -1,11 +1,10 @@
-"""Dense linear algebra primitives: norms, SVD truncation, ball nets."""
+"""Dense linear algebra primitives: the spectral norm, SVD truncation, ball
+nets."""
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError, NumericalFailureError
-
-NORM_KINDS = ("frobenius", "spectral", "euclidean-vector", "infinity")
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
@@ -33,23 +32,6 @@ def spectral_norm(M):
         return float(np.linalg.norm(A, 2))
     except np.linalg.LinAlgError as e:
         raise NumericalFailureError(f"spectral norm: {e}") from e
-
-
-def norm(M, kind):
-    """Matrix/vector norm of the requested kind."""
-    if kind not in NORM_KINDS:
-        raise InvalidInputError(f"unknown norm kind {kind!r}")
-    A = as_matrix(M)
-    if kind == "frobenius":
-        return float(np.linalg.norm(A))
-    if kind == "spectral":
-        return spectral_norm(A)
-    if min(A.shape) != 1:
-        raise InvalidInputError(f"{kind} norm applies to vectors, got shape {A.shape}")
-    v = A.ravel()
-    if kind == "euclidean-vector":
-        return float(np.linalg.norm(v))
-    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 # reached by no command; kept as the tests' oracle and a benchmark trace target

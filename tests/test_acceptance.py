@@ -31,7 +31,7 @@ def test_criterion_1_explicit_construction_exact():
     inst = cn.nonzero_init_instance(10, 0.25)
     rep = cn.verify_shattering(inst)
     elapsed = time.time() - t0
-    norm_ok = abs(nm.norm(inst.W0, "spectral") - 2 * math.sqrt(2) * 0.25) <= 1e-9
+    norm_ok = abs(nm.spectral_norm(inst.W0) - 2 * math.sqrt(2) * 0.25) <= 1e-9
     ok = (rep.passed and rep.worst_slack == 0.0
           and rep.checked_labelings == 1024 and norm_ok and elapsed < 10.0)
     _report(1, f"explicit m=10 worst_slack={rep.worst_slack} "
@@ -62,15 +62,14 @@ def test_criterion_3_nondecay_signature():
     means = []
     for m in (2, 4, 8, 12):
         inst = cn.nonzero_init_instance(m, 0.25)
-        est = cx.rademacher_mc(inst.points, cx.instance_class(inst),
-                               100000, seed=17)
+        est = cx.rademacher_mc(cn.witness_table(inst), 100000, seed=17)
         means.append(est.mean)
         ok &= abs(est.mean - 0.25) <= 3 * est.stderr + 1e-15
     _report(3, f"non-decay means={means}", ok)
 
 
 def test_criterion_4_decay_signature():
-    est = cx.rademacher_mc(np.eye(4), cx.LinearBallClass(1.0), 1000, seed=2)
+    est = cx.linear_rademacher_mc(np.eye(4), 1.0, 1000, seed=2)
     exact_half = est.mean == 0.5 and est.stderr == 0.0
     rng = np.random.default_rng(31)
 
@@ -78,8 +77,8 @@ def test_criterion_4_decay_signature():
         P = rng.standard_normal((m, 40))
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
-    e1 = cx.rademacher_mc(unit(16), cx.LinearBallClass(1.0), 100000, seed=6)
-    e2 = cx.rademacher_mc(unit(64), cx.LinearBallClass(1.0), 100000, seed=6)
+    e1 = cx.linear_rademacher_mc(unit(16), 1.0, 100000, seed=6)
+    e2 = cx.linear_rademacher_mc(unit(64), 1.0, 100000, seed=6)
     ratio = e1.mean / e2.mean
     ok = exact_half and 1.6 <= ratio <= 2.5
     _report(4, f"decay orthonormal={est.mean} ratio={ratio:.3f}", ok)
@@ -104,10 +103,10 @@ def test_criterion_5_sgd_regret_and_excess():
                    and res.ball_ok[0])
 
     inst = cn.convex_instance(6, 0.2)
-    table, summary = lr.excess_risk_experiment(
+    rows, summary = lr.excess_risk_experiment(
         inst, [100, 1000, 10000], list(range(20)), tolerance=0.05)
     ok &= all(s["passed"] for s in summary)
-    ok &= all(r["ball_ok"] for r in table.rows)
+    ok &= all(r["ball_ok"] for r in rows)
     _report(5, f"regret+excess summaries={[round(s['mean_excess'], 4) for s in summary]}", ok)
 
 
@@ -117,8 +116,7 @@ def test_criterion_6_learnable_without_uc():
     excess_ok = summary[0]["mean_excess"] < 0.2
 
     inst16 = cn.convex_instance(16, 0.25)
-    table = lr.uc_gap_experiment(inst16, 8, list(range(20)))
-    gaps = [r["gap"] for r in table.rows]
+    gaps = [r["gap"] for r in lr.uc_gap_experiment(inst16, 8, list(range(20)))]
     gap_ok = all(g >= 0.25 for g in gaps)
     ok = excess_ok and gap_ok
     _report(6, f"excess={summary[0]['mean_excess']:.3f} "
@@ -171,8 +169,7 @@ def test_criterion_8_covering():
         ok &= len(centers) >= brute
     for kind in cx.COVER_KINDS:
         base = {"B": 2.0, "b_x": 1.0, "r": 1.0, "L": 2.0, "k": 2.0}
-        vals = [cx.cover_bound(cx.CoverFormula(kind, {**base, "eps": e}))
-                for e in (0.25, 0.5, 1.0)]
+        vals = [cx.cover_bound(kind, {**base, "eps": e}) for e in (0.25, 0.5, 1.0)]
         ok &= bool(np.all(np.diff(vals) <= 1e-12))
     _report(8, "ball nets, greedy covers, formula monotonicity", ok)
 
@@ -229,8 +226,8 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         ok &= outs[0] == outs[1]
     # in-process: rademacher under different chunk scheduling seeds identical
     inst = cn.nonzero_init_instance(5, 0.25)
-    h = cx.instance_class(inst)
-    a = cx.rademacher_mc(inst.points, h, 8192, seed=9)
-    b = cx.rademacher_mc(inst.points, h, 8192, seed=9)
+    table = cn.witness_table(inst)
+    a = cx.rademacher_mc(table, 8192, seed=9)
+    b = cx.rademacher_mc(table, 8192, seed=9)
     ok &= (a.mean, a.stderr) == (b.mean, b.stderr)
     _report(10, "CLI byte-determinism across BLAS thread counts", ok)

@@ -203,10 +203,10 @@ def _shifted_gaps(monkeypatch, shift):
     real = learner.uc_gap_experiment
 
     def shifted(inst, sample_size, seeds):
-        table = real(inst, sample_size, seeds)
-        for r in table.rows:
+        rows = real(inst, sample_size, seeds)
+        for r in rows:
             r["gap"] = shift(inst.margin)
-        return table
+        return rows
 
     monkeypatch.setattr(learner, "uc_gap_experiment", shifted)
 
@@ -272,6 +272,49 @@ def test_cover_and_dudley_commands(tmp_path):
     bound = float(row.split(",")[-1])
     # the grid's top scale eps = lb gives 4 lb with a zero integral
     assert math.isfinite(bound) and 0.0 < bound <= 4.0 * 1.0
+
+
+_FORMULA_FLAGS = {
+    "scalar-linear": ["--B", "1.5", "--b-x", "1", "--c", "2"],
+    "matrix-linear": ["--B", "2", "--r", "3"],
+    "constants": ["--B", "4"],
+    "lipschitz-composition": ["--B", "1", "--L", "2", "--r", "2"],
+    "contraction": ["--B", "1", "--b-x", "1", "--L", "2", "--r", "2", "--k", "3"],
+}
+# results.csv of `cover --eps-grid 0.25,0.5,1.0` and `dudley --lb 1 --m 1000000`
+# under the flags above, as the formulas wrote them when they were checked
+_FORMULA_RESULTS = {
+    ("cover", "scalar-linear"): "scalar-linear,0.25,144.0\nscalar-linear,0.5,36.0\n"
+                                "scalar-linear,1.0,9.0\n",
+    ("cover", "matrix-linear"): "matrix-linear,0.25,576.0\nmatrix-linear,0.5,144.0\n"
+                                "matrix-linear,1.0,36.0\n",
+    ("cover", "constants"): "constants,0.25,2.772588722239781\n"
+                            "constants,0.5,2.0794415416798357\n"
+                            "constants,1.0,1.3862943611198906\n",
+    ("cover", "lipschitz-composition"):
+        "lipschitz-composition,0.25,14642.734189328845\n"
+        "lipschitz-composition,0.5,3019.3491185191215\n"
+        "lipschitz-composition,1.0,600.9586055454726\n",
+    ("cover", "contraction"): "contraction,0.25,2303.999999999999\n"
+                              "contraction,0.5,575.9999999999998\n"
+                              "contraction,1.0,143.99999999999994\n",
+    ("dudley", "scalar-linear"): "scalar-linear,1.0,1000000,0.20563050766856272\n",
+    ("dudley", "matrix-linear"): "matrix-linear,1.0,1000000,0.3614474521313328\n",
+    ("dudley", "constants"): "constants,1.0,1000000,0.018886924183299594\n",
+    ("dudley", "lipschitz-composition"):
+        "lipschitz-composition,1.0,1000000,1.2088376020706724\n",
+    ("dudley", "contraction"): "contraction,1.0,1000000,0.6228030174570587\n",
+}
+
+
+@pytest.mark.parametrize("command,kind", list(_FORMULA_RESULTS), ids=str)
+def test_cover_and_dudley_bytes_pinned(tmp_path, command, kind):
+    extra, header = {"cover": (["--eps-grid", "0.25,0.5,1.0"], "kind,eps,log_cover"),
+                     "dudley": (["--lb", "1", "--m", "1000000"], "kind,lb,m,bound")}[command]
+    assert run([command, "--kind", kind, *_FORMULA_FLAGS[kind], *extra,
+                "--out", str(tmp_path)]) == 0
+    want = header + "\n" + _FORMULA_RESULTS[command, kind]
+    assert (tmp_path / "results.csv").read_bytes() == want.encode()
 
 
 def test_sgd_and_uc_gap_commands(tmp_path):
@@ -448,6 +491,44 @@ def test_rademacher_refuses_m_over_enumeration_cap(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rademacher_refuses_draws_over_its_byte_budget(tmp_path, monkeypatch, capsys):
+    manifest = _construct_m3(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("a sign draw was made")
+
+    monkeypatch.setattr(complexity, "_sign_bits", refuse)
+    most = complexity.RADEMACHER_MAX_BYTES // complexity.BYTES_PER_DRAW
+    capsys.readouterr()
+    code = run(["rademacher", "--instance", manifest, "--draws", str(most + 1),
+                "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RADEMACHER_MAX_BYTES" in err and str(most) in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_sgd_refuses_seeds_over_its_byte_budget(tmp_path, monkeypatch, capsys):
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "convex", "--m", "16", "--out", str(a)]) == 0
+    inst = constructions.convex_instance(16, 0.25)
+    most = learner.SGD_MAX_BYTES // (16 * inst.W0.size)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterates stacked")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    capsys.readouterr()
+    code = run(["sgd", "--instance", str(a / "manifest.json"),
+                "--num-seeds", str(most + 1), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "SGD_MAX_BYTES" in err
+    assert not (tmp_path / "s").exists()
 
 
 def _zero_init_refusals(tmp_path, m_cap):

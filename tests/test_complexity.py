@@ -17,31 +17,30 @@ def test_enumerate_matches_exhaustive_sign_oracle():
     for signs in itertools.product((-1.0, 1.0), repeat=5):
         exact += (np.asarray(signs) @ table.T).max() / 5
     exact /= 32
-    est = cx.rademacher_mc(np.zeros((5, 2)), cx.FiniteWitnessClass(table),
-                           100000, seed=8)
+    est = cx.rademacher_mc(table, 100000, seed=8)
     assert abs(est.mean - exact) <= 3 * est.stderr + 1e-12
 
 
 def test_enumerate_capacity_guard():
     with pytest.raises(CapacityExceededError):
-        cx.FiniteWitnessClass(np.zeros((cx.ENUMERATE_CAP + 1, 1)))
+        cx.rademacher_mc(np.zeros((cx.ENUMERATE_CAP + 1, 1)), 10, seed=0)
 
 
 def test_shattering_instance_mean_is_margin():
     inst = cn.nonzero_init_instance(6, 0.25)
-    est = cx.rademacher_mc(inst.points, cx.instance_class(inst), 2000, seed=1)
+    est = cx.rademacher_mc(cn.witness_table(inst), 2000, seed=1)
     assert est.mean == 0.25 and est.stderr == 0.0
 
 
 def test_linear_closed_form_orthonormal():
-    est = cx.rademacher_mc(np.eye(4), cx.LinearBallClass(1.0), 500, seed=2)
+    est = cx.linear_rademacher_mc(np.eye(4), 1.0, 500, seed=2)
     assert est.mean == 0.5 and est.stderr == 0.0
 
 
 def test_linear_closed_form_identical_points():
     m = 6
     pts = np.tile(np.array([[1.0, 0.0]]), (m, 1))
-    est = cx.rademacher_mc(pts, cx.LinearBallClass(1.0), 100000, seed=3)
+    est = cx.linear_rademacher_mc(pts, 1.0, 100000, seed=3)
     # exact binomial expectation of |sum eps_i| / m
     exact = sum(math.comb(m, k) * abs(2 * k - m) for k in range(m + 1)) / (2**m * m)
     assert abs(est.mean - exact) <= 3 * est.stderr
@@ -51,7 +50,7 @@ def test_linear_closed_form_cauchy_schwarz_cap():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((10, 6))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    est = cx.rademacher_mc(pts, cx.LinearBallClass(2.0), 20000, seed=5)
+    est = cx.linear_rademacher_mc(pts, 2.0, 20000, seed=5)
     assert est.mean <= 2.0 * 1.0 / math.sqrt(10) + 3 * est.stderr
 
 
@@ -62,24 +61,41 @@ def test_linear_decay_signature():
         P = rng.standard_normal((m, 40))
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
-    e1 = cx.rademacher_mc(unit(16), cx.LinearBallClass(1.0), 100000, seed=6)
-    e2 = cx.rademacher_mc(unit(64), cx.LinearBallClass(1.0), 100000, seed=6)
+    e1 = cx.linear_rademacher_mc(unit(16), 1.0, 100000, seed=6)
+    e2 = cx.linear_rademacher_mc(unit(64), 1.0, 100000, seed=6)
     assert 1.6 <= e1.mean / e2.mean <= 2.5
 
 
 def test_nondecay_signature_small():
     for m in (2, 4, 8):
         inst = cn.nonzero_init_instance(m, 0.25)
-        est = cx.rademacher_mc(inst.points, cx.instance_class(inst), 5000, seed=4)
+        est = cx.rademacher_mc(cn.witness_table(inst), 5000, seed=4)
         assert abs(est.mean - 0.25) <= 3 * est.stderr + 1e-12
 
 
 def test_mc_determinism():
     inst = cn.nonzero_init_instance(4, 0.25)
-    h = cx.instance_class(inst)
-    a = cx.rademacher_mc(inst.points, h, 9999, seed=42)
-    b = cx.rademacher_mc(inst.points, h, 9999, seed=42)
+    table = cn.witness_table(inst)
+    a = cx.rademacher_mc(table, 9999, seed=42)
+    b = cx.rademacher_mc(table, 9999, seed=42)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_draws_over_the_byte_budget_are_refused_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sign draw was made")
+
+    monkeypatch.setattr(cx, "_sign_bits", refuse)
+    most = cx.RADEMACHER_MAX_BYTES // cx.BYTES_PER_DRAW
+    assert most > 10**7
+    table = np.eye(3)
+    for estimate in (lambda draws: cx.rademacher_mc(table, draws, seed=0),
+                     lambda draws: cx.linear_rademacher_mc(table, 1.0, draws, seed=0)):
+        with pytest.raises(CapacityExceededError, match=f"at most {most} draws"):
+            estimate(most + 1)
+        # the largest accepted count goes on to draw
+        with pytest.raises(AssertionError, match="a sign draw was made"):
+            estimate(most)
 
 
 def direct_sups(table, draws, seed):
@@ -127,7 +143,7 @@ def test_keyed_sups_on_zero_init_table():
     draws = 5 * cx.DRAW_CHUNK + 3
     want = direct_sups(table, draws, 11)
     assert np.array_equal(cx._witness_sups(table, draws, 11), want)
-    est = cx.rademacher_mc(inst.points, cx.FiniteWitnessClass(table), draws, seed=11)
+    est = cx.rademacher_mc(table, draws, seed=11)
     assert est.mean == float(want.mean())
     assert est.stderr == float(want.std(ddof=1) / math.sqrt(draws))
 
@@ -137,8 +153,7 @@ def test_mc_mean_within_4_stderr_of_exact_mean(m):
     table = np.random.default_rng(50 + m).standard_normal((2 * m, m))
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     exact = float(((bits * 2.0 - 1.0) @ table.T).max(axis=1).mean() / m)
-    est = cx.rademacher_mc(np.zeros((m, 1)), cx.FiniteWitnessClass(table),
-                           20000, seed=m)
+    est = cx.rademacher_mc(table, 20000, seed=m)
     assert est.stderr > 0
     assert abs(est.mean - exact) <= 4 * est.stderr
 
@@ -146,8 +161,7 @@ def test_mc_mean_within_4_stderr_of_exact_mean(m):
 def test_mc_mean_equals_exact_mean_on_shattered_table():
     # every sign vector is matched by a witness, so every draw's sup is eps
     table = _instance_table(8)
-    est = cx.rademacher_mc(np.zeros((8, 1)), cx.FiniteWitnessClass(table),
-                           20000, seed=3)
+    est = cx.rademacher_mc(table, 20000, seed=3)
     assert est.mean == 0.25 and est.stderr == 0.0
 
 
@@ -202,24 +216,25 @@ def test_greedy_at_least_bruteforce_optimum():
 # ---------------------------------------------------------------------------
 
 def test_cover_bound_examples():
-    f = cx.CoverFormula("scalar-linear", {"B": 1, "b_x": 1, "eps": 1})
-    assert cx.cover_bound(f) == 1.0
-    g = cx.CoverFormula("constants", {"B": 4, "eps": 0.5})
-    assert cx.cover_bound(g) == pytest.approx(math.log(8))
+    assert cx.cover_bound("scalar-linear", {"B": 1, "b_x": 1, "eps": 1}) == 1.0
+    assert cx.cover_bound("constants", {"B": 4, "eps": 0.5}) == \
+        pytest.approx(math.log(8))
     with pytest.raises(InvalidInputError):
-        cx.cover_bound(cx.CoverFormula("constants", {"B": 1.5, "eps": 0.5}))
+        cx.cover_bound("constants", {"B": 1.5, "eps": 0.5})
+    with pytest.raises(InvalidInputError, match="unknown cover formula kind"):
+        cx.cover_bound("quadratic", {"B": 1, "eps": 1, "c": -1})
 
 
 def test_cover_bound_composition_r1_reduces_to_scalar_shape():
     # at r=1 the composition formula is (1 + 8BL/eps) log(8B/eps)
-    f = cx.CoverFormula("lipschitz-composition",
-                        {"B": 2, "L": 3, "r": 1, "eps": 0.5})
-    assert cx.cover_bound(f) == pytest.approx((1 + 8 * 2 * 3 / 0.5) * math.log(32))
+    got = cx.cover_bound("lipschitz-composition",
+                         {"B": 2, "L": 3, "r": 1, "eps": 0.5})
+    assert got == pytest.approx((1 + 8 * 2 * 3 / 0.5) * math.log(32))
 
 
 def test_cover_bound_missing_parameter_named():
     with pytest.raises(InvalidInputError, match="b_x"):
-        cx.cover_bound(cx.CoverFormula("scalar-linear", {"B": 1, "eps": 1}))
+        cx.cover_bound("scalar-linear", {"B": 1, "eps": 1})
 
 
 def test_cover_bound_monotonic():
@@ -233,7 +248,7 @@ def test_cover_bound_monotonic():
                 p = dict(base)
                 p[key] = g
                 try:
-                    vals.append(cx.cover_bound(cx.CoverFormula(kind, p)))
+                    vals.append(cx.cover_bound(kind, p))
                 except InvalidInputError:
                     vals = []
                     break
@@ -254,8 +269,7 @@ def test_cover_bound_dominates_discretized_linear_class():
     ws = np.linspace(-B, B, 201)
     table = np.outer(ws, x)
     logn = math.log(len(cx.empirical_cover(table, eps)))
-    f = cx.CoverFormula("scalar-linear", {"B": B, "b_x": b_x, "eps": eps})
-    assert logn <= cx.cover_bound(f)
+    assert logn <= cx.cover_bound("scalar-linear", {"B": B, "b_x": b_x, "eps": eps})
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +282,8 @@ def test_dudley_trivial_examples():
 
 
 def test_dudley_decreases_in_m():
-    f = cx.CoverFormula("scalar-linear", {"B": 1, "b_x": 1, "eps": 1})
-
     def logn(tau):
-        return cx.cover_bound(
-            cx.CoverFormula("scalar-linear", {"B": 1, "b_x": 1, "eps": tau}))
+        return cx.cover_bound("scalar-linear", {"B": 1, "b_x": 1, "eps": tau})
 
     vals = [cx.dudley_bound(logn, 2.0, m) for m in (10, 100, 1000)]
     assert vals[0] >= vals[1] >= vals[2]
@@ -291,8 +302,8 @@ def test_dudley_consistent_with_exp_class_bound():
     from caplab import bounds as bd
 
     def logn(tau):
-        return cx.cover_bound(cx.CoverFormula(
-            "lipschitz-composition", {"B": 1.0, "L": 1.0, "r": 1.0, "eps": tau}))
+        return cx.cover_bound("lipschitz-composition",
+                              {"B": 1.0, "L": 1.0, "r": 1.0, "eps": tau})
 
     m_star = bd.exp_class_sample_bound(1.0, 1.0, 0.5).value
     # at m comfortably above the closed-form threshold the chained bound is

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -384,13 +385,15 @@ def test_verify_fails_on_nan():
     assert math.isnan(rep.failures[0][2])
     assert _same_as_dense_oracle(bad)
 
-    # a NaN entry in W_9: the ball check must reject it as well
-    vals = inst._entry_val.copy()
-    vals[9] = np.nan
-    bad = _with_entries(inst, vals=vals)
-    rep = cn.verify_shattering(bad)
-    assert not rep.ball_ok and not rep.passed
-    assert _same_as_dense_oracle(bad)
+    # a NaN or +-inf entry in W_9: the ball check must reject it as well
+    for entry in (np.nan, np.inf, -np.inf):
+        vals = inst._entry_val.copy()
+        vals[9] = entry
+        bad = _with_entries(inst, vals=vals)
+        with np.errstate(invalid="ignore"):
+            rep = cn.verify_shattering(bad)
+            assert _same_as_dense_oracle(bad), entry
+        assert not rep.ball_ok and not rep.passed, entry
 
 
 @pytest.mark.parametrize("kind", ["nonzero-init", "convex"])
@@ -563,11 +566,12 @@ def test_max_affine_bit_equal_to_dense_formula(m, monkeypatch):
 
 def test_two_hot_routing(monkeypatch):
     # TwoHotRows take the closed form and arrays the dense path, whatever
-    # their rows hold; a TwoHotRows row with a non-finite entry is written
-    # out and takes the dense path
+    # their rows hold.  q_a = (W0 x_i)_i is finite on every instance; with a
+    # finite q_a the closed form equals the dense path also at a NaN or
+    # +-inf q_b, as a non-finite witness entry v_y gives
     for inst, dense in ((cn.nonzero_init_instance(5, 0.25), _dense_min_form),
                         (cn.convex_instance(5, 0.25), _dense_max_affine)):
-        fn, m = inst.witness_fn, inst.m
+        fn = inst.witness_fn
         R, Q = _encoded_queries(inst)
         want = dense(fn, Q)
         with monkeypatch.context() as mp:
@@ -576,15 +580,22 @@ def test_two_hot_routing(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(fn, "_eval_two_hot", _refuse)
             assert np.array_equal(fn.eval(Q), want)
-        R, Q = _two_hot(m, inst.n, [0, 1, 2, 3], [3, 7, 0, 31],
-                        [np.inf, 1.0, np.nan, 0.5], [1.0, -np.inf, 0.5, 1.0])
-        calls = []
-        original = fn._eval_dense
-        monkeypatch.setattr(fn, "_eval_dense",
-                            lambda Q: calls.append(len(Q)) or original(Q))
-        assert np.array_equal(fn.eval(R), dense(fn, Q), equal_nan=True)
-        assert calls == [3]
-        monkeypatch.undo()
+    for m in (1, 2, 5):
+        for inst, dense in ((cn.nonzero_init_instance(m, 0.25), _dense_min_form),
+                            (cn.convex_instance(m, 0.25), _dense_max_affine)):
+            fn = inst.witness_fn
+            q_a = np.diagonal(inst.points @ inst.W0.T)[0]
+            rows = list(itertools.product(
+                range(m), sorted({0, 1, (1 << m) - 1, 1 << (m - 1)}),
+                [q_a, -0.7, 0.0], [np.nan, np.inf, -np.inf]))
+            R, Q = _two_hot(m, inst.n, *map(list, zip(*rows)))
+            with np.errstate(invalid="ignore"):
+                want = dense(fn, Q)
+                with monkeypatch.context() as mp:
+                    mp.setattr(fn, "_eval_dense", _refuse)
+                    got = fn.eval(R)
+                assert np.array_equal(got, want, equal_nan=True), (m, inst.kind)
+                assert np.array_equal(fn.eval(Q), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("m", range(1, 11))

@@ -233,13 +233,41 @@ def test_min_pairwise_dist_bit_equal_to_masked_scan_on_zero_init(monkeypatch, se
 
 
 @pytest.mark.parametrize("n,chunk", [(0, 4), (1, 4), (2, 1), (50, 7), (64, 16), (97, 512)])
-def test_min_pairwise_dist_bit_equal_to_masked_scan(n, chunk):
+def test_min_pairwise_dist_bit_equal_to_masked_scan(n, chunk, monkeypatch):
+    # blocks of `chunk` rows: PAIR_BLOCK_BYTES sized to hold that many
+    monkeypatch.setattr(kn, "PAIR_MIN_ROWS", 1)
+    monkeypatch.setattr(kn, "PAIR_BLOCK_BYTES", 8 * max(n, 1) * chunk)
+    assert kn._pair_block_rows(n) == max(1, min(n, chunk))
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 5))
     if n > 3:
         X[n - 1] = X[1]          # a duplicate in a later chunk
-    got = kn.min_pairwise_dist(X, chunk=chunk)
+    got = kn.min_pairwise_dist(X)
     assert _same_float(got, masked_min_pairwise_dist(X, chunk=chunk))
+
+
+def test_min_pairwise_dist_buffers_sized_in_bytes():
+    # two blocks of PAIR_BLOCK_BYTES each down to PAIR_MIN_ROWS rows: 512-row
+    # blocks held 2 x 32 MB over the 8,192 rows here
+    import tracemalloc
+
+    X = np.random.default_rng(0).standard_normal((8192, 4))
+    assert kn._pair_block_rows(len(X)) == kn.PAIR_BLOCK_BYTES // (8 * len(X))
+    assert kn._pair_block_rows(4608) == kn.PAIR_BLOCK_BYTES // (8 * 4608)
+    assert kn._pair_block_rows(12 << 12) == kn.PAIR_MIN_ROWS
+    assert kn._pair_block_rows(3) == 3
+    tracemalloc.start()
+    try:
+        kn.min_pairwise_dist(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kn.PAIR_BLOCK_BYTES + 4 * X.nbytes, peak
+    # zero-init's estimate counts the two blocks of its scan over m 2^m rows
+    N = 12 << 12
+    stacks, encoded = 2 * (1 << 12) * 256 * 32, 3 * N * 256
+    scan = 2 * kn.PAIR_MIN_ROWS * N
+    assert constructions._zero_init_bytes(12, 256, 32) == 8 * (stacks + encoded + scan)
 
 
 def scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):

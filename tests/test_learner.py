@@ -6,7 +6,7 @@ import pytest
 
 from caplab import constructions as cn
 from caplab import learner as lr
-from caplab.errors import InvalidInputError
+from caplab.errors import CapacityExceededError, InvalidInputError
 from tests_helpers_regret import (dense_loss_subgrad, random_hinge_sampler,
                                   random_piecewise_sampler)
 
@@ -98,6 +98,20 @@ def test_sgd_determinism():
 def test_sgd_config_needs_a_seed():
     with pytest.raises(InvalidInputError):
         lr.SgdConfig(W0=np.zeros((2, 2)), B=1.0, T=5, L=1.0, seeds=())
+
+
+def test_sgd_config_refuses_runs_over_the_byte_budget(monkeypatch):
+    # two (S, n, d) stacks per estimate, refused before any is stacked
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterates stacked")
+
+    W0 = cn.convex_instance(16, 0.25).W0
+    most = lr.SGD_MAX_BYTES // (16 * W0.size)
+    assert most >= 20
+    monkeypatch.setattr(np, "repeat", refuse)
+    with pytest.raises(CapacityExceededError, match=f"at most {most} runs"):
+        lr.SgdConfig(W0=W0, B=1.0, T=10, L=1.0, seeds=range(most + 1))
+    assert len(lr.SgdConfig(W0=W0, B=1.0, T=10, L=1.0, seeds=range(most)).seeds) == most
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +501,9 @@ def test_block_draws_equal_scalar_draws(m):
 
 def test_excess_risk_envelope_and_decrease():
     inst = cn.convex_instance(6, 0.2)
-    table, summary = lr.excess_risk_experiment(inst, [1, 100], [0, 1, 2])
+    rows, summary = lr.excess_risk_experiment(inst, [1, 100], [0, 1, 2])
     L = lr._loss_lipschitz(inst)
-    for row in table.rows:
+    for row in rows:
         if row["T"] == 1:
             assert row["excess"] <= inst.B * L  # trivial envelope
         assert row["ball_ok"]
@@ -503,18 +517,18 @@ def test_excess_risk_requires_convex():
 
 
 def test_best_witness_loss_is_minimal_over_enumeration():
+    # excess_risk_experiment measures the excess from -eps, unenumerated
     inst = cn.convex_instance(5, 0.2)
     best = min(
         lr.population_loss(inst, inst.witness_for(y))
         for y in range(inst.num_labelings)
     )
-    assert lr.best_witness_loss(inst) == pytest.approx(best, abs=1e-12)
+    assert -inst.margin == pytest.approx(best, abs=1e-12)
 
 
 def test_uc_gap_m2():
     inst = cn.convex_instance(2, 0.25)
-    table = lr.uc_gap_experiment(inst, 1, [0, 1, 2, 3])
-    for r in table.rows:
+    for r in lr.uc_gap_experiment(inst, 1, [0, 1, 2, 3]):
         assert r["empirical"] == pytest.approx(0.25, abs=1e-12)
         assert r["population"] == pytest.approx(0.0, abs=1e-12)
         assert r["gap"] == pytest.approx(0.25, abs=1e-12)
@@ -522,8 +536,7 @@ def test_uc_gap_m2():
 
 def test_uc_gap_closed_form():
     inst = cn.convex_instance(8, 0.25)
-    table = lr.uc_gap_experiment(inst, 4, range(10))
-    for r in table.rows:
+    for r in lr.uc_gap_experiment(inst, 4, range(10)):
         want = 2 * 0.25 * (1 - r["support"] / 8)
         assert r["gap"] == pytest.approx(want, abs=1e-12)
         assert r["gap"] >= 0.25  # support <= 4 <= m/2
@@ -533,8 +546,8 @@ def test_uc_gap_stable_as_m_grows():
     gaps = []
     for m in (8, 12, 16):
         inst = cn.convex_instance(m, 0.25)
-        t = lr.uc_gap_experiment(inst, m // 2, range(5))
-        gaps.append(min(r["gap"] for r in t.rows))
+        rows = lr.uc_gap_experiment(inst, m // 2, range(5))
+        gaps.append(min(r["gap"] for r in rows))
     assert min(gaps) >= 0.25
 
 

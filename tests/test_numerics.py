@@ -6,20 +6,18 @@ from caplab.errors import CapacityExceededError, InvalidInputError, NumericalFai
 
 
 def test_norm_diag_examples():
-    M = np.diag([3.0, 1.0])
-    assert nm.norm(M, "spectral") == pytest.approx(3.0, abs=1e-10)
-    assert nm.norm(M, "frobenius") == pytest.approx(np.sqrt(10.0))
+    assert nm.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_norm_vector_kinds():
-    v = np.array([3.0, -4.0])
-    assert nm.norm(v, "euclidean-vector") == pytest.approx(5.0)
-    assert nm.norm(v, "infinity") == pytest.approx(4.0)
+    # a vector is taken as one column: its spectral norm is its length
+    assert nm.spectral_norm(np.array([3.0, -4.0])) == pytest.approx(5.0)
 
 
 def test_norm_rejects_nonfinite():
-    with pytest.raises(InvalidInputError):
-        nm.norm(np.array([[1.0, np.nan]]), "frobenius")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError):
+            nm.spectral_norm(np.array([[1.0, bad]]))
 
 
 def _orthonormal_factors(k, rows, cols, seed):
@@ -57,9 +55,9 @@ def test_spectral_matches_svd_oracle():
         rows, cols = rng.integers(2, 9, size=2)
         s = 3.0 * np.sort(0.1 + rng.random(min(rows, cols)))[::-1]
         M = _matrix_with_singular_values(s, rows, cols, trial)
-        sp = nm.norm(M, "spectral")
+        sp = nm.spectral_norm(M)
         assert abs(sp - s[0]) <= 1e-12 * s[0], trial
-        assert sp <= nm.norm(M, "frobenius") + 1e-12
+        assert sp <= np.linalg.norm(M) + 1e-12
 
 
 def test_norm_sandwich():
@@ -67,8 +65,8 @@ def test_norm_sandwich():
     for _ in range(20):
         rows, cols = rng.integers(2, 9, size=2)
         M = rng.standard_normal((rows, cols))
-        sp = nm.norm(M, "spectral")
-        fro = nm.norm(M, "frobenius")
+        sp = nm.spectral_norm(M)
+        fro = np.linalg.norm(M)
         assert sp <= fro + 1e-10
         assert fro <= np.sqrt(min(rows, cols)) * sp + 1e-10
 
