@@ -14,7 +14,6 @@ _MAX_EXP = math.log(1e308)
 @dataclass
 class BoundReport:
     formula_id: str
-    inputs: dict
     value: float
     log_value: float
     notes: str = ""
@@ -36,9 +35,7 @@ def shatter_lower_bound(B, L, eps, c=1.0):
             f"precondition L^2 B^2/(128 eps^2) >= 20 violated (got {guard:g})"
         )
     lv = c * L * L * B * B / (eps * eps)
-    return BoundReport("shatter-lower",
-                       {"B": B, "L": L, "eps": eps, "c": c},
-                       _from_log(lv), lv)
+    return BoundReport("shatter-lower", _from_log(lv), lv)
 
 
 def exp_class_sample_bound(B, L, eps, c=1.0):
@@ -53,9 +50,7 @@ def exp_class_sample_bound(B, L, eps, c=1.0):
     expo = c * L * L * B * B / (eps * eps)
     lv = expo * math.log(ratio)
     value = ratio ** expo if lv <= _MAX_EXP else math.inf
-    return BoundReport("exp-class",
-                       {"B": B, "L": L, "eps": eps, "c": c},
-                       value, lv)
+    return BoundReport("exp-class", value, lv)
 
 
 def deep_general_bound(B, S_list, eps, c=1.0):
@@ -67,9 +62,7 @@ def deep_general_bound(B, S_list, eps, c=1.0):
         raise InvalidInputError("all S_j must be positive")
     L = math.prod(S_list)
     inner = exp_class_sample_bound(B, L, eps, c)
-    return BoundReport("deep-general",
-                       {"B": B, "S_list": S_list, "eps": eps, "c": c},
-                       inner.value, inner.log_value)
+    return BoundReport("deep-general", inner.value, inner.log_value)
 
 
 def sgd_sample_bound(B, L, eps):
@@ -77,8 +70,7 @@ def sgd_sample_bound(B, L, eps):
     if not (B > 0 and L > 0 and eps > 0):
         raise InvalidInputError("inputs must be positive")
     v = B * B * L * L / (eps * eps)
-    return BoundReport("sgd-sample", {"B": B, "L": L, "eps": eps},
-                       v, math.log(v))
+    return BoundReport("sgd-sample", v, math.log(v))
 
 
 def smooth_one_layer_bound(b, b_x, B, B0, L, mu, eps, c=1.0):
@@ -92,11 +84,8 @@ def smooth_one_layer_bound(b, b_x, B, B0, L, mu, eps, c=1.0):
         raise InvalidInputError("precondition B b_x >= 2 violated")
     base = 1.0 + b * b_x * (L * B0 + (mu + L) * B * (1.0 + B0 * b_x))
     v = (c / (eps * eps)) * base * base
-    return BoundReport(
-        "smooth-one-layer",
-        {"b": b, "b_x": b_x, "B": B, "B0": B0, "L": L, "mu": mu,
-         "eps": eps, "c": c},
-        v, math.log(v), notes="polylog factors omitted")
+    return BoundReport("smooth-one-layer", v, math.log(v),
+                       notes="polylog factors omitted")
 
 
 def deep_elementwise_bound(k, b, b_x, L, S_list, B_list, eps, m, c=1.0):
@@ -117,11 +106,8 @@ def deep_elementwise_bound(k, b, b_x, L, S_list, B_list, eps, m, c=1.0):
     core = (k * L ** (k - 1) * b * R * math.log(m) ** (3.0 * (k - 1) / 2.0)
             * math.prod(B_list))
     v = c * core * core / (eps * eps)
-    return BoundReport(
-        "deep-elementwise",
-        {"k": k, "b": b, "b_x": b_x, "L": L, "S_list": S_list,
-         "B_list": B_list, "eps": eps, "m": m, "c": c},
-        v, math.log(v) if v > 0 else -math.inf)
+    return BoundReport("deep-elementwise", v,
+                       math.log(v) if v > 0 else -math.inf)
 
 
 _EVALUATORS = {

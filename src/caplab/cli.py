@@ -286,6 +286,7 @@ def _run_verify(cfg):
 
 def _run_rademacher(cfg):
     p = cfg.parameters
+    complexity._check_draws(p["draws"])     # before the instance is rebuilt
     inst = _load_instance(p["instance"])
     est = complexity.rademacher_mc(complexity.witness_table(inst), p["draws"],
                                    cfg.seed)

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError
-from .lipschitz import (BOUND_SLACK, AnchoredLipschitz, budget, gamma, gram_error,
-                        min_feasible_slope)
+from .lipschitz import BOUND_SLACK, AnchoredLipschitz, budget, gamma, gram_error
 from .numerics import spectral_norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
@@ -22,7 +21,6 @@ LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
-FEASIBLE_PAIRS_CAP = 4096   # zero-init measures its slope over all anchor pairs up to this many
 TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
 FAMILY_BLOCK_BYTES = 1 << 23    # matrices whose Frobenius norms are taken at once
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
@@ -362,7 +360,6 @@ class ShatterInstance:
     W0: np.ndarray              # (n, d)
     B: float                    # Frobenius radius around W0
     witness_fn: object          # evaluable on R^n rows
-    metric: str
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
     _witnesses: np.ndarray = None       # (2^m, n, d): zero-init's W_y
@@ -397,7 +394,7 @@ class ShatterInstance:
             "n": self.n,
             "B": self.B,
             "W0_norm": self.declared_w0_norm,
-            "metric": self.metric,
+            "metric": self.witness_fn.metric,
             "witness_fn": type(self.witness_fn).__name__,
             "params": self.params,
         }
@@ -457,13 +454,11 @@ def _zero_init_bytes(m, n, d):
     """Bytes zero-init holds at its peak, estimated: two (2^m, n, d)
     Gaussian stacks (the best draw is kept while the next is drawn), three
     copies of the m 2^m encoded vectors (the scan's, the anchors and the
-    anchors sorted by value), the separation scan's two (rows, m 2^m)
-    buffers, and six m 2^m square matrices where the slope is measured
-    over all anchor pairs."""
+    anchors sorted by value) and the separation scan's two (rows, m 2^m)
+    buffers."""
     N = m << m
-    pairs = 6 * N * N if N <= FEASIBLE_PAIRS_CAP else 0
     scan = 2 * _kernels._pair_block_rows(N) * N
-    return 8 * (2 * (1 << m) * n * d + 3 * N * n + scan + pairs)
+    return 8 * (2 * (1 << m) * n * d + 3 * N * n + scan)
 
 
 def _anchor_separation(sep, scale, n, d, w_max, x_max):
@@ -531,11 +526,10 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     s_idx = np.repeat(np.arange(1 << m), m)
     i_idx = np.tile(np.arange(m), 1 << m)
     values = np.where(((s_idx >> i_idx) & 1) == 1, eps, -eps)
-    scaled_sep = scale * fam.separation
     slope_budget = budget([-eps, eps], 2.0 * eps / L)  # = L by the closed form
-    feasible = min_feasible_slope(anchors, values, "euclidean-vector") \
-        if anchors.shape[0] <= FEASIBLE_PAIRS_CAP else 2.0 * eps / max(scaled_sep, 1e-300)
-    L_eff = max(slope_budget, feasible)
+    # anchors lie scale * separation apart and their +/-eps values differ by
+    # at most 2 eps; on a separated family that slope is at most L
+    L_eff = max(slope_budget, 2.0 * eps / max(scale * fam.separation, 1e-300))
     fn = AnchoredLipschitz(anchors, values, L_eff, "euclidean-vector")
     inst = ShatterInstance(
         kind="zero-init",
@@ -547,7 +541,6 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
         W0=np.zeros((n, d)),
         B=float(B),
         witness_fn=fn,
-        metric="euclidean-vector",
         declared_w0_norm=0.0,
         params={
             "B": B, "L": L, "m_cap": m_cap, "seed": seed, "n": n,
@@ -594,7 +587,6 @@ def _encoded_instance(kind, m, eps, w0_coeff, kappa=0.5):
         W0=W0,
         B=b_x,
         witness_fn=None,
-        metric="infinity",
         declared_w0_norm=(w0_coeff * eps) * b_x,
         _entry_row=m + np.arange(1 << m, dtype=np.int64),
         _entry_val=np.full(1 << m, b_x),

@@ -499,7 +499,11 @@ def test_rademacher_refuses_draws_over_its_byte_budget(tmp_path, monkeypatch, ca
     def refuse(*args):
         raise AssertionError("a sign draw was made")
 
+    def rebuilt(*args):
+        raise AssertionError("the instance was rebuilt before the draws were checked")
+
     monkeypatch.setattr(complexity, "_sign_bits", refuse)
+    monkeypatch.setattr(constructions, "instance_from_manifest", rebuilt)
     most = complexity.RADEMACHER_MAX_BYTES // complexity.BYTES_PER_DRAW
     capsys.readouterr()
     code = run(["rademacher", "--instance", manifest, "--draws", str(most + 1),

@@ -8,7 +8,7 @@ import pytest
 from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
-from caplab.lipschitz import AnchoredLipschitz
+from caplab.lipschitz import AnchoredLipschitz, budget, min_feasible_slope
 from tests_helpers_regret import dense_loss_subgrad, max_affine_pieces, min_form_anchors
 
 
@@ -184,6 +184,57 @@ def test_zero_init_below_feasible_slope_falls_back_to_q_loop():
     assert rep.failures == [(int(y), int(i), float(table[y, i]))
                             for y, i in failing[:32]]
     assert rep.worst_slack == float(slack.min())
+
+
+@pytest.mark.parametrize("shape", _ZERO_SHAPES, ids=str)
+def test_zero_init_slope_is_the_least_feasible_one_on_separated_families(shape):
+    # the slope taken from the separation scan is the one measured over
+    # every anchor pair, wherever the family is separated
+    B, L, eps = shape
+    slope_budget = budget([-eps, eps], 2.0 * eps / L)
+    for m in range(1, 9):
+        for seed in (1, 2, 3):
+            inst = cn.zero_init_instance(*shape, m, seed)
+            assert inst.params["separation_ok"], (m, seed)
+            fn = inst.witness_fn
+            feasible = min_feasible_slope(fn.anchors, fn.values, "euclidean-vector")
+            assert inst.params["witness_slope"] == fn.L == max(slope_budget, feasible)
+
+
+def test_zero_init_slope_from_separation_on_unseparated_family(monkeypatch):
+    # n = 1: the family is not separated and its closest anchor pair shares
+    # a value, so the slope 2 eps / (scaled separation) is above the least
+    # feasible one; any feasible slope interpolates, so the Q loop passes
+    eps, L = 0.25, 4
+    inst = cn.zero_init_instance(4, L, eps, 3, seed=1, n=1)
+    sep = inst.params["separation"]
+    assert not inst.params["separation_ok"]
+    slope = inst.params["witness_slope"]
+    assert slope == inst.witness_fn.L == 2.0 * eps / (8.0 * eps / L * sep)
+    fn = inst.witness_fn
+    assert slope > min_feasible_slope(fn.anchors, fn.values, "euclidean-vector") > L
+    monkeypatch.setattr(cn, "_own_anchor_table", lambda inst, ys: None)
+    rep = cn.verify_shattering(inst)
+    assert rep.passed and rep.failure_count == 0
+
+
+def test_zero_init_holds_no_pairwise_matrices():
+    # the build holds the Gaussian stacks, the encoded vectors and the
+    # separation scan's blocks, and no m 2^m square matrix (the all-pairs
+    # slope held about 160 MB here)
+    import tracemalloc
+
+    m, n, d = 8, 256, 32
+    N = m << m
+    need = 8 * (2 * (1 << m) * n * d + 3 * N * n + 2 * _kernels._pair_block_rows(N) * N)
+    tracemalloc.start()
+    try:
+        inst = cn.zero_init_instance(4, 4, 0.25, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.d == d and inst.n == n
+    assert peak <= need, (peak, need)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +485,15 @@ def test_table_and_ball_bit_equal_to_dense_oracle(m):
 
 
 def test_manifest_roundtrip():
-    for inst in (
-        cn.nonzero_init_instance(4, 0.25),
-        cn.convex_instance(4, 0.2),
-        cn.zero_init_instance(4, 4, 0.25, 3, seed=9, n=64),
+    for inst, metric in (
+        (cn.nonzero_init_instance(4, 0.25), "infinity"),
+        (cn.convex_instance(4, 0.2), "infinity"),
+        (cn.zero_init_instance(4, 4, 0.25, 3, seed=9, n=64), "euclidean-vector"),
     ):
+        # the record's metric is the witness's
+        assert inst.manifest()["metric"] == inst.witness_fn.metric == metric
         clone = cn.instance_from_manifest(inst.manifest())
+        assert clone.manifest() == inst.manifest()
         assert np.array_equal(clone.points, inst.points)
         assert np.array_equal(clone.witness_for(3), inst.witness_for(3))
 

@@ -268,6 +268,13 @@ def test_min_pairwise_dist_buffers_sized_in_bytes():
     stacks, encoded = 2 * (1 << 12) * 256 * 32, 3 * N * 256
     scan = 2 * kn.PAIR_MIN_ROWS * N
     assert constructions._zero_init_bytes(12, 256, 32) == 8 * (stacks + encoded + scan)
+    # and no pairwise matrices at the CLI's default size, m_cap 8: 2,048
+    # rows, 512 per block
+    N = 8 << 8
+    stacks, encoded = 2 * (1 << 8) * 256 * 32, 3 * N * 256
+    scan = 2 * (kn.PAIR_BLOCK_BYTES // (8 * N)) * N
+    assert kn._pair_block_rows(N) == 512
+    assert constructions._zero_init_bytes(8, 256, 32) == 8 * (stacks + encoded + scan)
 
 
 def scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):
