@@ -11,11 +11,10 @@ from .errors import CapacityExceededError, InvalidInputError, NumericalFailureEr
 
 ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
-KEY_BITS = 62           # sign vectors up to this length are keyed in an int64
 SUP_BLOCK = 1 << 20     # entries of one sign-vector-by-table-row product
-# bytes a draw holds until the estimate is taken: about 56 on the keyed path
-# (keys, np.unique's sort and inverse, the per-draw sups and the std's
-# temporaries; peak RSS 504 MB at 1e7 draws and 1.6 GB at 3e7, m = 4)
+# bytes a draw holds until the estimate is taken: about 16 on the lookup
+# path (its key, then its sup and the std's temporary; peak RSS 493 MB at
+# 3e7 draws, m = 4)
 BYTES_PER_DRAW = 64
 # draw counts whose estimate (draws * BYTES_PER_DRAW) exceeds this are refused
 RADEMACHER_MAX_BYTES = 3 << 30
@@ -80,19 +79,29 @@ def _signs(bits):
 
 
 def _sign_bits(seed, draws, m):
-    """The draws' sign bits, chunk by chunk, each from its chunk's generator."""
+    """The draws' sign bits, chunk by chunk, each from its chunk's generator.
+
+    integers(0, 2) draws each bit as the top bit of one 32-bit half of a raw
+    64-bit word, low half first (Lemire's method never rejects a range of
+    2).  The bits are read off the raw words directly, bit-equal to it on a
+    little-endian machine, where the uint32 view puts the low half first."""
     for ci, start in enumerate(range(0, draws, DRAW_CHUNK)):
         count = min(DRAW_CHUNK, draws - start)
-        yield _chunk_rng(seed, ci).integers(0, 2, size=(count, m))
+        k = count * m
+        raw = _chunk_rng(seed, ci).bit_generator.random_raw(-(-k // 2))
+        yield (raw.view(np.uint32)[:k] >> 31).reshape(count, m)
 
 
 def _witness_sups(table, draws, seed):
     """Per-draw sup over the table rows of (1/m) sigma . f.
 
-    Each distinct sign vector's sup is computed once: a draw is keyed by its
-    bits read as an integer.  Wider tables cannot be keyed in an int64 and
-    take one product per draw.  A product takes at most DRAW_CHUNK sign
-    vectors, and fewer when that many would hold over SUP_BLOCK entries."""
+    While there are at least as many draws as sign vectors (2^m <= draws),
+    each distinct sign vector's sup is computed once: a draw is keyed by its
+    bits read as an integer, the keys that occur are marked in a 2^m table,
+    their sups written into another, and each draw reads its own.  With
+    fewer draws most of them are distinct, and each takes its own product.
+    A product takes at most DRAW_CHUNK sign vectors, and fewer when that
+    many would hold over SUP_BLOCK entries."""
     m = table.shape[1]
     step = max(1, min(DRAW_CHUNK, SUP_BLOCK // table.shape[0]))
 
@@ -101,18 +110,23 @@ def _witness_sups(table, draws, seed):
         with np.errstate(over="ignore", invalid="ignore"):
             return (_signs(bits) @ table.T).max(axis=1) / m
 
-    if m > KEY_BITS:
+    if (1 << m) > draws:
         return np.concatenate([sups(bits[s : s + step])
                                for bits in _sign_bits(seed, draws, m)
                                for s in range(0, bits.shape[0], step)])
     weights = np.left_shift(1, np.arange(m, dtype=np.int64))
-    keys = np.concatenate([bits @ weights for bits in _sign_bits(seed, draws, m)])
-    distinct, inv = np.unique(keys, return_inverse=True)
-    sup = np.concatenate([
-        sups((distinct[start : start + step, None] >> np.arange(m)) & 1)
-        for start in range(0, distinct.size, step)
-    ])
-    return sup[inv]
+    keys = np.empty(draws, dtype=np.int64)
+    for ci, bits in enumerate(_sign_bits(seed, draws, m)):
+        start = ci * DRAW_CHUNK
+        np.matmul(bits, weights, out=keys[start : start + len(bits)])
+    seen = np.zeros(1 << m, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    lut = np.empty(1 << m)
+    for start in range(0, distinct.size, step):
+        block = distinct[start : start + step]
+        lut[block] = sups((block[:, None] >> np.arange(m)) & 1)
+    return lut[keys]
 
 
 def rademacher_mc(table, draws, seed):

@@ -148,6 +148,82 @@ def test_keyed_sups_on_zero_init_table():
     assert est.stderr == float(want.std(ddof=1) / math.sqrt(draws))
 
 
+_BIT_DRAWS = (1, cx.DRAW_CHUNK - 1, cx.DRAW_CHUNK + 1, 3 * cx.DRAW_CHUNK + 17)
+
+
+@pytest.mark.parametrize("m", list(range(1, 15)) + [40, 62, 63, 70])
+def test_sign_bits_equal_generator_integers(m):
+    # the bits are read off the raw words; integers(0, 2) is their oracle.
+    # Odd count * m (one draw, the 4097th, the last 17 at odd m) uses only
+    # the low half of the chunk's last raw word.
+    for draws in _BIT_DRAWS:
+        chunks = list(cx._sign_bits(m, draws, m))
+        assert len(chunks) == -(-draws // cx.DRAW_CHUNK)
+        for ci, bits in enumerate(chunks):
+            count = min(cx.DRAW_CHUNK, draws - ci * cx.DRAW_CHUNK)
+            want = cx._chunk_rng(m, ci).integers(0, 2, size=(count, m))
+            assert bits.shape == want.shape
+            assert np.array_equal(bits, want), (m, draws, ci)
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 13, 14])
+def test_sups_bit_equal_on_both_sides_of_the_lookup_switch(m, monkeypatch):
+    # the lookup runs while 2^m <= draws; below that each draw takes its
+    # own product.  Both give direct_sups' values bit for bit.  No draw
+    # count here leaves a one-row chunk: numpy takes a one-row product
+    # through gemv, whose sums can differ from gemm's in the last bit.
+    table = np.random.default_rng(200 + m).standard_normal((2 * m + 3, m))
+    rows = [0]  # sign vectors that go into a product
+    signs = cx._signs
+
+    def counted(bits):
+        rows[0] += bits.shape[0]
+        return signs(bits)
+
+    monkeypatch.setattr(cx, "_signs", counted)
+    for draws in ((1 << m) - 1, 1 << m, 1000, 3 * cx.DRAW_CHUNK + 17):
+        rows[0] = 0
+        got = cx._witness_sups(table, draws, m)
+        want = direct_sups(table, draws, m)
+        assert np.array_equal(got, want), (m, draws)
+        if 1 << m <= draws:
+            bits = np.concatenate(list(cx._sign_bits(m, draws, m)))
+            assert rows[0] == np.unique(bits, axis=0).shape[0], (m, draws)
+        else:
+            assert rows[0] == draws, (m, draws)
+
+
+def test_linear_estimate_bit_equal_to_integers_oracle():
+    points = np.random.default_rng(31).standard_normal((7, 3))
+    B, draws, seed = 1.5, 3 * cx.DRAW_CHUNK + 17, 4
+    per_draw = []
+    for ci, start in enumerate(range(0, draws, cx.DRAW_CHUNK)):
+        count = min(cx.DRAW_CHUNK, draws - start)
+        bits = cx._chunk_rng(seed, ci).integers(0, 2, size=(count, 7))
+        signs = bits.astype(np.float64) * 2.0 - 1.0
+        per_draw.append((B / 7) * np.linalg.norm(signs @ points, axis=1))
+    want = np.concatenate(per_draw)
+    est = cx.linear_rademacher_mc(points, B, draws, seed)
+    assert est.mean == float(want.mean())
+    assert est.stderr == float(want.std(ddof=1) / math.sqrt(draws))
+
+
+def test_witness_sups_hold_about_16_bytes_per_draw():
+    # the keys and the per-draw values, 8 bytes each; np.unique's sort and
+    # inverse held about 49 bytes per draw here
+    import tracemalloc
+
+    table = np.random.default_rng(3).standard_normal((12, 4))
+    draws = 10**6
+    tracemalloc.start()
+    try:
+        cx._witness_sups(table, draws, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * draws, peak
+
+
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_mc_mean_within_4_stderr_of_exact_mean(m):
     table = np.random.default_rng(50 + m).standard_normal((2 * m, m))
