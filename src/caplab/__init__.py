@@ -17,7 +17,6 @@ from .complexity import (
     RademacherEstimate,
     cover_bound,
     dudley_bound,
-    empirical_cover,
     linear_rademacher_mc,
     rademacher_mc,
 )

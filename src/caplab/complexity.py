@@ -1,5 +1,5 @@
-"""Rademacher complexity estimation, empirical covers, covering-number
-bound formulas, and the entropy-integral bound."""
+"""Rademacher complexity estimation, covering-number bound formulas, and
+the entropy-integral bound."""
 
 import math
 from dataclasses import dataclass
@@ -161,28 +161,6 @@ def linear_rademacher_mc(points, B, draws, seed):
 
 # ---------------------------------------------------------------------------
 
-def empirical_cover(function_table, eps):
-    """Greedy farthest-point proper cover under d_m; returns center indices."""
-    table = np.atleast_2d(np.asarray(function_table, dtype=np.float64))
-    if table.size == 0 or not np.isfinite(table).all():
-        raise InvalidInputError("function table must be nonempty and finite")
-    if eps < 0:
-        raise InvalidInputError("eps must be nonnegative")
-    K, m = table.shape
-    centers = [0]
-    d_min = np.linalg.norm(table - table[0], axis=1) / math.sqrt(m)
-    while True:
-        far = int(np.argmax(d_min))
-        if d_min[far] <= eps:
-            break
-        centers.append(far)
-        d_new = np.linalg.norm(table - table[far], axis=1) / math.sqrt(m)
-        np.minimum(d_min, d_new, out=d_min)
-    return centers
-
-
-# ---------------------------------------------------------------------------
-
 def _need(params, *names):
     vals = []
     for name in names:
@@ -249,14 +227,16 @@ def dudley_bound(log_cover, range_bound, m, grid=None):
     if grid.size == 0:
         raise InvalidInputError("grid must be nonempty")
     best = np.inf
-    for eps in grid:
-        if eps < 0:
-            raise InvalidInputError("grid scales must be nonnegative")
-        if eps >= range_bound:
-            integral = 0.0
-        else:
-            taus = np.linspace(eps, range_bound, DUDLEY_PANELS + 1)
-            vals = np.sqrt(np.maximum([log_cover(t) for t in taus], 0.0))
-            integral = float(np.trapezoid(vals, taus))
-        best = min(best, 4.0 * eps + 12.0 / math.sqrt(m) * integral)
+    # a candidate that overflows to +inf just loses the min
+    with np.errstate(over="ignore"):
+        for eps in grid:
+            if eps < 0:
+                raise InvalidInputError("grid scales must be nonnegative")
+            if eps >= range_bound:
+                integral = 0.0
+            else:
+                taus = np.linspace(eps, range_bound, DUDLEY_PANELS + 1)
+                vals = np.sqrt(np.maximum([log_cover(t) for t in taus], 0.0))
+                integral = float(np.trapezoid(vals, taus))
+            best = min(best, 4.0 * eps + 12.0 / math.sqrt(m) * integral)
     return best

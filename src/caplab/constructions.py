@@ -21,12 +21,13 @@ LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
-TABULATE_BLOCK = 128     # labelings per X @ W_y.T block in _dense_table
+TABULATE_BLOCK = 128     # labelings per X @ W_y.T block of a zero-init table
 FAMILY_BLOCK_BYTES = 1 << 23    # matrices whose Frobenius norms are taken at once
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
 
 SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
 SLACK_TOL = 1e-12
+MAX_FAILURES = 32        # failing checks a VerifyReport lists
 NORM_TOL = 1e-9
 
 
@@ -530,7 +531,7 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     # anchors lie scale * separation apart and their +/-eps values differ by
     # at most 2 eps; on a separated family that slope is at most L
     L_eff = max(slope_budget, 2.0 * eps / max(scale * fam.separation, 1e-300))
-    fn = AnchoredLipschitz(anchors, values, L_eff, "euclidean-vector")
+    fn = AnchoredLipschitz(anchors, values, L_eff)
     inst = ShatterInstance(
         kind="zero-init",
         m=m,
@@ -622,7 +623,7 @@ def convex_instance(m, eps, kappa=0.5):
 class VerifyReport:
     passed: bool
     worst_slack: float
-    failures: list              # the first max_failures failing checks
+    failures: list              # the first MAX_FAILURES failing checks
     w0_norm_ok: bool
     ball_ok: bool
     checked_labelings: int
@@ -648,14 +649,22 @@ def witness_values(inst, ys):
     (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
     the matmul, so the queries go to the witness's eval as TwoHotRows
     without any W_y being built.  Zero-init's query W_y x_i is its own
-    anchor up to rounding, so its value is read off that anchor when the
-    witness certifies every row (_own_anchor_table); otherwise, and on
-    other instances, the Q loop evaluates every anchor."""
+    anchor up to rounding: each block of queries takes the values read off
+    those anchors when the witness certifies every row of the block
+    bit-equal to its eval (own_anchor_values, against the separation this
+    process measured), and the witness's eval otherwise."""
     ys = np.asarray(ys, dtype=np.int64)
-    if inst._entry_row is None:
-        table = _own_anchor_table(inst, ys)
-        return _dense_table(inst, ys) if table is None else table
     m, X = inst.m, inst.points
+    if inst._entry_row is None:
+        table = np.empty((ys.size, m))
+        for start, block, Q in _query_blocks(inst, ys):
+            own = (block[:, None] * m + np.arange(m)).ravel()
+            vals, ok = inst.witness_fn.own_anchor_values(
+                Q, own, inst._anchor_separation)
+            if not ok.all():
+                vals = inst.witness_fn.eval(Q)
+            table[start : start + len(block)] = vals.reshape(len(block), m)
+        return table
     q_a = np.diagonal(X @ inst.W0.T)
     q_b = inst._entry_val[ys][:, None] * X[:, m]
     queries = TwoHotRows(inst.n, np.tile(np.arange(m), ys.size),
@@ -676,32 +685,6 @@ def _query_blocks(inst, ys):
         yield start, block, Q
 
 
-def _dense_table(inst, ys):
-    """witness_values by the Q loop: the witness's eval on every query."""
-    table = np.empty((len(ys), inst.m))
-    for start, block, Q in _query_blocks(inst, ys):
-        table[start : start + len(block)] = np.asarray(
-            inst.witness_fn.eval(Q)
-        ).reshape(len(block), inst.m)
-    return table
-
-
-def _own_anchor_table(inst, ys):
-    """Zero-init's witness_values from each query's own anchor, anchor
-    y m + i for the query (y, i), in O(n) per query; None unless the
-    witness certifies every row bit-equal to its eval (own_anchor_values),
-    against the separation this process measured."""
-    m = inst.m
-    table = np.empty((len(ys), m))
-    for start, block, Q in _query_blocks(inst, ys):
-        own = (block[:, None] * m + np.arange(m)).ravel()
-        vals, ok = inst.witness_fn.own_anchor_values(Q, own, inst._anchor_separation)
-        if not ok.all():
-            return None
-        table[start : start + len(block)] = vals.reshape(len(block), m)
-    return table
-
-
 def _ball_distances(inst):
     """||W_y - W0||_F for every labeling y.  On the encoded kinds W_y - W0
     is the one entry v_y, whose norm np.linalg.norm takes as sqrt(v_y v_y)."""
@@ -711,7 +694,7 @@ def _ball_distances(inst):
                      for y in range(inst.num_labelings)])
 
 
-def verify_shattering(inst, max_failures=32):
+def verify_shattering(inst):
     """Exhaustively check the margin condition over every labeling and point.
 
     worst_slack is the minimum signed surplus over all 2^m * m checks;
@@ -725,7 +708,7 @@ def verify_shattering(inst, max_failures=32):
     ok = slack >= -SLACK_TOL
     failing = np.argwhere(~ok)
     failures = [(int(y), int(i), float(table[y, i]))
-                for y, i in failing[:max_failures]]
+                for y, i in failing[:MAX_FAILURES]]
     w0_norm = spectral_norm(inst.W0)
     w0_ok = abs(w0_norm - inst.declared_w0_norm) <= NORM_TOL
     ball_ok = bool(np.all(_ball_distances(inst) <= inst.B + NORM_TOL))

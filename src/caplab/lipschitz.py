@@ -71,13 +71,15 @@ def budget(values, alpha):
 
 
 class AnchoredLipschitz:
-    """Min-form interpolant f(x) = min_i (p_i + L * d(x, x_i)).
+    """Min-form interpolant f(x) = min_i (p_i + L |x - x_i|), Euclidean.
 
-    Interpolates every anchor exactly and is L-Lipschitz in the chosen
-    metric, provided L is feasible for the anchor values.
+    Interpolates every anchor exactly and is L-Lipschitz, provided L is
+    feasible for the anchor values.
     """
 
-    def __init__(self, anchors, values, L, metric):
+    metric = "euclidean-vector"
+
+    def __init__(self, anchors, values, L):
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
         self.values = np.asarray(values, dtype=np.float64)
         if self.anchors.shape[0] != self.values.shape[0]:
@@ -88,33 +90,16 @@ class AnchoredLipschitz:
             raise InvalidInputError("anchor values must be finite")
         if L < 0:
             raise InvalidInputError("L must be nonnegative")
-        if metric not in ("euclidean-vector", "infinity"):
-            raise InvalidInputError(f"unsupported metric {metric!r}")
         self.L = float(L)
-        self.metric = metric
-        if metric == "euclidean-vector":
-            # the anchors sorted by value, so each value's anchors are one run
-            order = np.argsort(self.values, kind="stable")
-            v = self.values[order]
-            self._sorted = self.anchors[order]
-            self._sorted_sq = np.sum(self._sorted * self._sorted, axis=1)
-            self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-            self._group_values = v[self._starts]
+        # the anchors sorted by value, so each value's anchors are one run
+        order = np.argsort(self.values, kind="stable")
+        v = self.values[order]
+        self._sorted = self.anchors[order]
+        self._sorted_sq = np.sum(self._sorted * self._sorted, axis=1)
+        self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+        self._group_values = v[self._starts]
 
     def eval(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.metric == "euclidean-vector":
-            return self._eval_euclidean(X)
-        out = np.empty(X.shape[0])
-        A = self.anchors
-        rows = max(1, ANCHOR_BLOCK_BYTES // (8 * max(A.size, 1)))
-        for s in range(0, X.shape[0], rows):
-            Q = X[s : s + rows]
-            d = np.max(np.abs(Q[:, None, :] - A[None, :, :]), axis=2)
-            out[s : s + rows] = np.min(self.values[None, :] + self.L * d, axis=1)
-        return out
-
-    def _eval_euclidean(self, X):
         """min over anchors of p + L sqrt(max(d2, 0)), d2 the Gram form
         |q|^2 + |a|^2 - (2q).a, or the exact sum of squared differences
         where the Gram distance is below NEAR_DIST (the Gram form cancels
@@ -127,6 +112,7 @@ class AnchoredLipschitz:
         the reduction takes the max instead.  A lone row goes through a matrix-vector
         product, whose rounding differs from the matrix product's; no block
         of a multi-row X is left with one row."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         A, a_sq, starts = self._sorted, self._sorted_sq, self._starts
         n, N = X.shape[0], A.shape[0]
         rows = max(2, ANCHOR_BLOCK_BYTES // (8 * N))
@@ -178,7 +164,7 @@ class AnchoredLipschitz:
         diff = X - A
         s = np.add.reduce(diff * diff, axis=1)
         vals = p + self.L * np.sqrt(np.maximum(s, 0.0))
-        if self.metric != "euclidean-vector" or not self.L > 0:
+        if not self.L > 0:
             return vals, np.zeros(vals.shape, dtype=bool)
         n = X.shape[1]
         err = gram_error(n) * (1.0 + BOUND_SLACK)

@@ -1,11 +1,17 @@
-"""Shared helpers for the SGD and witness checks: randomized convex
-piecewise-linear losses in the sampler contract of `learner.sgd_run`,
-the dense gather+argmax subgradient of the convex witness that the closed
-form in `EncodedMaxAffine.loss_subgrad` replaces, and the pieces and anchors
-of the two encoded witnesses, listed one by one."""
+"""Reference implementations the tests hold the library to, and shared
+helpers: randomized convex piecewise-linear losses in the sampler contract
+of `learner.sgd_run`, the dense gather+argmax subgradient of the convex
+witness that the closed form in `EncodedMaxAffine.loss_subgrad` replaces,
+the pieces and anchors of the two encoded witnesses listed one by one, the
+Q loop that evaluates every query W_y x_i as a dense row, the McShane
+min-form in the max metric anchor by anchor, and the greedy empirical
+cover."""
+
+import math
 
 import numpy as np
 
+from caplab.constructions import TABULATE_BLOCK
 from caplab.learner import Sampler
 
 
@@ -89,3 +95,42 @@ def dense_loss_subgrad(fn, W, x):
     else:
         val = fn.kappa + fn.shift
     return float(val), V, (int(j_arr[best]), int(zc_arr[best]))
+
+
+def q_loop_table(inst, ys):
+    """witness_values by the Q loop: per block of TABULATE_BLOCK labelings,
+    Q = X W_y^T for each labeling y of the block, stacked, and the
+    witness's eval on all of Q."""
+    m, X = inst.m, inst.points
+    table = np.empty((len(ys), m))
+    for start in range(0, len(ys), TABULATE_BLOCK):
+        block = ys[start : start + TABULATE_BLOCK]
+        Q = np.vstack([X @ inst.witness_for(int(y)).T for y in block])
+        table[start : start + len(block)] = inst.witness_fn.eval(Q).reshape(len(block), m)
+    return table
+
+
+def max_metric_min_form(anchors, values, L, X):
+    """min_k (p_k + L max_c |x_c - a_kc|) on each row of X: the McShane
+    extension in the max metric, every anchor scanned."""
+    A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    d = np.max(np.abs(X[:, None, :] - A[None, :, :]), axis=2)
+    return np.min(np.asarray(values, dtype=np.float64)[None, :] + L * d, axis=1)
+
+
+def empirical_cover(function_table, eps):
+    """Greedy farthest-point proper cover of the table's rows under the
+    empirical L2 distance d_m; returns the center indices."""
+    table = np.atleast_2d(np.asarray(function_table, dtype=np.float64))
+    m = table.shape[1]
+    centers = [0]
+    d_min = np.linalg.norm(table - table[0], axis=1) / math.sqrt(m)
+    while True:
+        far = int(np.argmax(d_min))
+        if d_min[far] <= eps:
+            break
+        centers.append(far)
+        d_new = np.linalg.norm(table - table[far], axis=1) / math.sqrt(m)
+        np.minimum(d_min, d_new, out=d_min)
+    return centers

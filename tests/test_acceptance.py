@@ -85,7 +85,7 @@ def test_criterion_4_decay_signature():
 
 
 def test_criterion_5_sgd_regret_and_excess():
-    from tests_helpers_regret import random_piecewise_sampler
+    from oracles import random_piecewise_sampler
     ok = True
     rng = np.random.default_rng(55)
     for run in range(100):
@@ -151,6 +151,8 @@ def test_criterion_7_truncation_vs_oracle():
 
 def test_criterion_8_covering():
     import itertools
+
+    from oracles import empirical_cover
     ok = True
     for r in (1, 2, 3):
         net = nm.ball_net(r, 2.0, 0.5)
@@ -159,7 +161,7 @@ def test_criterion_8_covering():
     for _ in range(20):
         t = rng.standard_normal((10, 4))
         eps = 0.8
-        centers = cx.empirical_cover(t, eps)
+        centers = empirical_cover(t, eps)
         d = np.linalg.norm(t[:, None] - t[None], axis=2) / math.sqrt(t.shape[1])
         ok &= d[:, centers].min(axis=1).max() <= eps
         brute = next(

@@ -317,6 +317,20 @@ def test_cover_and_dudley_bytes_pinned(tmp_path, command, kind):
     assert (tmp_path / "results.csv").read_bytes() == want.encode()
 
 
+def test_dudley_overflowing_candidate_leaves_stderr_empty(tmp_path):
+    # at --lb 1e308 the top scales' 4 eps overflows to +inf; such a
+    # candidate just loses the min, with no numpy warning on stderr, and
+    # the bound reads as it did when the warning was printed
+    caplab_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": caplab_root}
+    argv = ["dudley", "--kind", "scalar-linear", "--B", "1", "--b-x", "1",
+            "--lb", "1e308", "--m", "5", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "caplab.cli"] + argv,
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    assert (tmp_path / "results.csv").read_text() == \
+        "kind,lb,m,bound\nscalar-linear,1e+308,5,4.0000000000000002e+304\n"
+
 def test_sgd_and_uc_gap_commands(tmp_path):
     a = tmp_path / "a"
     run(["construct", "--kind", "convex", "--m", "4", "--eps", "0.25",
@@ -642,7 +656,7 @@ def test_zero_init_accepts_the_benchmark_and_ci_sizes(size, tmp_path, monkeypatc
 def test_zero_init_tampered_record_reads_the_same(tmp_path, monkeypatch):
     # the certificate rests on this process's separation scan: a record
     # claiming no separation, a failed scan and another slope gives verify
-    # and rademacher the same bytes, and the Q loop is never needed
+    # and rademacher the same bytes, and no block falls back to eval
     a = tmp_path / "a"
     assert run(["construct", "--kind", "zero-init", "--m-cap", "6", "--seed", "2",
                 "--out", str(a)]) == 0
@@ -652,10 +666,10 @@ def test_zero_init_tampered_record_reads_the_same(tmp_path, monkeypatch):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(man))
 
-    def q_loop(*args):
+    def q_loop(self, X):
         raise AssertionError("zero-init table left the certified path")
 
-    monkeypatch.setattr(constructions, "_dense_table", q_loop)
+    monkeypatch.setattr(constructions.AnchoredLipschitz, "eval", q_loop)
     for cmd in (["verify"], ["rademacher", "--draws", "500"]):
         outs = []
         for k, record in enumerate((a / "manifest.json", tampered)):

