@@ -238,12 +238,12 @@ def _load_instance(path):
     return constructions.instance_from_manifest(obj["instance"])
 
 
-def _base_manifest(cfg):
-    return {
-        "command": cfg.command,
-        "parameters": cfg.parameters,
-        "seed": cfg.seed,
-    }
+def _base_manifest(cfg, inst=None):
+    manifest = {"command": cfg.command, "parameters": cfg.parameters,
+                "seed": cfg.seed}
+    if inst is not None:
+        manifest["instance"] = inst.manifest()
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,8 @@ def _run_construct(cfg):
     if kind == "zero-init":
         params["seed"] = cfg.seed
     inst = _BUILDERS[kind](**params)
-    manifest = _base_manifest(cfg)
-    manifest["instance"] = inst.manifest()
     write_results(
-        cfg.output_dir, manifest,
+        cfg.output_dir, _base_manifest(cfg, inst),
         ["kind", "m", "eps", "d", "n", "B", "W0_norm"],
         [[inst.kind, inst.m, inst.margin, inst.d, inst.n, inst.B,
           inst.declared_w0_norm]],
@@ -269,10 +267,8 @@ def _run_construct(cfg):
 def _run_verify(cfg):
     inst = _load_instance(cfg.parameters["instance"])
     rep = constructions.verify_shattering(inst)
-    manifest = _base_manifest(cfg)
-    manifest["instance"] = inst.manifest()
     write_results(
-        cfg.output_dir, manifest,
+        cfg.output_dir, _base_manifest(cfg, inst),
         ["passed", "worst_slack", "checked_labelings", "w0_norm_ok",
          "ball_ok", "failures"],
         [[rep.passed, rep.worst_slack, rep.checked_labelings, rep.w0_norm_ok,
@@ -290,9 +286,7 @@ def _run_rademacher(cfg):
     inst = _load_instance(p["instance"])
     est = complexity.rademacher_mc(complexity.witness_table(inst), p["draws"],
                                    cfg.seed)
-    manifest = _base_manifest(cfg)
-    manifest["instance"] = inst.manifest()
-    write_results(cfg.output_dir, manifest,
+    write_results(cfg.output_dir, _base_manifest(cfg, inst),
                   ["id", "m", "draws", "mean", "stderr", "strategy"],
                   [[inst.kind, est.m, est.draws, est.mean, est.stderr,
                     "enumerate-witnesses"]])
@@ -339,8 +333,7 @@ def _run_sgd(cfg):
     seeds = [cfg.seed + i for i in range(p["num_seeds"])]
     runs, summary = learner.excess_risk_experiment(
         inst, p["T_grid"], seeds, tolerance=p["tolerance"])
-    manifest = _base_manifest(cfg)
-    manifest["instance"] = inst.manifest()
+    manifest = _base_manifest(cfg, inst)
     manifest["summary"] = summary
     rows = [[r["T"], r["seed"], r["excess"], r["bound"], r["passed"]]
             for r in runs]
@@ -348,6 +341,10 @@ def _run_sgd(cfg):
                   ["T", "seed", "excess", "bound", "pass"], rows)
     for s in summary:
         if not s["passed"]:
+            bad = [r for r in runs if r["T"] == s["T"] and r["failed_checks"]]
+            if bad:
+                return (f"sgd certificate failed at T={s['T']}, seed "
+                        f"{bad[0]['seed']}: " + ", ".join(bad[0]["failed_checks"]))
             return (f"excess-risk check failed at T={s['T']}: mean excess "
                     f"{s['mean_excess']!r} > bound {s['bound']!r} + tolerance "
                     f"{p['tolerance']!r}")
@@ -361,11 +358,9 @@ def _run_uc_gap(cfg):
     # zero-init's witness meets +-eps up to the rounding verify allows it;
     # the encoded kinds meet it exactly
     tol = constructions.SLACK_TOL if inst.kind == "zero-init" else 0.0
-    manifest = _base_manifest(cfg)
-    manifest["instance"] = inst.manifest()
     rows = [[r["m"], r["seed"], r["support"], r["gap"],
              bool(r["gap"] >= inst.margin - tol)] for r in runs]
-    write_results(cfg.output_dir, manifest,
+    write_results(cfg.output_dir, _base_manifest(cfg, inst),
                   ["m", "seed", "support", "gap", "pass"], rows)
     for r in runs:
         if not (r["gap"] >= inst.margin - tol or r["support"] > inst.m / 2):

@@ -31,7 +31,6 @@ COVER_PARAMS = {
     "lipschitz-composition": ("B", "L", "r", "c"),
     "contraction": ("B", "b_x", "L", "r", "k", "c"),
 }
-COVER_KINDS = tuple(COVER_PARAMS)
 
 
 @dataclass

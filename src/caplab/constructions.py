@@ -218,8 +218,8 @@ class EncodedMaxAffine:
     def num_pieces(self):
         return self.m << (self.m - 1)   # each j lies in half of the 2^m z
 
-    def eval(self, X, chunk=256):
-        return _eval_rows(self, X, chunk) + self.shift
+    def eval(self, X):
+        return _eval_rows(self, X, 256) + self.shift
 
     def _eval_dense(self, Q):
         return np.maximum(self._best_pieces(Q).max(axis=1), self.kappa)
@@ -264,10 +264,11 @@ class EncodedMaxAffine:
         # Euclidean dual norm of each two-hot direction
         return 0.5 * math.sqrt(2.0)
 
-    def loss_subgrad(self, W, X):
+    def loss_subgrad(self, live, W, X):
         """Loss and subgradient of W -> f(W x) for S runs at once.
 
-        W is (S, n, d) and X is (S, d).  Returns (loss (S,), rows (S, 2),
+        W is (S, len(live), d), each run's matrix on the rows `live`, zero on
+        every other row, and X is (S, d).  Returns (loss (S,), rows (S, 2),
         G (S, 2, d)): run s's subgradient is zero off rows[s] = (j, m+z),
         the best piece, where it is (x/2, x/2) if that piece reaches kappa
         and zero otherwise.  The best piece is the first maximum in (z, j)
@@ -277,7 +278,8 @@ class EncodedMaxAffine:
         without infinities."""
         m = self.m
         runs = np.arange(W.shape[0])
-        q = np.matmul(W, X[:, :, None])[:, :, 0]
+        q = np.zeros((len(W), self.n))
+        q[:, live] = np.matmul(W, X[:, :, None])[:, :, 0]
         tops = self._best_pieces(q)
         # np.argmax takes the first max, or the first NaN
         col = np.argmax(tops, axis=1)

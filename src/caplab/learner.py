@@ -15,8 +15,8 @@ from .errors import CapacityExceededError, InvalidInputError, NumericalFailureEr
 BALL_TOL = 1e-12
 DRAW_BYTES = 1 << 17  # bytes of int64 draws per sampler call, all runs together
 # run counts whose stacked iterates would exceed this are refused; the
-# estimate is two (S, n, d) stacks, over the 1.35 that sgd_run's iterate and
-# the oracle's temporaries peak at (tracemalloc, convex m = 12, 20 seeds)
+# estimate is two (S, n, d) stacks: W and W_sum once an oracle has listed
+# every row, as a dense subgradient does
 SGD_MAX_BYTES = 3 << 30
 
 
@@ -54,9 +54,11 @@ class SgdConfig:
 
 @dataclass
 class SgdResult:
-    """Per-run outcomes; the leading axis follows SgdConfig.seeds."""
+    """Per-run outcomes; the leading axis follows SgdConfig.seeds.  Each
+    averaged iterate is W_hat[s] on the rows `rows` and zero elsewhere."""
 
-    W_hat: np.ndarray           # (S, n, d) averaged iterates
+    W_hat: np.ndarray           # (S, r, d) averaged iterates on `rows`
+    rows: np.ndarray            # (r,) ascending row indices
     regret_lhs: np.ndarray      # (S,)
     regret_rhs: np.ndarray      # (S,)
     ball_ok: np.ndarray         # (S,) bool
@@ -86,13 +88,22 @@ def _in_ball(dist, B):
 
 
 def project_frobenius_ball(W, W0, B):
+    """Each W[s] of a stack (k, r, d) outside the Frobenius ball of radius B
+    about W0 scaled onto it, its norm in the canonical order of `_dots`.  A
+    distance that is not finite has no point to scale to, and is refused."""
     if B < 0:
         raise InvalidInputError("B must be nonnegative")
     delta = W - W0
-    nrm = _norms(delta.reshape(1, len(delta), -1))[0]
-    if nrm <= B:
+    nrm = _norms(delta)
+    if not np.isfinite(nrm).all():
+        raise NumericalFailureError(
+            "an iterate's distance from W0 is not finite: the steps overflow")
+    far = nrm > B
+    if not far.any():
         return W
-    return W0 + (B / nrm) * delta
+    W = W.copy()
+    W[far] = W0 + (B / nrm[far])[:, None, None] * delta[far]
+    return W
 
 
 class Sampler(NamedTuple):
@@ -102,31 +113,32 @@ class Sampler(NamedTuple):
 
     K: int
     draw: Callable     # draw(rngs, k) -> (k, S) ints, run s from rngs[s]
-    oracle: Callable   # oracle(W, draws) -> (loss (S,), rows (S, r), G (S, r, d))
+    oracle: Callable   # oracle(live, W, draws) -> (loss (S,), rows (S, r), G (S, r, d))
 
 
-def _add_repeatedly(W_sum, W, live, times):
-    """`times` in-order adds of W[:, live] into W_sum, bit for bit, made on
-    the nonzero entries only: W_sum starts at +0 and so never holds -0, and
+def _add_repeatedly(W_sum, W, times):
+    """`times` in-order adds of W into W_sum, bit for bit, made on the
+    nonzero entries only: W_sum starts at +0 and so never holds -0, and
     adding +-0 leaves every other value as it is.  W_sum must be
     C-contiguous, so that its flat view writes through."""
     if times:
-        W_live = W[:, live]
-        nz = np.flatnonzero(W_live)
+        nz = np.flatnonzero(W)
         flat = W_sum.reshape(-1)
-        acc, w = flat[nz], W_live.reshape(-1)[nz]
+        acc, w = flat[nz], W.reshape(-1)[nz]
         for _ in range(times):
             acc += w
         flat[nz] = acc
 
 
-def _grow(live, W_sum, is_live):
-    """The new live rows, ascending, and W_sum laid out on them: +0 on the
-    rows that just turned live."""
-    grown = np.flatnonzero(is_live)
-    out = np.zeros((len(W_sum), len(grown), W_sum.shape[2]))
-    out[:, np.searchsorted(grown, live)] = W_sum
-    return grown, out
+def _grow(live, grown, W, W_sum, W0):
+    """W and W_sum laid out on the live rows `grown`, a superset of `live`:
+    on the rows that just turned live, W reads W0's (+-0) and W_sum +0."""
+    at = np.searchsorted(grown, live)
+    W_out = np.repeat(W0[None, grown], len(W), axis=0)
+    W_out[:, at] = W
+    W_sum_out = np.zeros_like(W_out)
+    W_sum_out[:, at] = W_sum
+    return W_out, W_sum_out
 
 
 def _next_full_step(quiet, draws, i):
@@ -147,7 +159,8 @@ def sgd_run(cfg, sampler, comparator=None):
 
     sampler.draw(rngs, k) draws the next k steps for every run, run s from
     rngs[s], as a (k, S) array of integers in [0, sampler.K).
-    sampler.oracle(W, draws), with W of shape (S, n, d), returns
+    sampler.oracle(live, W, draws) takes the iterates on the live rows, W of
+    shape (S, len(live), d), zero on every other row, and returns
     (loss (S,), rows (S, r), G (S, r, d)): run s's subgradient V_s is G[s]
     on the distinct rows rows[s], listed in ascending order, and zero
     elsewhere, and depends only on W[s] and draws[s].  Per run, the
@@ -157,30 +170,25 @@ def sgd_run(cfg, sampler, comparator=None):
     a run on its own that takes every inner product and norm (of V, of
     W - W0, and the projection's) in the canonical order of `_dots`.
 
-    A (run, draw) whose G was zero stays marked quiet until that run's W
-    is written.  A step on which every run's draw is quiet moves no
-    iterate, so the loop skips it: it looks ahead for the next full step
-    a window at a time and only counts the quiet steps between.  Those
-    are added into W_sum, before the next full step, on W's nonzero
-    entries.  W_sum and W - W0 are held, and the norms taken, on the live
-    rows only: the rows of W0 or of some move, in ascending order, off
-    which W is +-0 and W_sum is +0.  So a full step costs the oracle plus
-    O(S d) per live row, and W_hat is formed densely once, at the end.  W itself stays
-    dense for the oracle: its products with the points come from BLAS,
-    whose per-row rounding depends on the row's place in the matrix."""
+    W, W_sum and W_hat live on the rows of W0 and every row an oracle has
+    returned, in ascending order, so a full step costs the oracle plus
+    O(S d) per live row.  A (run, draw) whose G was zero stays marked quiet
+    until that run's W is written.  A step on which every run's draw is
+    quiet moves no iterate, so the loop skips it: it looks ahead for the
+    next full step a window at a time, and adds the quiet steps between
+    into W_sum, before the next full step, on W's nonzero entries.  A run
+    whose distance from W0 is not finite is refused."""
     rngs = [np.random.default_rng(s) for s in cfg.seeds]
     W0, B, S = cfg.W0, cfg.B, len(cfg.seeds)
     Wstar = W0 if comparator is None else np.asarray(comparator, dtype=np.float64)
     runs = np.arange(S)[:, None]
-    W = np.repeat(W0[None], S, axis=0)
-    lhs = np.zeros(S)
-    vsq = np.zeros(S)
+    live = np.flatnonzero(np.any(W0 != 0, axis=1))
+    W = np.repeat(W0[None, live], S, axis=0)
+    W_sum = np.zeros_like(W)
+    W0_live = W0[live]
+    lhs, vsq, dist = np.zeros((3, S))               # dist of W = W0
     violations = np.zeros(S, dtype=np.int64)
     ball_ok = np.ones(S, dtype=bool)
-    is_live = np.any(W0 != 0, axis=1)
-    live = np.flatnonzero(is_live)
-    W_sum = np.zeros((S, len(live), W0.shape[1]))   # on the live rows
-    dist = np.zeros(S)                              # of W = W0
     quiet = np.zeros((S, sampler.K), dtype=bool)
     stretch = 0                                     # quiet steps not yet in W_sum
     per_draw = max(1, DRAW_BYTES // (8 * S))
@@ -193,50 +201,41 @@ def sgd_run(cfg, sampler, comparator=None):
             # full step marks one, so on a quiet step V is zero and every
             # dist <= B: the oracle check, the ball check and the
             # certificate change nothing there.
-            _add_repeatedly(W_sum, W, live, stretch)
+            _add_repeatedly(W_sum, W, stretch)
             stretch = 0
             x = draws[i]
-            _, rows, G = sampler.oracle(W, x)
+            _, rows, G = sampler.oracle(live, W, x)
+            grown = np.union1d(live, rows)
+            if len(grown) > len(live):
+                W, W_sum = _grow(live, grown, W, W_sum, W0)
+                live, W0_live = grown, W0[grown]
+            at = np.searchsorted(live, rows)
             vnorm = _norms(G)
             violations += vnorm > cfg.L + 1e-9
             ball_ok &= _in_ball(dist, B)
-            W_sum += W[:, live]
-            lhs += _dots(W[runs, rows] - Wstar[rows], G)
+            W_sum += W
+            lhs += _dots(W[runs, at] - Wstar[rows], G)
             vsq += vnorm * vnorm
             # V is zero off `rows`, where W - eta V leaves W as it is
-            W[runs, rows] -= cfg.eta * G
+            W[runs, at] -= cfg.eta * G
             moved = G.reshape(S, -1).any(axis=1)
             quiet[moved] = False
             quiet[~moved, x[~moved]] = True
-            if not is_live[rows[moved]].all():
-                is_live[rows[moved]] = True
-                live, W_sum = _grow(live, W_sum, is_live)
-            D = W[:, live] - W0[live]
-            dist = _norms(D)   # the projection's norm, and the next dist
+            dist = _norms(W - W0_live)   # the projection's norm, and the next dist
             far = np.flatnonzero(~(dist <= B))
-            if np.isnan(dist[far]).any():
-                # W0 + NaN (W - W0) is NaN on every row, not just the live ones
-                is_live[:] = True
-                live, W_sum = _grow(live, W_sum, is_live)
-                D = W[:, live] - W0[live]
-            # W0 + c (W - W0) keeps the rows off `live` as they are
-            for s in far:
-                W[s, live] = project_frobenius_ball(W[s, live], W0[live], B)
-                D[s] = W[s, live] - W0[live]
-                dist[s] = _norms(D[s : s + 1])[0]
-                quiet[s] = False
+            if len(far):
+                W[far] = project_frobenius_ball(W[far], W0_live, B)
+                dist[far] = _norms(W[far] - W0_live)
+                quiet[far] = False
             nxt = _next_full_step(quiet, draws, i + 1)
             stretch += nxt - i - 1
             i = nxt
-    _add_repeatedly(W_sum, W, live, stretch)
-    del W   # free the stacked iterate before W_hat is formed
+    _add_repeatedly(W_sum, W, stretch)
     np.divide(W_sum, cfg.T, out=W_sum)
-    ball_ok &= _in_ball(_norms(W_sum - W0[live]), B)
-    W_hat = np.zeros((S,) + W0.shape)
-    W_hat[:, live] = W_sum
+    ball_ok &= _in_ball(_norms(W_sum - W0_live), B)
     rhs = (np.linalg.norm(Wstar - W0) ** 2 / (2.0 * cfg.eta)
            + cfg.eta / 2.0 * vsq)
-    return SgdResult(W_hat, lhs, rhs, ball_ok, violations)
+    return SgdResult(W_sum, live, lhs, rhs, ball_ok, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +243,8 @@ def sgd_run(cfg, sampler, comparator=None):
 def _loss_lipschitz(inst):
     """Exact Lipschitz bound of W -> f(Wx): max piece dual norm times the
     largest point norm."""
-    fn = inst.witness_fn
-    if not hasattr(fn, "loss_subgrad"):
-        raise InvalidInputError("instance witness exposes no subgradient oracle")
     bx = float(np.linalg.norm(inst.points, axis=1).max())
-    return fn.piece_dual_norm() * bx
+    return inst.witness_fn.piece_dual_norm() * bx
 
 
 def _point_sampler(inst, fn):
@@ -260,7 +256,7 @@ def _point_sampler(inst, fn):
     def draw(rngs, k):
         return np.stack([rng.integers(0, m, size=k) for rng in rngs], axis=1)
 
-    return Sampler(m, draw, lambda W, idx: fn.loss_subgrad(W, X[idx]))
+    return Sampler(m, draw, lambda live, W, idx: fn.loss_subgrad(live, W, X[idx]))
 
 
 def population_loss(inst, W):
@@ -279,8 +275,9 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
     (T, seed), and a per-T summary.
 
     excess = exact population loss of the averaged iterate minus the best
-    witness loss; each row checks excess <= B L / sqrt(T) + tolerance, and
-    the per-T summary checks the seed-averaged excess."""
+    witness loss; each row checks excess <= B L / sqrt(T) + tolerance and
+    the run's certificate (`failed_checks` lists what fails of it), and the
+    per-T summary checks the seed-averaged excess and every certificate."""
     if inst.kind != "convex":
         raise InvalidInputError("excess-risk experiment needs a convex instance")
     T_grid = [int(T) for T in T_grid]
@@ -297,25 +294,29 @@ def excess_risk_experiment(inst, T_grid, seeds, tolerance=0.05):
     # labeling's values average to eps (2 pop(y)/m - 1) >= -eps
     base = -inst.margin
     sampler = _point_sampler(inst, inst.witness_fn)
-    rows = []
-    summary = []
+    rows, summary = [], []
     for T in T_grid:
         res = sgd_run(SgdConfig(W0=inst.W0, B=B, T=T, L=L, seeds=seeds), sampler)
         bound = B * L / math.sqrt(T)
-        excesses = []
+        W_hat = np.zeros(inst.W0.shape)   # one run's, zero off res.rows
         for s, seed in enumerate(seeds):
-            excess = population_loss(inst, res.W_hat[s]) - base
+            W_hat[res.rows] = res.W_hat[s]
+            excess = population_loss(inst, W_hat) - base
+            failed = [check for check, ok in (
+                ("iterate outside the ball", res.ball_ok[s]),
+                ("regret above its bound", res.regret_lhs[s] <= res.regret_rhs[s]),
+                ("subgradient longer than L", res.oracle_violations[s] == 0)) if not ok]
             rows.append(dict(T=T, seed=seed, excess=excess, bound=bound,
-                             ball_ok=bool(res.ball_ok[s]),
-                             passed=bool(excess <= bound + tolerance)))
-            excesses.append(excess)
-        del res   # free W_hat before the next run stacks its iterates
-        mean_excess = float(np.mean(excesses))
+                             ball_ok=bool(res.ball_ok[s]), failed_checks=failed,
+                             passed=bool(excess <= bound + tolerance) and not failed))
+        at_T = rows[-len(seeds):]
+        mean_excess = float(np.mean([r["excess"] for r in at_T]))
         summary.append({
             "T": T,
             "mean_excess": mean_excess,
             "bound": bound,
-            "passed": bool(mean_excess <= bound + tolerance),
+            "passed": (bool(mean_excess <= bound + tolerance)
+                       and not any(r["failed_checks"] for r in at_T)),
         })
     return rows, summary
 

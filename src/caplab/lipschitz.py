@@ -204,25 +204,26 @@ def min_feasible_slope(anchors, values, metric):
 
 def empirical_lipschitz(f, sampler, metric, pairs, seed):
     """Max sampled slope |f(u)-f(v)| / d(u,v) over pairs (u, v) drawn from
-    the sampler: a lower estimate of the true Lipschitz constant."""
+    the sampler: a lower estimate of the true Lipschitz constant.  d is the
+    Euclidean ("euclidean-vector") or the max ("infinity") metric."""
+    if metric not in ("euclidean-vector", "infinity"):
+        raise InvalidInputError(f"unsupported metric {metric!r}")
     if pairs < 1:
         raise InvalidInputError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    us, vs = [], []
-    for _ in range(pairs):
-        us.append(np.asarray(sampler(rng), dtype=np.float64))
-        vs.append(np.asarray(sampler(rng), dtype=np.float64))
-    U = np.vstack(us)
-    V = np.vstack(vs)
-    if metric == "euclidean-vector":
-        d = np.linalg.norm(U - V, axis=1)
-    else:
-        d = np.max(np.abs(U - V), axis=1)
+    u = np.asarray(sampler(rng), dtype=np.float64)
+    U, V = np.empty((2, pairs, u.size))
+    U[0], V[0] = u, sampler(rng)
+    for k in range(1, pairs):
+        U[k], V[k] = sampler(rng), sampler(rng)
     if hasattr(f, "eval"):
         fu, fv = f.eval(U), f.eval(V)
     else:
         fu = np.array([f(u) for u in U])
         fv = np.array([f(v) for v in V])
+    U -= V   # the distances, in place
+    d = (np.linalg.norm(U, axis=1) if metric == "euclidean-vector"
+         else np.max(np.abs(U, out=U), axis=1))
     ok = d > 0.0
     if not ok.any():
         return 0.0

@@ -1,6 +1,7 @@
 """Reference implementations the tests hold the library to, and shared
 helpers: randomized convex piecewise-linear losses in the sampler contract
-of `learner.sgd_run`, the dense gather+argmax subgradient of the convex
+of `learner.sgd_run`, the dense stack of iterates held on their live rows,
+the dense gather+argmax subgradient of the convex
 witness that the closed form in `EncodedMaxAffine.loss_subgrad` replaces,
 the pieces and anchors of the two encoded witnesses listed one by one, the
 Q loop that evaluates every query W_y x_i as a dense row, the McShane
@@ -15,6 +16,14 @@ from caplab.constructions import TABULATE_BLOCK
 from caplab.learner import Sampler
 
 
+def densify(live, W, n):
+    """The (S, n, d) stack that is W, of shape (S, len(live), d), on the
+    rows `live` and zero on every other row."""
+    out = np.zeros((len(W), n, W.shape[2]))
+    out[:, live] = W
+    return out
+
+
 def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
     """Stochastic losses W -> max_j <G_j, W> + c_j + noise with ||G_j||_F <= L.
 
@@ -26,7 +35,8 @@ def random_piecewise_sampler(n, d, L, rng_seed=0, pieces=5):
     Gs *= scale[:, None, None]
     cs = master.standard_normal(pieces)
 
-    def oracle(W, j_noise):
+    def oracle(live, W, j_noise):
+        W = densify(live, W, n)
         loss = np.empty(len(W))
         best = np.empty(len(W), dtype=np.int64)
         for s in range(len(W)):
@@ -51,7 +61,8 @@ def random_hinge_sampler(n, d, L, rng_seed=0, pieces=5):
     Gs *= (L / np.linalg.norm(Gs.reshape(pieces, -1), axis=1))[:, None, None]
     cs = master.standard_normal(pieces)
 
-    def oracle(W, k):
+    def oracle(live, W, k):
+        W = densify(live, W, n)
         vals = np.einsum("snd,snd->s", Gs[k], W) + cs[k]
         on = vals > 0
         rows = np.broadcast_to(np.arange(n), (len(W), n))

@@ -169,7 +169,7 @@ def test_criterion_8_covering():
             for subset in itertools.combinations(range(10), size)
             if d[:, subset].min(axis=1).max() <= eps)
         ok &= len(centers) >= brute
-    for kind in cx.COVER_KINDS:
+    for kind in cx.COVER_PARAMS:
         base = {"B": 2.0, "b_x": 1.0, "r": 1.0, "L": 2.0, "k": 2.0}
         vals = [cx.cover_bound(kind, {**base, "eps": e}) for e in (0.25, 0.5, 1.0)]
         ok &= bool(np.all(np.diff(vals) <= 1e-12))

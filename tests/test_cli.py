@@ -143,6 +143,28 @@ def test_sgd_failure_is_one_line_exit_2(tmp_path, capsys):
     assert len(rows) == 5 and all(r.endswith(",false") for r in rows[1:])
 
 
+def test_sgd_oracle_longer_than_L_is_one_line_exit_2(tmp_path, capsys,
+                                                     monkeypatch):
+    # subgradients of twice their norm: each oracle step that fires is
+    # counted, and the certificate, not the excess, fails the command
+    manifest = _construct_m3(tmp_path, "convex")
+    real = constructions.EncodedMaxAffine.loss_subgrad
+
+    def doubled(self, live, W, X):
+        loss, rows, G = real(self, live, W, X)
+        return loss, rows, 2.0 * G
+
+    monkeypatch.setattr(constructions.EncodedMaxAffine, "loss_subgrad", doubled)
+    capsys.readouterr()
+    assert run(["sgd", "--instance", manifest, "--T-grid", "10", "--num-seeds",
+                "2", "--out", str(tmp_path / "s")]) == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert err == ("error: sgd certificate failed at T=10, seed 0: "
+                   "subgradient longer than L\n")
+    rows = (tmp_path / "s" / "results.csv").read_text().splitlines()
+    assert len(rows) == 3 and all(r.endswith(",false") for r in rows[1:])
+
+
 def test_sgd_negative_tolerance_is_refused_before_any_step(tmp_path, capsys,
                                                            monkeypatch):
     manifest = _construct_m3(tmp_path, "convex")

@@ -318,7 +318,7 @@ def test_cover_bound_monotonic():
     grids = {"eps": [0.25, 0.5, 1.0], "B": [1.0, 2.0, 4.0], "r": [1.0, 2.0],
              "L": [1.0, 2.0], "k": [1.0, 2.0]}
     base = {"B": 2.0, "b_x": 1.0, "r": 1.0, "L": 2.0, "k": 2.0, "eps": 0.5}
-    for kind in cx.COVER_KINDS:
+    for kind in cx.COVER_PARAMS:
         for key in ("eps", "B", "L", "r"):
             vals = []
             for g in grids.get(key, [1.0]):

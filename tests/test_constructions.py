@@ -781,9 +781,13 @@ def test_loss_subgrad_bit_equal_to_dense_argmax(m):
     Ws = np.stack([W for W, _ in cases])
     Xs = np.stack([x for _, x in cases])
     fired = 0
-    # all cases stacked, then each on its own (S = 1)
-    for sl in [slice(None)] + [slice(k, k + 1) for k in range(len(cases))]:
-        loss, rows, G = fn.loss_subgrad(Ws[sl], Xs[sl])
+    # all cases stacked, then each on its own (S = 1); W given on every row,
+    # and on the rows that are nonzero in some case of the stack
+    for sl, every in itertools.product(
+            [slice(None)] + [slice(k, k + 1) for k in range(len(cases))],
+            (True, False)):
+        live = np.flatnonzero(every | (Ws[sl] != 0).any(axis=(0, 2)))
+        loss, rows, G = fn.loss_subgrad(live, Ws[sl][:, live], Xs[sl])
         for s, k in enumerate(range(len(cases))[sl]):
             want_loss, want_V, want_piece = dense_loss_subgrad(fn, Ws[k], Xs[k])
             V = np.zeros_like(Ws[k])
@@ -792,4 +796,4 @@ def test_loss_subgrad_bit_equal_to_dense_argmax(m):
             assert tuple(rows[s]) == want_piece, k
             assert np.array_equal(V, want_V), k
             fired += bool(want_V.any())
-    assert 0 < fired < len(cases) * 2
+    assert 0 < fired < len(cases) * 4

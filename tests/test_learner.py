@@ -6,22 +6,23 @@ import pytest
 
 from caplab import constructions as cn
 from caplab import learner as lr
-from caplab.errors import CapacityExceededError, InvalidInputError
-from oracles import (dense_loss_subgrad, random_hinge_sampler,
-                                  random_piecewise_sampler)
+from caplab.errors import (CapacityExceededError, InvalidInputError,
+                           NumericalFailureError)
+from oracles import (densify, dense_loss_subgrad, random_hinge_sampler,
+                     random_piecewise_sampler)
 
 
 def test_projection_inside_unchanged():
     W0 = np.zeros((2, 2))
-    W = np.eye(2) * 0.1
+    W = np.eye(2)[None] * 0.1
     assert lr.project_frobenius_ball(W, W0, 1.0) is W
 
 
 def test_projection_radial():
     W0 = np.ones((2, 2))
-    W = W0 + np.array([[3.0, 0.0], [0.0, 4.0]])
+    W = W0 + np.array([[[3.0, 0.0], [0.0, 4.0]]])
     P = lr.project_frobenius_ball(W, W0, 1.0)
-    assert np.linalg.norm(P - W0) == pytest.approx(1.0)
+    assert np.linalg.norm(P[0] - W0) == pytest.approx(1.0)
     assert np.allclose(P - W0, (W - W0) / 5.0)
 
 
@@ -29,10 +30,30 @@ def test_projection_idempotent():
     rng = np.random.default_rng(3)
     W0 = rng.standard_normal((3, 4))
     for _ in range(1000):
-        W = W0 + rng.standard_normal((3, 4)) * rng.random() * 4
+        W = W0 + rng.standard_normal((1, 3, 4)) * rng.random() * 4
         P = lr.project_frobenius_ball(W, W0, 1.5)
         P2 = lr.project_frobenius_ball(P, W0, 1.5)
         assert np.allclose(P, P2, atol=1e-12)
+
+
+def test_projection_of_a_stack_bit_equal_to_one_at_a_time():
+    rng = np.random.default_rng(4)
+    W0 = rng.standard_normal((5, 3))
+    W = W0 + rng.standard_normal((7, 5, 3)) * np.linspace(0.05, 0.8, 7)[:, None, None]
+    P = lr.project_frobenius_ball(W, W0, 1.5)
+    inside = lr._norms(W - W0) <= 1.5
+    assert 0 < inside.sum() < 7
+    for s in range(7):
+        assert P[s].tobytes() == lr.project_frobenius_ball(W[s : s + 1], W0, 1.5)[0].tobytes()
+    assert P[inside].tobytes() == W[inside].tobytes()
+
+
+def test_projection_refuses_a_distance_that_is_not_finite():
+    # ||(1e200, 0)||^2 overflows: B / inf = 0 would send W to W0
+    for W in ([[[1e200, 0.0]]], [[[np.nan, 0.0]]], [[[0.5, 0.0]], [[np.inf, 0.0]]]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError, match="not finite"):
+                lr.project_frobenius_ball(np.array(W), 0.0, 1.0)
 
 
 def test_auto_eta():
@@ -46,7 +67,7 @@ def _constant_sampler(V_run):
     """Every run, every step: subgradient V_run, listed densely."""
     n = V_run.shape[0]
 
-    def oracle(W, x):
+    def oracle(live, W, x):
         S = len(W)
         return (np.zeros(S), np.broadcast_to(np.arange(n), (S, n)),
                 np.broadcast_to(V_run, (S,) + V_run.shape))
@@ -59,7 +80,7 @@ def test_zero_subgradients_keep_w0():
     W0 = np.ones((2, 3))
     res = lr.sgd_run(lr.SgdConfig(W0=W0, B=1.0, T=50, L=1.0),
                      _constant_sampler(np.zeros((2, 3))))
-    assert np.array_equal(res.W_hat[0], W0)
+    assert np.array_equal(densify(res.rows, res.W_hat, 2)[0], W0)
 
 
 def test_regret_inequality_randomized():
@@ -181,7 +202,7 @@ def _scalar_piecewise_sampler(stacked):
         xs = stacked.draw([rng], 1)
 
         def dense(W, x):
-            loss, rows, G = stacked.oracle(W[None], x)
+            loss, rows, G = stacked.oracle(np.arange(len(W)), W[None], x)
             V = np.zeros_like(W)
             V[rows[0]] = G[0]
             return float(loss[0]), V
@@ -243,10 +264,11 @@ def _assert_runs_equal_per_seed_loop(cfg, res, scalar, comparator=None):
     """Each run of the lockstep result, bit for bit against the one-run
     loop; returns each run's projection count."""
     projected = []
+    W_hats = densify(res.rows, res.W_hat, len(cfg.W0))
     for s, seed in enumerate(cfg.seeds):
         W_hat, lhs, rhs, ball_ok, violations, projections = _per_seed_sgd(
             cfg, seed, scalar, comparator)
-        assert np.array_equal(res.W_hat[s], W_hat), seed
+        assert np.array_equal(W_hats[s], W_hat), seed
         assert res.regret_lhs[s] == lhs and res.regret_rhs[s] == rhs, seed
         assert res.ball_ok[s] == ball_ok, seed
         assert res.oracle_violations[s] == violations, seed
@@ -276,9 +298,9 @@ def _counting(sampler, calls):
         calls.append(0)
         return sampler.draw(rngs, k)
 
-    def oracle(W, x):
+    def oracle(live, W, x):
         calls[-1] += 1
-        return sampler.oracle(W, x)
+        return sampler.oracle(live, W, x)
 
     return lr.Sampler(sampler.K, draw, oracle)
 
@@ -353,7 +375,7 @@ def _scripted_sampler(n, d, p_move):
         return np.stack([(rng.random(k) < p_move).astype(np.intp)
                          for rng in rngs], axis=1)
 
-    def oracle(W, x):
+    def oracle(live, W, x):
         S = len(W)
         rows = np.broadcast_to(np.array([1, 3]), (S, 2))
         return np.zeros(S), rows, np.where(x[:, None, None] == 1, G_move, 0.0)
@@ -397,14 +419,13 @@ def test_quiet_stretch_crosses_look_ahead_windows_and_draw_blocks(monkeypatch):
                for a, b in zip(full, full[1:])), full
 
 
-def test_overflowing_run_matches_per_seed_loop():
-    # G = 1e308 takes row 1 to -inf; the projection's scale B / inf = 0
-    # leaves it NaN, and the next projection's scale B / NaN turns every
-    # row NaN, the rows no move reached included
+def test_overflowing_run_is_refused():
+    # G = 1e308 takes row 1 to -inf: the run's distance from W0 is not
+    # finite, so it is refused, not projected to NaN on every row
     W0 = np.zeros((4, 3))
     W0[0] = 1.0
 
-    def oracle(W, x):
+    def oracle(live, W, x):
         S = len(W)
         return (np.zeros(S), np.ones((S, 1), dtype=np.intp),
                 np.full((S, 1, 3), 1e308))
@@ -413,14 +434,8 @@ def test_overflowing_run_matches_per_seed_loop():
                          oracle)
     cfg = lr.SgdConfig(W0=W0, B=1.0, T=6, L=1.0, eta=10.0, seeds=(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        res = lr.sgd_run(cfg, stacked)
-        for s, seed in enumerate(cfg.seeds):
-            want = _per_seed_sgd(cfg, seed, _scalar_piecewise_sampler(stacked))
-            np.testing.assert_array_equal(res.W_hat[s], want[0])
-            np.testing.assert_array_equal(
-                [res.regret_lhs[s], res.regret_rhs[s]], want[1:3])
-            assert (res.ball_ok[s], res.oracle_violations[s]) == want[3:5]
-    assert np.isnan(res.W_hat[:, 2:]).all()
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            lr.sgd_run(cfg, stacked)
 
 
 def test_add_repeatedly_bit_equal_to_full_adds():
@@ -433,7 +448,7 @@ def test_add_repeatedly_bit_equal_to_full_adds():
     want = W_sum.copy()
     for _ in range(7):
         want += W
-    lr._add_repeatedly(W_sum, W, np.arange(5), 7)
+    lr._add_repeatedly(W_sum, W, 7)
     assert np.signbit(W).any() and (want == 0).any()
     assert W_sum.tobytes() == want.tobytes()   # -0 and +0 told apart
 
@@ -466,16 +481,18 @@ def _peak(run):
 
 def test_sgd_peak_memory_in_stacked_buffers():
     # the dense loop peaked at 4.33 (S, n, d) float64 buffers: W, V, D,
-    # W_sum, and W_hat - W0 at the end
+    # W_sum, and W_hat - W0 at the end; with a dense iterate for the oracle
+    # and a dense W_hat, 1.35 and 1.25.  On the live rows only the oracle's
+    # (S, n) and (S, 2^m) temporaries remain
     inst = cn.convex_instance(12, 0.25)
     buffer = 20 * inst.W0.size * 8
     cfg = lr.SgdConfig(W0=inst.W0, B=inst.B, T=1000,
                        L=lr._loss_lipschitz(inst), seeds=range(20))
     sampler = lr._point_sampler(inst, inst.witness_fn)
-    assert _peak(lambda: lr.sgd_run(cfg, sampler)) < 2.5 * buffer
-    # one T's W_hat is freed before the next T stacks its iterate
+    peak = _peak(lambda: lr.sgd_run(cfg, sampler))
+    assert peak < 0.5 * buffer, peak / buffer
     peak = _peak(lambda: lr.excess_risk_experiment(inst, [100, 100], range(20)))
-    assert peak < 1.75 * buffer, peak / buffer
+    assert peak < 0.5 * buffer, peak / buffer
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 11, 16, 3 << 30])
@@ -508,6 +525,35 @@ def test_excess_risk_envelope_and_decrease():
             assert row["excess"] <= inst.B * L  # trivial envelope
         assert row["ball_ok"]
     assert all(s["passed"] for s in summary)
+
+
+@pytest.mark.parametrize("fault,check", [
+    ("ball", "iterate outside the ball"), ("regret", "regret above its bound"),
+    ("oracle", "subgradient longer than L")])
+def test_failed_certificate_fails_its_row_and_the_summary(monkeypatch, fault,
+                                                          check):
+    inst = cn.convex_instance(4, 0.25)
+    rows, summary = lr.excess_risk_experiment(inst, [50, 100], range(3))
+    assert all(r["passed"] and r["failed_checks"] == [] for r in rows)
+    assert all(s["passed"] for s in summary)
+    real = lr.sgd_run
+
+    def faulty(cfg, sampler, comparator=None):
+        # run 1's certificate fails by the least amount there is
+        res = real(cfg, sampler, comparator)
+        if fault == "ball":
+            res.ball_ok[1] = False
+        elif fault == "regret":
+            res.regret_lhs[1] = np.nextafter(res.regret_rhs[1], np.inf)
+        else:
+            res.oracle_violations[1] = 1
+        return res
+
+    monkeypatch.setattr(lr, "sgd_run", faulty)
+    rows, summary = lr.excess_risk_experiment(inst, [50, 100], range(3))
+    assert [r["passed"] for r in rows] == [True, False, True] * 2
+    assert all(r["failed_checks"] == [check] for r in rows[1::3])
+    assert [s["passed"] for s in summary] == [False, False]
 
 
 def test_excess_risk_requires_convex():

@@ -134,6 +134,29 @@ def test_empirical_lipschitz_constant():
     assert got == 0.0
 
 
+def test_empirical_lipschitz_refuses_an_unknown_metric():
+    with pytest.raises(InvalidInputError, match="unsupported metric 'max'"):
+        lz.empirical_lipschitz(lambda x: 0.0, lambda r: r.standard_normal(3),
+                               "max", 10, 0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean-vector", "infinity"])
+def test_empirical_lipschitz_bit_equal_to_stacked_pairs(metric):
+    # the pairs drawn u, v, u, v, ... and stacked, the distances of U - V
+    from caplab.constructions import nonzero_init_instance
+    f = nonzero_init_instance(4, 0.25).witness_fn
+    rng = np.random.default_rng(6)
+    pairs = [(0.3 * rng.standard_normal(f.n), 0.3 * rng.standard_normal(f.n))
+             for _ in range(500)]
+    U, V = np.vstack([u for u, _ in pairs]), np.vstack([v for _, v in pairs])
+    d = (np.linalg.norm(U - V, axis=1) if metric == "euclidean-vector"
+         else np.max(np.abs(U - V), axis=1))
+    want = float(np.max(np.abs(f.eval(U) - f.eval(V)) / d))
+    got = lz.empirical_lipschitz(f, lambda r: 0.3 * r.standard_normal(f.n),
+                                 metric, 500, 6)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # the euclidean min-form against the Gram scan it replaces, bit for bit
 

@@ -17,8 +17,8 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
        st.floats(0.0, 10.0))
 @settings(max_examples=200, deadline=None)
 def test_projection_feasible_and_idempotent(W, W0, B):
-    P = lr.project_frobenius_ball(W, W0, B)
-    assert np.linalg.norm(P - W0) <= B * (1 + 1e-12) + 1e-12
+    P = lr.project_frobenius_ball(W[None], W0, B)
+    assert np.linalg.norm(P[0] - W0) <= B * (1 + 1e-12) + 1e-12
     P2 = lr.project_frobenius_ball(P, W0, B)
     assert np.allclose(P, P2, atol=1e-9, rtol=1e-9)
 
