@@ -9,15 +9,17 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError
-from .lipschitz import BOUND_SLACK, AnchoredLipschitz, budget, gamma, gram_error
+from .lipschitz import (BOUND_SLACK, AnchoredLipschitz, anchor_block_rows, budget,
+                        gamma, gram_error)
 from .numerics import spectral_norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
-# zero-init holds all 2^m witnesses and m 2^m anchors, and its separation
-# scan compares every pair of anchors: each unit of m costs ~4x the time and
-# ~2x the memory.  At m_cap = 12 construct and verify take 15.5-16.4 s at
-# 0.59 GB (2 cores); m_cap = 14 would need ~3 GB (extrapolated)
+# zero-init holds m 2^m anchors and queries (its witnesses are drawn a block
+# at a time and not held), and its separation scan compares every pair of
+# anchors: each unit of m costs ~4x the time and ~2x the memory.  At
+# m_cap = 12 construct and verify take 10.6-10.7 s at 0.42 GB (2 cores);
+# m_cap = 14 would need ~2 GB (extrapolated)
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
@@ -298,21 +300,94 @@ class EncodedMaxAffine:
 
 # ---------------------------------------------------------------------------
 
+def _family_block(rng, count, n, d):
+    """count Gaussian (n, d) matrices divided by sqrt(n); one whose
+    Frobenius norm exceeds sqrt(2 d) is scaled down onto that norm."""
+    W = rng.standard_normal((count, n, d))
+    W /= math.sqrt(n)
+    fro = np.linalg.norm(W.reshape(count, -1), axis=1)
+    cap = math.sqrt(2.0 * d)
+    over = fro > cap
+    if over.any():
+        W[over] *= (cap / fro[over])[:, None, None]
+    return W
+
+
+@dataclass
+class FamilyDraw:
+    """A family's scaled matrices, redrawn block by block: each block of
+    `block` matrices from the generator state saved at its start."""
+
+    states: list                # generator state at each block's start
+    block: int                  # matrices per block
+    count: int                  # matrices in all
+    n: int
+    d: int
+    scale: float
+    _last: tuple = (None, None)     # the last block redrawn: (index, matrices)
+
+    def matrix(self, s):
+        """Matrix s, scaled, as the family's draw took it."""
+        k, j = divmod(s, self.block)
+        if self._last[0] != k:
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = self.states[k]
+            W = _family_block(rng, min(self.block, self.count - k * self.block),
+                              self.n, self.d)
+            W *= self.scale
+            self._last = (k, W)
+        return self._last[1][j].copy()
+
+
 @dataclass
 class SeparatedFamily:
-    """Unit points and a matrix per labeling whose encoded images are spread."""
+    """Unit points and, of one matrix W_s per labeling, what an instance
+    reads: the matrices themselves are not held, but can be redrawn."""
 
     points: np.ndarray          # (m, d), unit rows
-    matrices: np.ndarray        # (2^m, n, d)
+    anchors: np.ndarray         # (m 2^m, n): row s m + i is (scale W_s) x_i
+    queries: np.ndarray         # (m 2^m, n): rows s m .. s m + m - 1, X (scale W_s)^T
+    norms: np.ndarray           # (2^m,): |scale W_s|_F
+    w_max: float                # the largest |W_s|_F
     separation: float           # measured min pairwise distance of {W_s x_i}
     separation_ok: bool         # reached SEPARATION_TARGET
     resamples_used: int
+    draw: FamilyDraw            # redraws each scale W_s
 
 
-def random_separated_family(d, m, n, seed, max_resamples=20):
+def _draw_family(rng, m, n, d, scale, attempt):
+    """One draw of the family, one FAMILY_BLOCK_BYTES block of matrices at
+    a time, and the separation scan of its encoded vectors W_s x_i."""
+    S, N = 1 << m, m << m
+    block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
+    X = rng.standard_normal((m, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    # three allocations, so that the encoded vectors can go after the scan
+    encoded, anchors, queries = np.empty((N, n)), np.empty((N, n)), np.empty((N, n))
+    norms = np.empty(S)
+    states, w2 = [], 0.0
+    for s in range(0, S, block):
+        states.append(rng.bit_generator.state)
+        W = _family_block(rng, min(block, S - s), n, d)
+        rows = slice(s * m, (s + len(W)) * m)
+        encoded[rows] = np.einsum("snd,md->smn", W, X).reshape(-1, n)
+        w2 = max(w2, float(np.einsum("snd,snd->s", W, W).max()))
+        W *= scale
+        anchors[rows] = np.einsum("snd,md->smn", W, X).reshape(-1, n)
+        for k in range(len(W)):
+            queries[(s + k) * m : (s + k + 1) * m] = X @ W[k].T
+            norms[s + k] = np.linalg.norm(W[k])
+        del W       # before the next block is drawn, and before the scan
+    sep = _kernels.min_pairwise_dist(encoded)
+    return SeparatedFamily(X, anchors, queries, norms, math.sqrt(w2), sep,
+                           sep >= SEPARATION_TARGET, attempt,
+                           FamilyDraw(states, block, S, n, d, scale))
+
+
+def random_separated_family(d, m, n, seed, max_resamples=20, scale=1.0):
     """Sphere points plus Gaussian matrices, redrawn until the m*2^m encoded
     vectors are pairwise at least SEPARATION_TARGET apart (or resamples run
-    out)."""
+    out); the family keeps what the matrices scaled by `scale` give."""
     if d < 20:
         raise InvalidInputError(f"d={d} < 20")
     if m < 1:
@@ -324,27 +399,14 @@ def random_separated_family(d, m, n, seed, max_resamples=20):
     if max_resamples < 1:
         raise InvalidInputError("max_resamples must be >= 1")
     rng = np.random.default_rng(seed)
-    block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
     best = None
     for attempt in range(max_resamples):
-        X = rng.standard_normal((m, d))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        W = rng.standard_normal((1 << m, n, d))
-        W /= math.sqrt(n)
-        # by blocks, each row reduced as in one call, so no second stack
-        flat = W.reshape(1 << m, -1)
-        fro = np.concatenate([np.linalg.norm(flat[s : s + block], axis=1)
-                              for s in range(0, 1 << m, block)])
-        cap = math.sqrt(2.0 * d)
-        over = fro > cap
-        if over.any():
-            W[over] *= (cap / fro[over])[:, None, None]
-        encoded = np.einsum("snd,md->smn", W, X).reshape(-1, n)
-        sep = _kernels.min_pairwise_dist(encoded)
-        if best is None or sep > best.separation:
-            best = SeparatedFamily(X, W, sep, sep >= SEPARATION_TARGET, attempt + 1)
-        if sep >= SEPARATION_TARGET:
+        fam = _draw_family(rng, m, n, d, scale, attempt + 1)
+        if best is None or fam.separation > best.separation:
+            best = fam
+        if fam.separation_ok:
             break
+        del fam     # a worse draw is let go before the next one is drawn
     return best
 
 
@@ -365,7 +427,11 @@ class ShatterInstance:
     witness_fn: object          # evaluable on R^n rows
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
-    _witnesses: np.ndarray = None       # (2^m, n, d): zero-init's W_y
+    # zero-init: rows y m .. y m + m - 1 are the queries X W_y^T, |W_y|_F
+    # is _ball[y], and _draw redraws W_y
+    _queries: np.ndarray = None         # (m 2^m, n)
+    _ball: np.ndarray = None            # (2^m,)
+    _draw: FamilyDraw = None
     # zero-init: a lower bound on the distance between two anchors, from
     # this process's separation scan (0.0 certifies nothing); never read
     # from or written to a record
@@ -383,7 +449,7 @@ class ShatterInstance:
         if not 0 <= y < self.num_labelings:
             raise InvalidInputError(f"labeling index {y} out of range")
         if self._entry_row is None:
-            return self._witnesses[y]
+            return self._draw.matrix(y)
         W = self.W0.copy()
         W[self._entry_row[y], self.m] = self._entry_val[y]
         return W
@@ -454,14 +520,21 @@ def instance_from_manifest(obj):
 # ---------------------------------------------------------------------------
 
 def _zero_init_bytes(m, n, d):
-    """Bytes zero-init holds at its peak, estimated: two (2^m, n, d)
-    Gaussian stacks (the best draw is kept while the next is drawn), three
-    copies of the m 2^m encoded vectors (the scan's, the anchors and the
-    anchors sorted by value) and the separation scan's two (rows, m 2^m)
-    buffers."""
+    """Bytes zero-init holds at its peak, estimated as the sum of:
+      - the m 2^m encoded vectors, anchors and query rows, twice while a
+        resample is drawn (the best draw's are kept while the next is);
+      - one family block of (n, d) matrices and its squares, which the
+        Frobenius norms take;
+      - the separation scan's two (rows, m 2^m) buffers and its (rows,
+        rows) mask;
+      - the witness's eval on a block of the table that is not certified:
+        its two (rows, m 2^m) Gram blocks and their mask."""
     N = m << m
-    scan = 2 * _kernels._pair_block_rows(N) * N
-    return 8 * (2 * (1 << m) * n * d + 3 * N * n + scan)
+    block = min(1 << m, max(1, FAMILY_BLOCK_BYTES // (8 * n * d))) * n * d
+    scan = _kernels._pair_block_rows(N)
+    rows = min(anchor_block_rows(N) + 1, min(TABULATE_BLOCK, 1 << m) * m)
+    gram = 3 * rows * N
+    return 8 * (6 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
 
 
 def _anchor_separation(sep, scale, n, d, w_max, x_max):
@@ -518,13 +591,10 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
                 f"zero-init at m_cap={m_cap}, n={n}, d={d} needs about "
                 f"{need / 2**30:.1f} GiB > ZERO_INIT_MAX_BYTES = "
                 f"{ZERO_INIT_MAX_BYTES / 2**30:.1f} GiB")
-    fam = random_separated_family(d, m_cap, n, seed, max_resamples=max_resamples)
     m = m_cap
     scale = 8.0 * eps / L
-    witnesses = fam.matrices
-    w_max = math.sqrt(float(np.einsum("snd,snd->s", witnesses, witnesses).max()))
-    witnesses *= scale      # in place: the family's stack becomes the witnesses
-    anchors = np.einsum("snd,md->smn", witnesses, fam.points).reshape(-1, n)
+    fam = random_separated_family(d, m, n, seed, max_resamples=max_resamples,
+                                  scale=scale)
     # value of point i under labeling s is +/-eps by bit i of s
     s_idx = np.repeat(np.arange(1 << m), m)
     i_idx = np.tile(np.arange(m), 1 << m)
@@ -533,7 +603,7 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     # anchors lie scale * separation apart and their +/-eps values differ by
     # at most 2 eps; on a separated family that slope is at most L
     L_eff = max(slope_budget, 2.0 * eps / max(scale * fam.separation, 1e-300))
-    fn = AnchoredLipschitz(anchors, values, L_eff)
+    fn = AnchoredLipschitz(fam.anchors, values, L_eff)
     inst = ShatterInstance(
         kind="zero-init",
         m=m,
@@ -552,9 +622,11 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
             "separation_ok": bool(fam.separation_ok),
             "witness_slope": L_eff,
         },
-        _witnesses=witnesses,
+        _queries=fam.queries,
+        _ball=fam.norms,
+        _draw=fam.draw,
         _anchor_separation=_anchor_separation(
-            fam.separation, scale, n, d, w_max,
+            fam.separation, scale, n, d, fam.w_max,
             float(np.linalg.norm(fam.points, axis=1).max())),
     )
     return inst
@@ -650,17 +722,20 @@ def witness_values(inst, ys):
     at coordinate i and q_b = x_i[m] v_y at r_y, for the one entry v_y at
     (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
     the matmul, so the queries go to the witness's eval as TwoHotRows
-    without any W_y being built.  Zero-init's query W_y x_i is its own
-    anchor up to rounding: each block of queries takes the values read off
-    those anchors when the witness certifies every row of the block
-    bit-equal to its eval (own_anchor_values, against the separation this
-    process measured), and the witness's eval otherwise."""
+    without any W_y being built.  Zero-init holds its queries W_y x_i, each
+    its own anchor up to rounding: each block of TABULATE_BLOCK labelings'
+    queries takes the values read off those anchors when the witness
+    certifies every row of the block bit-equal to its eval
+    (own_anchor_values, against the separation this process measured), and
+    the witness's eval otherwise."""
     ys = np.asarray(ys, dtype=np.int64)
     m, X = inst.m, inst.points
     if inst._entry_row is None:
         table = np.empty((ys.size, m))
-        for start, block, Q in _query_blocks(inst, ys):
+        for start in range(0, ys.size, TABULATE_BLOCK):
+            block = ys[start : start + TABULATE_BLOCK]
             own = (block[:, None] * m + np.arange(m)).ravel()
+            Q = inst._queries[own]
             vals, ok = inst.witness_fn.own_anchor_values(
                 Q, own, inst._anchor_separation)
             if not ok.all():
@@ -675,25 +750,13 @@ def witness_values(inst, ys):
     return np.asarray(inst.witness_fn.eval(queries)).reshape(ys.size, m)
 
 
-def _query_blocks(inst, ys):
-    """(start, block, Q) per block of TABULATE_BLOCK labelings of ys, with
-    Q = X W_y^T for each labeling y of the block, stacked."""
-    m, X = inst.m, inst.points
-    for start in range(0, len(ys), TABULATE_BLOCK):
-        block = ys[start : start + TABULATE_BLOCK]
-        Q = np.empty((len(block) * m, inst.n))
-        for k, y in enumerate(block):
-            Q[k * m : (k + 1) * m] = X @ inst.witness_for(int(y)).T
-        yield start, block, Q
-
-
 def _ball_distances(inst):
     """||W_y - W0||_F for every labeling y.  On the encoded kinds W_y - W0
-    is the one entry v_y, whose norm np.linalg.norm takes as sqrt(v_y v_y)."""
+    is the one entry v_y, whose norm np.linalg.norm takes as sqrt(v_y v_y);
+    zero-init's W0 is zero, and its build took each |W_y|_F."""
     if inst._entry_val is not None:
         return np.sqrt(inst._entry_val * inst._entry_val)
-    return np.array([np.linalg.norm(inst.witness_for(y) - inst.W0)
-                     for y in range(inst.num_labelings)])
+    return inst._ball
 
 
 def verify_shattering(inst):

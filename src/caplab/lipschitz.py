@@ -6,6 +6,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
+PROBE_BLOCK_BYTES = 1 << 22     # one (pairs, n) array of empirical_lipschitz's points
 NEAR_DIST = 1e-6         # Gram distances below this are recomputed exactly
 
 
@@ -56,6 +57,12 @@ def _pairwise_dist(X, metric):
     raise InvalidInputError(f"unsupported metric {metric!r}")
 
 
+def anchor_block_rows(N):
+    """Rows per block of AnchoredLipschitz.eval over N anchors: as many as
+    fill ANCHOR_BLOCK_BYTES, but at least 2."""
+    return max(2, ANCHOR_BLOCK_BYTES // (8 * N))
+
+
 def budget(values, alpha):
     """Slope needed to hit the given values on an alpha-separated point set.
 
@@ -80,9 +87,9 @@ class AnchoredLipschitz:
     metric = "euclidean-vector"
 
     def __init__(self, anchors, values, L):
-        self.anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
+        anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
         self.values = np.asarray(values, dtype=np.float64)
-        if self.anchors.shape[0] != self.values.shape[0]:
+        if anchors.shape[0] != self.values.shape[0]:
             raise InvalidInputError("anchor/value count mismatch")
         if self.values.size == 0:
             raise InvalidInputError("need at least one anchor")
@@ -91,13 +98,27 @@ class AnchoredLipschitz:
         if L < 0:
             raise InvalidInputError("L must be nonnegative")
         self.L = float(L)
-        # the anchors sorted by value, so each value's anchors are one run
+        # the anchors are held once, sorted by value, so each value's
+        # anchors are one run; anchor k is _sorted[_rank[k]]
         order = np.argsort(self.values, kind="stable")
         v = self.values[order]
-        self._sorted = self.anchors[order]
+        self._sorted = anchors[order]
+        self._rank = np.empty_like(order)
+        self._rank[order] = np.arange(order.size)
         self._sorted_sq = np.sum(self._sorted * self._sorted, axis=1)
         self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
         self._group_values = v[self._starts]
+
+    @property
+    def anchors(self):
+        """The anchors in the order given, as a new array."""
+        return self._sorted[self._rank]
+
+    @property
+    def block_rows(self):
+        """Rows of X per block of eval: a row's value can depend on how many
+        rows its block has, as the Gram product can round differently."""
+        return anchor_block_rows(self._sorted.shape[0])
 
     def eval(self, X):
         """min over anchors of p + L sqrt(max(d2, 0)), d2 the Gram form
@@ -114,8 +135,7 @@ class AnchoredLipschitz:
         of a multi-row X is left with one row."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         A, a_sq, starts = self._sorted, self._sorted_sq, self._starts
-        n, N = X.shape[0], A.shape[0]
-        rows = max(2, ANCHOR_BLOCK_BYTES // (8 * N))
+        n, N, rows = X.shape[0], A.shape[0], self.block_rows
         size = min(n, rows + 1)
         D2, G = np.empty((size, N)), np.empty((size, N))
         near = np.empty((size, N), dtype=bool)
@@ -160,7 +180,7 @@ class AnchoredLipschitz:
         A row with L = 0, a non-finite entry or any check failing is not
         certified, and its returned value may differ from eval's."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        A, p = self.anchors[own], self.values[own]
+        A, p = self._sorted[self._rank[own]], self.values[own]
         diff = X - A
         s = np.add.reduce(diff * diff, axis=1)
         vals = p + self.L * np.sqrt(np.maximum(s, 0.0))
@@ -205,26 +225,40 @@ def min_feasible_slope(anchors, values, metric):
 def empirical_lipschitz(f, sampler, metric, pairs, seed):
     """Max sampled slope |f(u)-f(v)| / d(u,v) over pairs (u, v) drawn from
     the sampler: a lower estimate of the true Lipschitz constant.  d is the
-    Euclidean ("euclidean-vector") or the max ("infinity") metric."""
+    Euclidean ("euclidean-vector") or the max ("infinity") metric.
+
+    The pairs are drawn u, v, u, v, ... and evaluated and reduced a block
+    at a time, each block's points one array of about PROBE_BLOCK_BYTES.
+    The max is exact and a witness with `block_rows` gets blocks that are
+    multiples of it, cut as its eval cuts them (a lone last pair joins the
+    block before it), so the slope is the one all pairs at once give."""
     if metric not in ("euclidean-vector", "infinity"):
         raise InvalidInputError(f"unsupported metric {metric!r}")
     if pairs < 1:
         raise InvalidInputError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
     u = np.asarray(sampler(rng), dtype=np.float64)
-    U, V = np.empty((2, pairs, u.size))
-    U[0], V[0] = u, sampler(rng)
-    for k in range(1, pairs):
-        U[k], V[k] = sampler(rng), sampler(rng)
-    if hasattr(f, "eval"):
-        fu, fv = f.eval(U), f.eval(V)
-    else:
-        fu = np.array([f(u) for u in U])
-        fv = np.array([f(v) for v in V])
-    U -= V   # the distances, in place
-    d = (np.linalg.norm(U, axis=1) if metric == "euclidean-vector"
-         else np.max(np.abs(U, out=U), axis=1))
-    ok = d > 0.0
-    if not ok.any():
-        return 0.0
-    return float(np.max(np.abs(fu[ok] - fv[ok]) / d[ok]))
+    step = getattr(f, "block_rows", 1)
+    size = step * max(1, PROBE_BLOCK_BYTES // (8 * u.size * step))
+    U, V = np.empty((2, min(pairs, size + 1), u.size))
+    best = 0.0      # below every slope, which is >= +0 or NaN
+    s = 0
+    while s < pairs:
+        e = pairs if pairs - (s + size) < 2 else s + size
+        X, Y = U[: e - s], V[: e - s]
+        for k in range(e - s):
+            X[k] = sampler(rng) if s + k else u
+            Y[k] = sampler(rng)
+        if hasattr(f, "eval"):
+            fu, fv = f.eval(X), f.eval(Y)
+        else:
+            fu = np.array([f(x) for x in X])
+            fv = np.array([f(y) for y in Y])
+        X -= Y   # the distances, in place
+        d = (np.linalg.norm(X, axis=1) if metric == "euclidean-vector"
+             else np.max(np.abs(X, out=X), axis=1))
+        ok = d > 0.0
+        if ok.any():    # np.maximum keeps a NaN slope, as np.max does
+            best = np.maximum(best, np.max(np.abs(fu[ok] - fv[ok]) / d[ok]))
+        s = e
+    return float(best)

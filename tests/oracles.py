@@ -4,15 +4,17 @@ of `learner.sgd_run`, the dense stack of iterates held on their live rows,
 the dense gather+argmax subgradient of the convex
 witness that the closed form in `EncodedMaxAffine.loss_subgrad` replaces,
 the pieces and anchors of the two encoded witnesses listed one by one, the
-Q loop that evaluates every query W_y x_i as a dense row, the McShane
-min-form in the max metric anchor by anchor, and the greedy empirical
-cover."""
+Q loop that evaluates every query W_y x_i as a dense row, the zero-init
+family drawn and read as one (2^m, n, d) stack, the slope probe with every
+pair held at once, the McShane min-form in the max metric anchor by anchor,
+and the greedy empirical cover."""
 
 import math
 
 import numpy as np
 
-from caplab.constructions import TABULATE_BLOCK
+from caplab import _kernels
+from caplab.constructions import FAMILY_BLOCK_BYTES, SEPARATION_TARGET, TABULATE_BLOCK
 from caplab.learner import Sampler
 
 
@@ -111,14 +113,97 @@ def dense_loss_subgrad(fn, W, x):
 def q_loop_table(inst, ys):
     """witness_values by the Q loop: per block of TABULATE_BLOCK labelings,
     Q = X W_y^T for each labeling y of the block, stacked, and the
-    witness's eval on all of Q."""
+    witness's eval on all of Q.  Each distinct W_y is built once, in
+    increasing y, as zero-init redraws its witnesses by blocks of y."""
     m, X = inst.m, inst.points
+    rows = {y: X @ inst.witness_for(y).T for y in sorted(set(map(int, ys)))}
     table = np.empty((len(ys), m))
     for start in range(0, len(ys), TABULATE_BLOCK):
         block = ys[start : start + TABULATE_BLOCK]
-        Q = np.vstack([X @ inst.witness_for(int(y)).T for y in block])
+        Q = np.vstack([rows[int(y)] for y in block])
         table[start : start + len(block)] = inst.witness_fn.eval(Q).reshape(len(block), m)
     return table
+
+
+def stack_separated_family(d, m, n, seed, max_resamples=20):
+    """The separated family as one (2^m, n, d) stack per draw, redrawn
+    until separated: (points, matrices, separation, separation_ok,
+    resamples_used) of the best draw."""
+    rng = np.random.default_rng(seed)
+    block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
+    best = None
+    for attempt in range(max_resamples):
+        X = rng.standard_normal((m, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        W = rng.standard_normal((1 << m, n, d))
+        W /= math.sqrt(n)
+        # by blocks, each row reduced as in one call, so no second stack
+        flat = W.reshape(1 << m, -1)
+        fro = np.concatenate([np.linalg.norm(flat[s : s + block], axis=1)
+                              for s in range(0, 1 << m, block)])
+        cap = math.sqrt(2.0 * d)
+        over = fro > cap
+        if over.any():
+            W[over] *= (cap / fro[over])[:, None, None]
+        encoded = np.einsum("snd,md->smn", W, X).reshape(-1, n)
+        sep = _kernels.min_pairwise_dist(encoded)
+        if best is None or sep > best[2]:
+            best = (X, W, sep, sep >= SEPARATION_TARGET, attempt + 1)
+        if sep >= SEPARATION_TARGET:
+            break
+    return best
+
+
+def stack_query_blocks(X, witnesses, ys):
+    """(start, block, Q) per block of TABULATE_BLOCK labelings of ys, with
+    Q = X W_y^T for each labeling y of the block, stacked."""
+    m, n = X.shape[0], witnesses.shape[1]
+    for start in range(0, len(ys), TABULATE_BLOCK):
+        block = ys[start : start + TABULATE_BLOCK]
+        Q = np.empty((len(block) * m, n))
+        for k, y in enumerate(block):
+            Q[k * m : (k + 1) * m] = X @ witnesses[int(y)].T
+        yield start, block, Q
+
+
+def stack_zero_init_parts(d, m, n, seed, scale, max_resamples=20):
+    """What a zero-init instance reads off the stacked family: the points,
+    the scaled stack, its anchors, query rows and ball norms, the largest
+    unscaled Frobenius norm and the separation fields."""
+    X, W, sep, ok, used = stack_separated_family(d, m, n, seed, max_resamples)
+    w_max = math.sqrt(float(np.einsum("snd,snd->s", W, W).max()))
+    W *= scale
+    anchors = np.einsum("snd,md->smn", W, X).reshape(-1, n)
+    queries = np.concatenate([Q for _, _, Q in
+                              stack_query_blocks(X, W, np.arange(1 << m))])
+    norms = np.array([np.linalg.norm(W[y] - np.zeros((n, d)))
+                      for y in range(1 << m)])
+    return dict(points=X, witnesses=W, anchors=anchors, queries=queries,
+                norms=norms, w_max=w_max, separation=sep, separation_ok=ok,
+                resamples_used=used)
+
+
+def stacked_empirical_lipschitz(f, sampler, metric, pairs, seed):
+    """The slope probe with all pairs drawn u, v, u, v, ..., stacked and
+    evaluated at once."""
+    rng = np.random.default_rng(seed)
+    u = np.asarray(sampler(rng), dtype=np.float64)
+    U, V = np.empty((2, pairs, u.size))
+    U[0], V[0] = u, sampler(rng)
+    for k in range(1, pairs):
+        U[k], V[k] = sampler(rng), sampler(rng)
+    if hasattr(f, "eval"):
+        fu, fv = f.eval(U), f.eval(V)
+    else:
+        fu = np.array([f(u) for u in U])
+        fv = np.array([f(v) for v in V])
+    U -= V
+    d = (np.linalg.norm(U, axis=1) if metric == "euclidean-vector"
+         else np.max(np.abs(U, out=U), axis=1))
+    ok = d > 0.0
+    if not ok.any():
+        return 0.0
+    return float(np.max(np.abs(fu[ok] - fv[ok]) / d[ok]))
 
 
 def max_metric_min_form(anchors, values, L, X):

@@ -608,7 +608,7 @@ def test_zero_init_accepts_m_cap_at_its_cap(tmp_path, monkeypatch):
     class Drawn(Exception):
         pass
 
-    def drawn(d, m, n, seed, max_resamples):
+    def drawn(d, m, n, seed, max_resamples, scale):
         raise Drawn(m)
 
     monkeypatch.setattr(constructions, "random_separated_family", drawn)
@@ -618,10 +618,8 @@ def test_zero_init_accepts_m_cap_at_its_cap(tmp_path, monkeypatch):
 
 
 # (m_cap, n, B, L, eps) whose estimate exceeds ZERO_INIT_MAX_BYTES: a wide
-# input (d = 3200 and 8192), a wide output (n = 10^5 and 10^8), and the
-# stack at a small m
-_OVER_BUDGET = [(12, 256, 40, 4, 0.25), (10, 256, 64, 8, 0.5),
-                (8, 100_000, 4, 4, 0.25), (1, 10**8, 4, 4, 0.25),
+# output (n = 10^5 and 10^8), and the rows at the cap with n = 4096
+_OVER_BUDGET = [(8, 100_000, 4, 4, 0.25), (1, 10**8, 4, 4, 0.25),
                 (12, 4096, 4, 4, 0.25)]
 
 
@@ -658,15 +656,18 @@ def test_zero_init_refuses_sizes_over_its_byte_budget(size, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("size", [(9, 256, 4, 4, 0.25), (10, 256, 4, 4, 0.25),
-                                  (11, 256, 4, 4, 0.25)], ids=str)
+                                  (11, 256, 4, 4, 0.25), (10, 256, 8, 8, 0.25),
+                                  (12, 256, 40, 4, 0.25), (10, 256, 64, 8, 0.5)],
+                         ids=str)
 def test_zero_init_accepts_the_benchmark_and_ci_sizes(size, tmp_path, monkeypatch):
-    # dense-geometry builds m_cap 9 and CI 10 and 11 (the cap, 12, is in
-    # test_zero_init_accepts_m_cap_at_its_cap); each passes the estimate and
-    # reaches the family
+    # dense-geometry builds m_cap 9 and CI 10 (also at d = 512) and 11 (the
+    # cap, 12, is in test_zero_init_accepts_m_cap_at_its_cap); a wide input
+    # (d = 3200 and 8192) costs one family block, not a stack; each passes
+    # the estimate and reaches the family
     class Drawn(Exception):
         pass
 
-    def drawn(d, m, n, seed, max_resamples):
+    def drawn(d, m, n, seed, max_resamples, scale):
         raise Drawn(m)
 
     monkeypatch.setattr(constructions, "random_separated_family", drawn)

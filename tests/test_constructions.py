@@ -10,7 +10,7 @@ from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 from caplab.lipschitz import AnchoredLipschitz, budget, min_feasible_slope
 from oracles import (dense_loss_subgrad, max_affine_pieces, max_metric_min_form,
-                     min_form_anchors, q_loop_table)
+                     min_form_anchors, q_loop_table, stack_zero_init_parts)
 
 
 def brute_force_verify(inst):
@@ -53,13 +53,19 @@ def anchored_min_form(fn, X):
 
 # ---------------------------------------------------------------------------
 
+def _matrices(fam):
+    """The family's matrices, each redrawn, stacked."""
+    return np.stack([fam.draw.matrix(s) for s in range(fam.draw.count)])
+
+
 def test_separated_family_properties():
     fam = cn.random_separated_family(20, 4, 256, seed=7)
     assert np.allclose(np.linalg.norm(fam.points, axis=1), 1.0)
-    fro2 = np.sum(fam.matrices.reshape(16, -1) ** 2, axis=1)
+    W = _matrices(fam)
+    fro2 = np.sum(W.reshape(16, -1) ** 2, axis=1)
     assert np.all(fro2 <= 2 * 20 + 1e-9)
     # exhaustive pairwise oracle for the recorded separation
-    enc = np.einsum("snd,md->smn", fam.matrices, fam.points).reshape(-1, 256)
+    enc = np.einsum("snd,md->smn", W, fam.points).reshape(-1, 256)
     d = np.linalg.norm(enc[:, None] - enc[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert fam.separation == pytest.approx(d.min(), abs=1e-12)
@@ -67,8 +73,9 @@ def test_separated_family_properties():
 
 
 def test_separated_family_draw_is_the_one_shot_draw():
-    # the stack is divided in place and its norms taken by blocks (2 blocks
-    # here): the same matrices as one division and one norm call
+    # the matrices are drawn, divided and their norms taken by blocks (2
+    # blocks here), and redrawn so: the same matrices as one draw, one
+    # division and one norm call
     d, m, n, seed = 32, 8, 256, 4
     assert (1 << m) * n * d * 8 > cn.FAMILY_BLOCK_BYTES
     fam = cn.random_separated_family(d, m, n, seed)
@@ -80,12 +87,12 @@ def test_separated_family_draw_is_the_one_shot_draw():
     over = fro > math.sqrt(2.0 * d)
     W[over] *= (math.sqrt(2.0 * d) / fro[over])[:, None, None]
     assert fam.resamples_used == 1
-    assert fam.points.tobytes() == X.tobytes() and fam.matrices.tobytes() == W.tobytes()
+    assert fam.points.tobytes() == X.tobytes() and _matrices(fam).tobytes() == W.tobytes()
 
 
 def test_separated_family_m1():
     fam = cn.random_separated_family(25, 1, 64, seed=0)
-    assert fam.matrices.shape[0] == 2
+    assert fam.norms.shape == (2,) and fam.queries.shape == fam.anchors.shape == (2, 64)
     assert fam.separation > 0
 
 
@@ -94,6 +101,94 @@ def test_separated_family_guards():
         cn.random_separated_family(19, 4, 64, seed=0)
     with pytest.raises(CapacityExceededError):
         cn.random_separated_family(20, 15, 64, seed=0)
+
+
+# (d, m, n, seed, scale, max_resamples): four family blocks; a matrix scaled
+# onto the Frobenius cap (n = 1 is never separated, so both draws are made);
+# a seed whose first two draws are not separated; m = 1
+_FAMILY_CASES = [(32, 9, 256, 1, 0.5, 20), (20, 8, 1, 0, 1.0, 2),
+                 (32, 6, 8, 0, 0.5, 20), (25, 1, 64, 0, 0.5, 20)]
+
+
+def _first_and_last_of_each_block(draw):
+    return [y for s in range(0, draw.count, draw.block)
+            for y in (s, min(s + draw.block, draw.count) - 1)]
+
+
+@pytest.mark.parametrize("case", _FAMILY_CASES, ids=str)
+def test_block_built_family_bit_equal_to_the_stack(case):
+    # every block's anchors, query rows and ball norms, and the separation
+    # fields, are the ones the whole (2^m, n, d) stack gives; a redrawn
+    # matrix is the stack's at each block's ends
+    d, m, n, seed, scale, tries = case
+    fam = cn.random_separated_family(d, m, n, seed, max_resamples=tries, scale=scale)
+    want = stack_zero_init_parts(d, m, n, seed, scale, tries)
+    for name in ("points", "anchors", "queries", "norms", "w_max", "separation",
+                 "separation_ok", "resamples_used"):
+        assert np.asarray(getattr(fam, name)).tobytes() == \
+            np.asarray(want[name]).tobytes(), name
+    for y in _first_and_last_of_each_block(fam.draw):
+        assert fam.draw.matrix(y).tobytes() == want["witnesses"][y].tobytes(), y
+    if case == _FAMILY_CASES[0]:
+        assert len(fam.draw.states) == 4
+    if case == _FAMILY_CASES[1]:
+        assert np.isclose(want["norms"], math.sqrt(2 * d), rtol=1e-14).any()
+        assert fam.resamples_used <= 2 and not fam.separation_ok
+    if case == _FAMILY_CASES[2]:
+        assert fam.resamples_used == 3 and fam.separation_ok
+
+
+def test_zero_init_witness_for_bit_equal_to_the_stack():
+    # the instance holds the stack's anchors, query rows and ball norms, and
+    # witness_for redraws the stack's W_y, block after block and back
+    inst = cn.zero_init_instance(4, 4, 0.25, 9, seed=2)
+    want = stack_zero_init_parts(32, 9, 256, 2, 8 * 0.25 / 4)
+    assert inst.witness_fn.anchors.tobytes() == want["anchors"].tobytes()
+    assert inst._queries.tobytes() == want["queries"].tobytes()
+    assert cn._ball_distances(inst).tobytes() == want["norms"].tobytes()
+    ys = _first_and_last_of_each_block(inst._draw)
+    for y in ys + ys[::-1]:
+        assert inst.witness_for(y).tobytes() == want["witnesses"][y].tobytes(), y
+
+
+def _construct_and_verify_peaks(B, L, eps, m_cap, seed, n=256):
+    """tracemalloc peaks of a zero-init build, and of verify on an instance
+    rebuilt from its record, as the CLI runs them."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        inst = cn.zero_init_instance(B, L, eps, m_cap, seed, n=n)
+        built = tracemalloc.get_traced_memory()[1]
+        record = inst.manifest()
+        del inst
+        tracemalloc.reset_peak()
+        cn.verify_shattering(cn.instance_from_manifest(record))
+        verified = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return built, verified
+
+
+# (B, L, eps, m_cap, seed, n)
+@pytest.mark.parametrize("size", [(4, 4, 0.25, 9, 1, 256), (8, 8, 0.25, 8, 1, 256),
+                                  (4, 4, 0.25, 8, 1, 1), (4, 4, 0.25, 6, 0, 8)],
+                         ids=["m9", "d512", "n1", "resamples"])
+def test_zero_init_peaks_under_its_estimate(size):
+    B, L, eps, m_cap, seed, n = size
+    d = int(L * L * B * B / (128 * eps * eps))
+    need = cn._zero_init_bytes(m_cap, n, d)
+    built, verified = _construct_and_verify_peaks(*size[:5], n=n)
+    assert built <= need and verified <= need, (built, verified, need)
+
+
+def test_zero_init_peak_is_flat_in_d():
+    # d = 32 to 512 at m_cap 8: the family is drawn a block at a time, so
+    # the peak moves by at most one family block, where the stack moved it
+    # by 2^m n (512 - 32) doubles
+    low = max(_construct_and_verify_peaks(4, 4, 0.25, 8, 1))
+    high = max(_construct_and_verify_peaks(8, 8, 0.25, 8, 1))
+    assert high - low <= cn.FAMILY_BLOCK_BYTES, (low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +357,15 @@ def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
 
 
 def test_zero_init_holds_no_pairwise_matrices():
-    # the build holds the Gaussian stacks, the encoded vectors and the
-    # separation scan's blocks, and no m 2^m square matrix (the all-pairs
-    # slope held about 160 MB here)
+    # the build holds its encoded vectors, anchors and query rows, a family
+    # block and the separation scan's blocks, and no m 2^m square matrix
+    # (the all-pairs slope held about 160 MB here)
     import tracemalloc
 
     m, n, d = 8, 256, 32
     N = m << m
-    need = 8 * (2 * (1 << m) * n * d + 3 * N * n + 2 * _kernels._pair_block_rows(N) * N)
+    need = 8 * (3 * N * n + 2 * cn.FAMILY_BLOCK_BYTES // 8
+                + 2 * _kernels._pair_block_rows(N) * N)
     tracemalloc.start()
     try:
         inst = cn.zero_init_instance(4, 4, 0.25, m, 1)

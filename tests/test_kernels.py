@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caplab import _kernels as kn
-from caplab import constructions, numerics
+from caplab import constructions, lipschitz, numerics
 from oracles import min_form_anchors
 
 
@@ -264,17 +264,24 @@ def test_min_pairwise_dist_buffers_sized_in_bytes():
         tracemalloc.stop()
     assert peak <= 2 * kn.PAIR_BLOCK_BYTES + 4 * X.nbytes, peak
     # zero-init's estimate counts the two blocks of its scan over m 2^m rows
+    # and their mask, beside its rows (encoded vectors, anchors and
+    # queries, twice), a family block and its squares, and eval's Gram
+    # blocks on one table block
     N = 12 << 12
-    stacks, encoded = 2 * (1 << 12) * 256 * 32, 3 * N * 256
+    rows, family = 3 * 2 * N * 256, 2 * 128 * 256 * 32
     scan = 2 * kn.PAIR_MIN_ROWS * N
-    assert constructions._zero_init_bytes(12, 256, 32) == 8 * (stacks + encoded + scan)
+    gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
+    assert constructions._zero_init_bytes(12, 256, 32) == \
+        8 * (rows + family + scan + gram) + kn.PAIR_MIN_ROWS ** 2
     # and no pairwise matrices at the CLI's default size, m_cap 8: 2,048
     # rows, 512 per block
     N = 8 << 8
-    stacks, encoded = 2 * (1 << 8) * 256 * 32, 3 * N * 256
+    rows = 3 * 2 * N * 256
     scan = 2 * (kn.PAIR_BLOCK_BYTES // (8 * N)) * N
+    gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
     assert kn._pair_block_rows(N) == 512
-    assert constructions._zero_init_bytes(8, 256, 32) == 8 * (stacks + encoded + scan)
+    assert constructions._zero_init_bytes(8, 256, 32) == \
+        8 * (rows + family + scan + gram) + 512 ** 2
 
 
 def scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):

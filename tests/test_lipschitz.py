@@ -351,3 +351,93 @@ def test_own_anchor_values_count_the_distance_to_the_own_anchor_in_iii():
     X = np.array([[0.9e-6, 0.0, 0.0]])
     vals, ok = _certified_rows_are_evals(f, X, [0], 2.5e-6 * (1 - 1e-9))
     assert not ok.any() and vals[0] != f.eval(X)[0] == pytest.approx(1.6e-6)
+
+
+# ---------------------------------------------------------------------------
+# the slope probe, a block of pairs at a time, against all pairs at once
+
+def _probe_cases():
+    """(witness, sampler, probe block bytes, pair counts): the encoded
+    min-form; the zero-init witness, whose eval blocks round by row count,
+    with probe blocks of two eval blocks and a part; a plain callable in blocks of 4
+    pairs; and a sampler that repeats points, so some pairs are 0 apart."""
+    from caplab.constructions import nonzero_init_instance, zero_init_instance
+    enc = nonzero_init_instance(10, 0.25).witness_fn
+    size = lz.PROBE_BLOCK_BYTES // (8 * enc.n)
+    yield enc, lambda r: 0.3 * r.standard_normal(enc.n), lz.PROBE_BLOCK_BYTES, \
+        (1, 2, size, size + 1, 2 * size + 1, 2 * size + 2, 3 * size - 7)
+    zero = zero_init_instance(4, 4, 0.25, 9, seed=1).witness_fn
+    A, rows = zero.anchors, zero.block_rows
+    assert 2 < rows < 1024
+
+    def near_anchors(r):    # some Gram distances take the exact near path
+        k = r.integers(2 * len(A))
+        noise = r.standard_normal(A.shape[1])
+        return A[k] + 1e-7 * noise if k < len(A) else 0.05 * noise
+
+    yield zero, near_anchors, 8 * A.shape[1] * (2 * rows + 5), \
+        (1, 2, 3, rows + 1, 2 * rows + 1, 4 * rows, 6 * rows + 1, 5 * rows + 7)
+    yield (lambda x: float(np.sin(x).sum())), lambda r: r.standard_normal(3), \
+        8 * 3 * 4, (1, 2, 4, 5, 9, 10)
+    P = 0.3 * np.random.default_rng(0).standard_normal((3, enc.n))
+    yield enc, lambda r: P[r.integers(3)], lz.PROBE_BLOCK_BYTES, (1, 50, size + 3)
+
+
+@pytest.mark.parametrize("metric", ["euclidean-vector", "infinity"])
+def test_streamed_probe_bit_equal_to_all_pairs_at_once(metric, monkeypatch):
+    from oracles import stacked_empirical_lipschitz
+    for f, sampler, block_bytes, counts in _probe_cases():
+        monkeypatch.setattr(lz, "PROBE_BLOCK_BYTES", block_bytes)
+        for pairs in counts:
+            got = lz.empirical_lipschitz(f, sampler, metric, pairs, pairs)
+            want = stacked_empirical_lipschitz(f, sampler, metric, pairs, pairs)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                (type(f).__name__, pairs, got, want)
+
+
+def test_probe_with_only_zero_distance_pairs_reads_zero():
+    point = np.array([0.5, -1.0])
+    assert lz.empirical_lipschitz(lambda x: float(x[0]), lambda r: point,
+                                  "euclidean-vector", 7, 0) == 0.0
+
+
+def test_dense_geometry_probe_holds_one_block_of_pairs():
+    # m = 10, 4,096 pairs: all pairs at once held two (4096, 1034) arrays,
+    # 68 MB; a block of pairs is one PROBE_BLOCK_BYTES array per side
+    import tracemalloc
+    from caplab.constructions import nonzero_init_instance
+    f = nonzero_init_instance(10, 0.25).witness_fn
+    tracemalloc.start()
+    try:
+        lz.empirical_lipschitz(f, lambda r: 0.3 * r.standard_normal(f.n),
+                               "infinity", 4096, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * lz.PROBE_BLOCK_BYTES, peak
+
+
+def test_streamed_probe_lone_last_pair_bit_equal(monkeypatch):
+    # every pair but the last is one point twice, 0 apart and so left out:
+    # the slope is the last pair's, which the probe evaluates with the block
+    # before it, as all pairs at once do (a lone row would take a
+    # matrix-vector product, which rounds differently)
+    from caplab.constructions import zero_init_instance
+    from oracles import stacked_empirical_lipschitz
+    f = zero_init_instance(4, 4, 0.25, 9, seed=1).witness_fn
+    n, rows = f.anchors.shape[1], f.block_rows
+    monkeypatch.setattr(lz, "PROBE_BLOCK_BYTES", 8 * n * 2 * rows)
+    point = np.full(n, 0.01)
+
+    def sampler(pairs):
+        calls = iter(range(2 * pairs))
+        return lambda r: (point if next(calls) < 2 * pairs - 2
+                          else 0.05 * r.standard_normal(n))
+
+    for pairs in (2 * rows + 1, 4 * rows + 1, 3):
+        for seed in range(4):
+            got = lz.empirical_lipschitz(f, sampler(pairs), "euclidean-vector",
+                                         pairs, seed)
+            want = stacked_empirical_lipschitz(f, sampler(pairs),
+                                               "euclidean-vector", pairs, seed)
+            assert got > 0 and np.float64(got).tobytes() == np.float64(want).tobytes()
