@@ -10,24 +10,24 @@ import numpy as np
 from . import _kernels
 from .errors import CapacityExceededError, InvalidInputError
 from .lipschitz import (BOUND_SLACK, AnchoredLipschitz, anchor_block_rows, budget,
-                        gamma, gram_error)
+                        gram_error)
 from .numerics import spectral_norm
 
 ENUMERATION_M_CAP = 14   # 2^m witnesses are materialized/enumerated
 LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
-# zero-init holds m 2^m anchors and queries (its witnesses are drawn a block
-# at a time and not held), and its separation scan compares every pair of
-# anchors: each unit of m costs ~4x the time and ~2x the memory.  At
-# m_cap = 12 construct and verify take 10.6-10.7 s at 0.42 GB (2 cores);
-# m_cap = 14 would need ~2 GB (extrapolated)
+# zero-init holds its m 2^m anchors, which are also its queries (its
+# witnesses are drawn a block at a time and not held), and its separation
+# scan compares every pair of anchors: each unit of m costs ~4x the time and
+# ~2x the memory.  At m_cap = 12 construct and verify take 10.9-11.0 s at
+# 0.33 GB (2 cores); m_cap = 14 would need ~1.3 GB (extrapolated)
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
-TABULATE_BLOCK = 128     # labelings per X @ W_y.T block of a zero-init table
+TABULATE_BLOCK = 128     # labelings per block of a zero-init table
 FAMILY_BLOCK_BYTES = 1 << 23    # matrices whose Frobenius norms are taken at once
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
 
-SEPARATION_TARGET = 0.25   # min pairwise distance of the encoded vectors
+SEPARATION_TARGET = 0.25   # min pairwise distance of the unscaled W_s x_i
 SLACK_TOL = 1e-12
 MAX_FAILURES = 32        # failing checks a VerifyReport lists
 NORM_TOL = 1e-9
@@ -345,49 +345,40 @@ class SeparatedFamily:
     reads: the matrices themselves are not held, but can be redrawn."""
 
     points: np.ndarray          # (m, d), unit rows
-    anchors: np.ndarray         # (m 2^m, n): row s m + i is (scale W_s) x_i
-    queries: np.ndarray         # (m 2^m, n): rows s m .. s m + m - 1, X (scale W_s)^T
+    anchors: np.ndarray         # (m 2^m, n): rows s m .. s m + m - 1 are X (scale W_s)^T
     norms: np.ndarray           # (2^m,): |scale W_s|_F
-    w_max: float                # the largest |W_s|_F
-    separation: float           # measured min pairwise distance of {W_s x_i}
-    separation_ok: bool         # reached SEPARATION_TARGET
-    resamples_used: int
+    separation: float           # measured min pairwise distance of the anchors
+    separation_ok: bool         # reached scale * SEPARATION_TARGET
     draw: FamilyDraw            # redraws each scale W_s
+    resamples_used: int = 0     # draws made
 
 
-def _draw_family(rng, m, n, d, scale, attempt):
+def _draw_family(rng, m, n, d, scale):
     """One draw of the family, one FAMILY_BLOCK_BYTES block of matrices at
-    a time, and the separation scan of its encoded vectors W_s x_i."""
-    S, N = 1 << m, m << m
+    a time, and the separation scan of its anchors."""
+    S = 1 << m
     block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
     X = rng.standard_normal((m, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    # three allocations, so that the encoded vectors can go after the scan
-    encoded, anchors, queries = np.empty((N, n)), np.empty((N, n)), np.empty((N, n))
-    norms = np.empty(S)
-    states, w2 = [], 0.0
+    anchors, norms = np.empty((m << m, n)), np.empty(S)
+    states = []
     for s in range(0, S, block):
         states.append(rng.bit_generator.state)
         W = _family_block(rng, min(block, S - s), n, d)
-        rows = slice(s * m, (s + len(W)) * m)
-        encoded[rows] = np.einsum("snd,md->smn", W, X).reshape(-1, n)
-        w2 = max(w2, float(np.einsum("snd,snd->s", W, W).max()))
         W *= scale
-        anchors[rows] = np.einsum("snd,md->smn", W, X).reshape(-1, n)
         for k in range(len(W)):
-            queries[(s + k) * m : (s + k + 1) * m] = X @ W[k].T
+            anchors[(s + k) * m : (s + k + 1) * m] = X @ W[k].T
             norms[s + k] = np.linalg.norm(W[k])
         del W       # before the next block is drawn, and before the scan
-    sep = _kernels.min_pairwise_dist(encoded)
-    return SeparatedFamily(X, anchors, queries, norms, math.sqrt(w2), sep,
-                           sep >= SEPARATION_TARGET, attempt,
+    sep = _kernels.min_pairwise_dist(anchors)
+    return SeparatedFamily(X, anchors, norms, sep, sep >= scale * SEPARATION_TARGET,
                            FamilyDraw(states, block, S, n, d, scale))
 
 
 def random_separated_family(d, m, n, seed, max_resamples=20, scale=1.0):
-    """Sphere points plus Gaussian matrices, redrawn until the m*2^m encoded
-    vectors are pairwise at least SEPARATION_TARGET apart (or resamples run
-    out); the family keeps what the matrices scaled by `scale` give."""
+    """Sphere points plus Gaussian matrices W_s, redrawn until the m*2^m
+    anchors X (scale W_s)^T are pairwise at least scale * SEPARATION_TARGET
+    apart (or resamples run out); the family keeps the best draw."""
     if d < 20:
         raise InvalidInputError(f"d={d} < 20")
     if m < 1:
@@ -401,12 +392,13 @@ def random_separated_family(d, m, n, seed, max_resamples=20, scale=1.0):
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(max_resamples):
-        fam = _draw_family(rng, m, n, d, scale, attempt + 1)
+        fam = _draw_family(rng, m, n, d, scale)
         if best is None or fam.separation > best.separation:
             best = fam
         if fam.separation_ok:
             break
         del fam     # a worse draw is let go before the next one is drawn
+    best.resamples_used = attempt + 1
     return best
 
 
@@ -427,9 +419,8 @@ class ShatterInstance:
     witness_fn: object          # evaluable on R^n rows
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
-    # zero-init: rows y m .. y m + m - 1 are the queries X W_y^T, |W_y|_F
-    # is _ball[y], and _draw redraws W_y
-    _queries: np.ndarray = None         # (m 2^m, n)
+    # zero-init: |W_y|_F is _ball[y], and _draw redraws W_y; the queries
+    # X W_y^T are the witness's anchors y m .. y m + m - 1
     _ball: np.ndarray = None            # (2^m,)
     _draw: FamilyDraw = None
     # zero-init: a lower bound on the distance between two anchors, from
@@ -521,8 +512,10 @@ def instance_from_manifest(obj):
 
 def _zero_init_bytes(m, n, d):
     """Bytes zero-init holds at its peak, estimated as the sum of:
-      - the m 2^m encoded vectors, anchors and query rows, twice while a
-        resample is drawn (the best draw's are kept while the next is);
+      - three arrays of the m 2^m anchors: two while a resample is drawn
+        (the best draw's are kept while the next is), and three while the
+        witness is built (the draw's, the witness's sorted copy and the
+        squares its norms take);
       - one family block of (n, d) matrices and its squares, which the
         Frobenius norms take;
       - the separation scan's two (rows, m 2^m) buffers and its (rows,
@@ -534,32 +527,21 @@ def _zero_init_bytes(m, n, d):
     scan = _kernels._pair_block_rows(N)
     rows = min(anchor_block_rows(N) + 1, min(TABULATE_BLOCK, 1 << m) * m)
     gram = 3 * rows * N
-    return 8 * (6 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
+    return 8 * (3 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
 
 
-def _anchor_separation(sep, scale, n, d, w_max, x_max):
-    """A lower bound on the exact distance between any two zero-init
-    anchors A_k = (scale W_s) x_i, from the family's separation sep: the
-    min_pairwise_dist of the encoded vectors E_k = W_s x_i as this process
-    scanned them.  w_max and x_max are the largest computed |W_s|_F and
-    |x_i|.
-
-    The scan's least Gram d2 is at least sep^2 less sep's rounding, and is
-    off from its pair's exact squared distance by at most gram_error(n)
-    (|E_i|^2 + |E_j|^2), where |E_k| <= |W_s|_F |x_i| up to the rounding of
-    the product and of both computed norms.  A_k and scale E_k are d-term
-    products of the same terms, one of them rounded once more, so each is
-    within gamma_{d+1} scale |W_s|_F |x_i| of scale W_s x_i and
-    |A_k - scale E_k| <= eta = 2 gamma_{d+1} scale |W_s|_F |x_i|: the bound
-    takes eta off for each of the two anchors."""
+def _anchor_separation(sep, anchors):
+    """A lower bound on the exact distance between any two rows of
+    `anchors`, from sep, their min_pairwise_dist as this process scanned
+    them: the scan's least Gram d2 is at least sep^2 less sep's rounding,
+    and each pair's Gram d2 is off from its exact squared distance by at
+    most gram_error(n) (|a|^2 + |b|^2), computed norms standing in for the
+    exact ones."""
     if not sep > 0:
         return 0.0
-    e_max = w_max * x_max * (1.0 + gamma(n * d + 4) + gamma(2 * d + 4))
-    r2 = sep * sep * (1.0 - BOUND_SLACK) - 2.0 * gram_error(n) * e_max * e_max
-    if not r2 > 0:
-        return 0.0
-    eta = 2.0 * gamma(d + 1) * scale * e_max
-    return max(0.0, (scale * math.sqrt(r2) - 2.0 * eta) * (1.0 - BOUND_SLACK))
+    sq_max = float(np.einsum("ij,ij->i", anchors, anchors).max())
+    r2 = sep * sep * (1.0 - BOUND_SLACK) - 2.0 * gram_error(anchors.shape[1]) * sq_max
+    return math.sqrt(r2) * (1.0 - BOUND_SLACK) if r2 > 0 else 0.0
 
 
 def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
@@ -600,9 +582,10 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
     i_idx = np.tile(np.arange(m), 1 << m)
     values = np.where(((s_idx >> i_idx) & 1) == 1, eps, -eps)
     slope_budget = budget([-eps, eps], 2.0 * eps / L)  # = L by the closed form
-    # anchors lie scale * separation apart and their +/-eps values differ by
-    # at most 2 eps; on a separated family that slope is at most L
-    L_eff = max(slope_budget, 2.0 * eps / max(scale * fam.separation, 1e-300))
+    # anchors lie separation apart and their +/-eps values differ by at most
+    # 2 eps; on a separated family (scale * SEPARATION_TARGET = 2 eps / L
+    # apart) that slope is at most L
+    L_eff = max(slope_budget, 2.0 * eps / max(fam.separation, 1e-300))
     fn = AnchoredLipschitz(fam.anchors, values, L_eff)
     inst = ShatterInstance(
         kind="zero-init",
@@ -622,12 +605,9 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
             "separation_ok": bool(fam.separation_ok),
             "witness_slope": L_eff,
         },
-        _queries=fam.queries,
         _ball=fam.norms,
         _draw=fam.draw,
-        _anchor_separation=_anchor_separation(
-            fam.separation, scale, n, d, fam.w_max,
-            float(np.linalg.norm(fam.points, axis=1).max())),
+        _anchor_separation=_anchor_separation(fam.separation, fam.anchors),
     )
     return inst
 
@@ -722,24 +702,22 @@ def witness_values(inst, ys):
     at coordinate i and q_b = x_i[m] v_y at r_y, for the one entry v_y at
     (r_y, m) that W_y adds to W0.  Each is a single product, bit-equal to
     the matmul, so the queries go to the witness's eval as TwoHotRows
-    without any W_y being built.  Zero-init holds its queries W_y x_i, each
-    its own anchor up to rounding: each block of TABULATE_BLOCK labelings'
-    queries takes the values read off those anchors when the witness
-    certifies every row of the block bit-equal to its eval
-    (own_anchor_values, against the separation this process measured), and
-    the witness's eval otherwise."""
+    without any W_y being built.  Zero-init's queries X W_y^T are its
+    witness's anchors: each block of TABULATE_BLOCK labelings takes the
+    anchors' values when the witness certifies every row of the block
+    bit-equal to its eval (own_anchor_values, against the separation this
+    process measured), and the witness's eval on those rows otherwise."""
     ys = np.asarray(ys, dtype=np.int64)
     m, X = inst.m, inst.points
     if inst._entry_row is None:
+        fn = inst.witness_fn
         table = np.empty((ys.size, m))
         for start in range(0, ys.size, TABULATE_BLOCK):
             block = ys[start : start + TABULATE_BLOCK]
             own = (block[:, None] * m + np.arange(m)).ravel()
-            Q = inst._queries[own]
-            vals, ok = inst.witness_fn.own_anchor_values(
-                Q, own, inst._anchor_separation)
+            vals, ok = fn.own_anchor_values(own, inst._anchor_separation)
             if not ok.all():
-                vals = inst.witness_fn.eval(Q)
+                vals = fn.eval(fn.anchor_rows(own))
             table[start : start + len(block)] = vals.reshape(len(block), m)
         return table
     q_a = np.diagonal(X @ inst.W0.T)

@@ -27,24 +27,21 @@ UNIT_ROUNDOFF = 2.0**-53
 BOUND_SLACK = 2.0**-40   # relative room for the roundings of a bound's own few operations
 
 
-def gamma(k):
-    """gamma_k = k u / (1 - k u): a float sum or dot product of k terms, in
-    any order and with or without fused multiply-adds, is off from the exact
-    value by at most gamma_k times the sum of its terms' magnitudes."""
-    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
-
-
 def gram_error(n):
     """c with |d2 - |q - a|^2| <= c (|q|^2 + |a|^2) for the Gram distance
     d2 = (|q|^2 + |a|^2) - (2q).a of two rows of R^n, each norm and the
     product summed in any order: twice the first-order bound.
 
-    The norms are off by gamma_n times themselves, and the product by
+    A float sum or dot product of k terms, in any order and with or without
+    fused multiply-adds, is off from the exact value by at most
+    gamma_k = k u / (1 - k u) times the sum of its terms' magnitudes.  The
+    norms are off by gamma_n times themselves, and the product by
     gamma_n (|q|^2 + |a|^2), as 2 sum |q_c a_c| <= sum q_c^2 + a_c^2; the
     sum and the difference add (1 + 2) u (|q|^2 + |a|^2).  That is at most
     2 gamma_{n+2} (|q|^2 + |a|^2), and the factor 2 covers computed norms
     standing in for the exact ones."""
-    return 4.0 * gamma(n + 2)
+    k = (n + 2) * UNIT_ROUNDOFF
+    return 4.0 * k / (1.0 - k)
 
 
 def _pairwise_dist(X, metric):
@@ -114,6 +111,10 @@ class AnchoredLipschitz:
         """The anchors in the order given, as a new array."""
         return self._sorted[self._rank]
 
+    def anchor_rows(self, own):
+        """Anchors own (indices in the order given), as a new array."""
+        return self._sorted[self._rank[own]]
+
     @property
     def block_rows(self):
         """Rows of X per block of eval: a row's value can depend on how many
@@ -159,47 +160,36 @@ class AnchoredLipschitz:
             s = e
         return out
 
-    def own_anchor_values(self, X, own, separation):
-        """eval's values on rows X[k] that sit at their own anchor own[k],
-        in O(n) per row, and which rows are certified bit-equal to eval's.
+    def own_anchor_values(self, own, separation):
+        """eval's values on the anchors own, taken as rows, in O(1) per row,
+        and which rows are certified bit-equal to eval's.
 
         `separation` must be a lower bound on the exact distance between
-        any two anchors.  Row k's value is p + L sqrt(s), with p its
-        anchor's value and s = sum((X[k] - a)^2) the exact squared distance
-        that eval's near path takes, when:
-          (i) an upper bound on the row's Gram d2 to its own anchor is below
-              T_NEAR, so eval takes s for that anchor;
-          (ii) D = (separation - delta)^2 less the Gram error, with
-              delta >= |X[k] - a|, is at least T_NEAR and s: by the
-              triangle inequality every other anchor's Gram d2 is at least
-              D, so none takes the near path or undercuts s in its value's
-              reduction;
-          (iii) p' + L sqrt(D) >= p + L sqrt(s), with p' the least other
+        any two anchors.  A row is its own anchor, at exact squared distance
+        s = 0, so its value is p + L sqrt(0), with p the anchor's value,
+        when:
+          (i) the Gram error bound on the row's d2 to its own anchor is
+              below T_NEAR, so eval takes s for that anchor;
+          (ii) D = separation^2 less the Gram error is at least T_NEAR: every
+              other anchor's Gram d2 is at least D, so none takes the near
+              path or undercuts s in its value's reduction;
+          (iii) p' + L sqrt(D) >= p + L sqrt(0), with p' the least other
               value: max(., 0), sqrt, times L and plus p' round
               monotonically, so no other value's term is below the row's.
         A row with L = 0, a non-finite entry or any check failing is not
         certified, and its returned value may differ from eval's."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        A, p = self._sorted[self._rank[own]], self.values[own]
-        diff = X - A
-        s = np.add.reduce(diff * diff, axis=1)
-        vals = p + self.L * np.sqrt(np.maximum(s, 0.0))
+        p = self.values[own]
+        vals = p + self.L * 0.0
         if not self.L > 0:
             return vals, np.zeros(vals.shape, dtype=bool)
-        n = X.shape[1]
-        err = gram_error(n) * (1.0 + BOUND_SLACK)
-        q_sq = np.sum(X * X, axis=1)
-        # s rounds each difference, square and partial sum: |X[k] - a|^2 <= s_up
-        s_up = s * (1.0 + gamma(n + 4) + BOUND_SLACK)
-        near = s_up + err * (q_sq + np.sum(A * A, axis=1)) < T_NEAR
-        delta = np.sqrt(s_up) * (1.0 + BOUND_SLACK)
-        far = np.maximum((separation - delta) * (1.0 - BOUND_SLACK), 0.0)
-        D = far * far * (1.0 - BOUND_SLACK) - err * (q_sq + self._sorted_sq.max())
-        apart = (D >= T_NEAR) & (D >= s)
+        a_sq, sq = self._sorted_sq[self._rank[own]], self._sorted_sq
+        err = gram_error(self._sorted.shape[1]) * (1.0 + BOUND_SLACK)
+        near = 2.0 * err * a_sq < T_NEAR
+        D = separation * separation * (1.0 - BOUND_SLACK) - err * (a_sq + sq.max())
         g = self._group_values
         other = np.where(p == g[0], g[1] if g.size > 1 else np.inf, g[0])
         beats = other + self.L * np.sqrt(np.maximum(D, 0.0)) >= vals
-        return vals, near & apart & beats
+        return vals, near & (D >= T_NEAR) & beats
 
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])

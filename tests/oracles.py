@@ -125,10 +125,11 @@ def q_loop_table(inst, ys):
     return table
 
 
-def stack_separated_family(d, m, n, seed, max_resamples=20):
-    """The separated family as one (2^m, n, d) stack per draw, redrawn
-    until separated: (points, matrices, separation, separation_ok,
-    resamples_used) of the best draw."""
+def stack_separated_family(d, m, n, seed, scale=1.0, max_resamples=20):
+    """The separated family as one (2^m, n, d) stack per draw, scaled, with
+    its anchors X W_s^T per matrix, redrawn until separated: (points,
+    matrices, anchors, separation, separation_ok, draws made), the best
+    draw's."""
     rng = np.random.default_rng(seed)
     block = max(1, FAMILY_BLOCK_BYTES // (8 * n * d))
     best = None
@@ -145,42 +146,27 @@ def stack_separated_family(d, m, n, seed, max_resamples=20):
         over = fro > cap
         if over.any():
             W[over] *= (cap / fro[over])[:, None, None]
-        encoded = np.einsum("snd,md->smn", W, X).reshape(-1, n)
-        sep = _kernels.min_pairwise_dist(encoded)
-        if best is None or sep > best[2]:
-            best = (X, W, sep, sep >= SEPARATION_TARGET, attempt + 1)
-        if sep >= SEPARATION_TARGET:
+        W *= scale
+        anchors = np.concatenate([X @ W[s].T for s in range(1 << m)])
+        sep = _kernels.min_pairwise_dist(anchors)
+        ok = sep >= scale * SEPARATION_TARGET
+        if best is None or sep > best[3]:
+            best = [X, W, anchors, sep, ok]
+        if ok:
             break
-    return best
-
-
-def stack_query_blocks(X, witnesses, ys):
-    """(start, block, Q) per block of TABULATE_BLOCK labelings of ys, with
-    Q = X W_y^T for each labeling y of the block, stacked."""
-    m, n = X.shape[0], witnesses.shape[1]
-    for start in range(0, len(ys), TABULATE_BLOCK):
-        block = ys[start : start + TABULATE_BLOCK]
-        Q = np.empty((len(block) * m, n))
-        for k, y in enumerate(block):
-            Q[k * m : (k + 1) * m] = X @ witnesses[int(y)].T
-        yield start, block, Q
+    return (*best, attempt + 1)
 
 
 def stack_zero_init_parts(d, m, n, seed, scale, max_resamples=20):
     """What a zero-init instance reads off the stacked family: the points,
-    the scaled stack, its anchors, query rows and ball norms, the largest
-    unscaled Frobenius norm and the separation fields."""
-    X, W, sep, ok, used = stack_separated_family(d, m, n, seed, max_resamples)
-    w_max = math.sqrt(float(np.einsum("snd,snd->s", W, W).max()))
-    W *= scale
-    anchors = np.einsum("snd,md->smn", W, X).reshape(-1, n)
-    queries = np.concatenate([Q for _, _, Q in
-                              stack_query_blocks(X, W, np.arange(1 << m))])
+    the scaled stack, its anchors and ball norms, and the separation
+    fields."""
+    X, W, anchors, sep, ok, draws = stack_separated_family(d, m, n, seed, scale,
+                                                           max_resamples)
     norms = np.array([np.linalg.norm(W[y] - np.zeros((n, d)))
                       for y in range(1 << m)])
-    return dict(points=X, witnesses=W, anchors=anchors, queries=queries,
-                norms=norms, w_max=w_max, separation=sep, separation_ok=ok,
-                resamples_used=used)
+    return dict(points=X, witnesses=W, anchors=anchors, norms=norms,
+                separation=sep, separation_ok=ok, resamples_used=draws)
 
 
 def stacked_empirical_lipschitz(f, sampler, metric, pairs, seed):

@@ -212,12 +212,22 @@ def _uc_gap_rows(manifest, out, sample_size):
     return code, (out / "results.csv").read_text().splitlines()[1:]
 
 
-def test_uc_gap_zero_init_passes_within_verify_rounding(zero_init_m10, tmp_path):
-    # seed 1 draws 5 distinct points of 10, and the interpolant's values
-    # put the gap one ulp under eps: verify's SLACK_TOL admits that
+def test_uc_gap_zero_init_gap_is_exactly_eps(zero_init_m10, tmp_path):
+    # seed 1 draws 5 distinct points of 10; each query is its own anchor,
+    # so the interpolant's values, and the gap, are exactly +-eps
     code, rows = _uc_gap_rows(zero_init_m10, tmp_path / "g", 5)
     assert code == 0
-    assert "10,1,5,0.24999999999999997,true" in rows
+    assert "10,1,5,0.25,true" in rows
+    assert all(r.endswith(",true") for r in rows)
+
+
+def test_uc_gap_zero_init_passes_within_verify_rounding(zero_init_m10, tmp_path,
+                                                        monkeypatch):
+    # a zero-init row that falls back to eval can round: verify's SLACK_TOL
+    # admits a gap 1e-15 under eps
+    _shifted_gaps(monkeypatch, lambda eps: eps - 1e-15)
+    code, rows = _uc_gap_rows(zero_init_m10, tmp_path / "g", 5)
+    assert code == 0
     assert all(r.endswith(",true") for r in rows)
 
 

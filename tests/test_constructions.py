@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from caplab import _kernels
 from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
-from caplab.lipschitz import AnchoredLipschitz, budget, min_feasible_slope
+from caplab.lipschitz import AnchoredLipschitz, budget, gram_error, min_feasible_slope
 from oracles import (dense_loss_subgrad, max_affine_pieces, max_metric_min_form,
                      min_form_anchors, q_loop_table, stack_zero_init_parts)
 
@@ -92,7 +93,7 @@ def test_separated_family_draw_is_the_one_shot_draw():
 
 def test_separated_family_m1():
     fam = cn.random_separated_family(25, 1, 64, seed=0)
-    assert fam.norms.shape == (2,) and fam.queries.shape == fam.anchors.shape == (2, 64)
+    assert fam.norms.shape == (2,) and fam.anchors.shape == (2, 64)
     assert fam.separation > 0
 
 
@@ -117,14 +118,14 @@ def _first_and_last_of_each_block(draw):
 
 @pytest.mark.parametrize("case", _FAMILY_CASES, ids=str)
 def test_block_built_family_bit_equal_to_the_stack(case):
-    # every block's anchors, query rows and ball norms, and the separation
-    # fields, are the ones the whole (2^m, n, d) stack gives; a redrawn
-    # matrix is the stack's at each block's ends
+    # every block's anchors and ball norms, and the separation fields, are
+    # the ones the whole (2^m, n, d) stack gives; a redrawn matrix is the
+    # stack's at each block's ends
     d, m, n, seed, scale, tries = case
     fam = cn.random_separated_family(d, m, n, seed, max_resamples=tries, scale=scale)
     want = stack_zero_init_parts(d, m, n, seed, scale, tries)
-    for name in ("points", "anchors", "queries", "norms", "w_max", "separation",
-                 "separation_ok", "resamples_used"):
+    for name in ("points", "anchors", "norms", "separation", "separation_ok",
+                 "resamples_used"):
         assert np.asarray(getattr(fam, name)).tobytes() == \
             np.asarray(want[name]).tobytes(), name
     for y in _first_and_last_of_each_block(fam.draw):
@@ -133,18 +134,54 @@ def test_block_built_family_bit_equal_to_the_stack(case):
         assert len(fam.draw.states) == 4
     if case == _FAMILY_CASES[1]:
         assert np.isclose(want["norms"], math.sqrt(2 * d), rtol=1e-14).any()
-        assert fam.resamples_used <= 2 and not fam.separation_ok
+        assert fam.resamples_used == 2 and not fam.separation_ok
     if case == _FAMILY_CASES[2]:
         assert fam.resamples_used == 3 and fam.separation_ok
 
 
+def _exact_least_sq_distance(A):
+    """The least exact squared distance between two rows of A, a Fraction:
+    each pair whose Gram d2 lies within twice its error bound of the least
+    Gram d2 is summed exactly."""
+    N, n = A.shape
+    sq = np.einsum("ij,ij->i", A, A)
+    slack = 4.0 * gram_error(n) * float(sq.max())
+
+    def gram_blocks():
+        for a in range(0, N, 512):
+            d2 = sq[a : a + 512, None] + sq[None, :] - 2.0 * (A[a : a + 512] @ A.T)
+            d2[np.arange(N)[None, :] <= np.arange(a, a + len(d2))[:, None]] = np.inf
+            yield a, d2
+
+    least = min(float(d2.min()) for _, d2 in gram_blocks())
+    pairs = [(a + i, j) for a, d2 in gram_blocks()
+             for i, j in zip(*np.nonzero(d2 <= least + slack))]
+    assert pairs
+    return min(sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(A[i], A[j]))
+               for i, j in pairs)
+
+
+@pytest.mark.parametrize("case", _FAMILY_CASES, ids=str)
+def test_anchor_separation_is_below_the_exact_closest_anchor_distance(case):
+    d, m, n, seed, scale, tries = case
+    fam = cn.random_separated_family(d, m, n, seed, max_resamples=tries, scale=scale)
+    rho = cn._anchor_separation(fam.separation, fam.anchors)
+    assert 0.0 < rho <= fam.separation
+    assert Fraction(rho) ** 2 <= _exact_least_sq_distance(fam.anchors)
+
+
+def test_resamples_used_counts_the_draws_made():
+    # no draw of 20 reaches the target: the best (an earlier one) is kept
+    fam = cn.random_separated_family(32, 6, 6, 0)
+    assert not fam.separation_ok and fam.resamples_used == 20
+
+
 def test_zero_init_witness_for_bit_equal_to_the_stack():
-    # the instance holds the stack's anchors, query rows and ball norms, and
+    # the instance holds the stack's anchors and ball norms, and
     # witness_for redraws the stack's W_y, block after block and back
     inst = cn.zero_init_instance(4, 4, 0.25, 9, seed=2)
     want = stack_zero_init_parts(32, 9, 256, 2, 8 * 0.25 / 4)
     assert inst.witness_fn.anchors.tobytes() == want["anchors"].tobytes()
-    assert inst._queries.tobytes() == want["queries"].tobytes()
     assert cn._ball_distances(inst).tobytes() == want["norms"].tobytes()
     ys = _first_and_last_of_each_block(inst._draw)
     for y in ys + ys[::-1]:
@@ -259,16 +296,15 @@ def test_zero_init_own_anchor_table_bit_equal_at_larger_m(m, seeds):
 
 
 def test_zero_init_anchor_separation_is_below_the_anchor_distances():
-    # the bound rests on the scan of the unscaled family; the anchors'
-    # distances, each from its own difference, are at least it
+    # the bound rests on the scan of the anchors; their distances, each
+    # from its own difference, are at least it
     for m, seed in ((3, 1), (5, 2), (6, 3)):
         inst = cn.zero_init_instance(4, 4, 0.25, m, seed)
         rho = inst._anchor_separation
         A = inst.witness_fn.anchors
         least = min(np.linalg.norm(A[k + 1 :] - A[k], axis=1).min()
                     for k in range(len(A) - 1))
-        scale = 8 * 0.25 / 4
-        assert 0.99 * scale * inst.params["separation"] <= rho <= least
+        assert 0.99 * inst.params["separation"] <= rho <= least
 
 
 def _eval_rows_counted(monkeypatch):
@@ -318,21 +354,30 @@ def test_zero_init_slope_is_the_least_feasible_one_on_separated_families(shape):
 
 def test_zero_init_slope_from_separation_on_unseparated_family(monkeypatch):
     # n = 1: the family is not separated and its closest anchor pair shares
-    # a value, so the slope 2 eps / (scaled separation) is above the least
-    # feasible one; any feasible slope interpolates, so the Q loop passes
+    # a value, so the slope 2 eps / separation is above the least feasible
+    # one; any feasible slope interpolates, so the Q loop passes
     eps, L = 0.25, 4
     inst = cn.zero_init_instance(4, L, eps, 3, seed=1, n=1)
     sep = inst.params["separation"]
     assert not inst.params["separation_ok"]
     slope = inst.params["witness_slope"]
-    assert slope == inst.witness_fn.L == 2.0 * eps / (8.0 * eps / L * sep)
+    assert slope == inst.witness_fn.L == 2.0 * eps / sep
     fn = inst.witness_fn
     assert slope > min_feasible_slope(fn.anchors, fn.values, "euclidean-vector") > L
     rows = _eval_rows_counted(monkeypatch)
     rep = cn.verify_shattering(inst)
     assert rep.passed and rep.failure_count == 0
-    # no row certifies: the one block takes eval
+    # not every row certifies: the one block takes eval
     assert rows == [inst.num_labelings * inst.m]
+
+
+@pytest.mark.parametrize("m_cap", range(3, 9))
+def test_zero_init_n1_verifies_exactly(m_cap):
+    # n = 1 is never separated, and the slope 2 eps / separation reaches
+    # about 4.5e5 at m_cap 8; each query is its own anchor, so the table
+    # holds +-eps exactly
+    rep = cn.verify_shattering(cn.zero_init_instance(4, 4, 0.25, m_cap, 1, n=1))
+    assert rep.passed and rep.worst_slack == 0.0 and rep.failure_count == 0
 
 
 def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
@@ -343,8 +388,8 @@ def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
     want = q_loop_table(inst, np.arange(inst.num_labelings))
     original = AnchoredLipschitz.own_anchor_values
 
-    def refuse_one(self, X, own, separation):
-        vals, ok = original(self, X, own, separation)
+    def refuse_one(self, own, separation):
+        vals, ok = original(self, own, separation)
         if own[0] == refused * cn.TABULATE_BLOCK * m:
             return np.ones_like(vals), np.zeros_like(ok)
         assert ok.all()
@@ -357,8 +402,9 @@ def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
 
 
 def test_zero_init_holds_no_pairwise_matrices():
-    # the build holds its encoded vectors, anchors and query rows, a family
-    # block and the separation scan's blocks, and no m 2^m square matrix
+    # the build holds its anchors (and, while the witness sorts them, a copy
+    # and its squares), a family block and the separation scan's blocks,
+    # and no m 2^m square matrix
     # (the all-pairs slope held about 160 MB here)
     import tracemalloc
 

@@ -291,21 +291,13 @@ def test_anchor_values_must_be_finite():
 
 
 # ---------------------------------------------------------------------------
-# own_anchor_values: a certified row is eval's value, bit for bit; these
-# cases sit where one check alone decides
+# own_anchor_values: a certified row is eval's value, bit for bit
 
 
-def _certified_rows_are_evals(f, X, own, separation):
-    vals, ok = f.own_anchor_values(X, own, separation)
-    assert vals[ok].tobytes() == f.eval(X)[ok].tobytes()
+def _certified_rows_are_evals(f, own, separation):
+    vals, ok = f.own_anchor_values(own, separation)
+    assert vals[ok].tobytes() == f.eval(f.anchor_rows(own))[ok].tobytes()
     return vals, ok
-
-
-def _line_anchors(values, spacing):
-    """Anchors k * spacing * e_0 in R^3 with the given values."""
-    A = np.zeros((len(values), 3))
-    A[:, 0] = spacing * np.arange(len(values))
-    return lz.AnchoredLipschitz(A, values, 1.0)
 
 
 def test_own_anchor_values_certify_queries_at_their_anchors():
@@ -314,43 +306,12 @@ def test_own_anchor_values_certify_queries_at_their_anchors():
     A = f.anchors
     least = min(np.linalg.norm(A[k + 1 :] - A[k], axis=1).min() for k in range(63))
     own = rng.permutation(64)
-    X = A[own] + 1e-9 * rng.standard_normal((64, 16))
-    vals, ok = _certified_rows_are_evals(f, X, own, 0.999 * least)
-    assert ok.all()
-    assert not f.own_anchor_values(X, own, 0.0)[1].any()
+    assert f.anchor_rows(own).tobytes() == A[own].tobytes()
+    vals, ok = _certified_rows_are_evals(f, own, 0.999 * least)
+    assert ok.all() and vals.tobytes() == f.values[own].tobytes()
+    assert not f.own_anchor_values(own, 0.0)[1].any()
     zero = lz.AnchoredLipschitz(A, f.values, 0.0)
-    assert not zero.own_anchor_values(X, own, least)[1].any()
-
-
-def test_own_anchor_values_refuse_a_far_own_anchor():
-    # (i): at 1e-5 from its anchor a query's Gram d2 is above T_NEAR, so
-    # eval takes the Gram value, which here differs from the exact one
-    rng = np.random.default_rng(9)
-    f = _random_min_form(rng, np.zeros(40), L=1.0, d=8)
-    X = f.anchors + 1e-5 * rng.standard_normal((40, 8))
-    vals, ok = _certified_rows_are_evals(f, X, np.arange(40), 1.0)
-    assert not ok.any()
-    assert (vals != f.eval(X)).any()
-
-
-def test_own_anchor_values_count_the_distance_to_the_own_anchor_in_ii():
-    # one value; anchors 1.5e-6 apart and a query 0.99e-6 from its own
-    # anchor, toward the next: the next anchor is nearer, which only
-    # (separation - delta)^2 < T_NEAR shows
-    f = _line_anchors([0.0, 0.0], 1.5e-6)
-    X = np.array([[0.99e-6, 0.0, 0.0], [0.5e-6, 0.0, 0.0]])
-    vals, ok = _certified_rows_are_evals(f, X[:1], [0], 1.5e-6 * (1 - 1e-9))
-    assert not ok.any() and vals[0] != f.eval(X[:1])[0]
-
-
-def test_own_anchor_values_count_the_distance_to_the_own_anchor_in_iii():
-    # the own anchor (value 1.2e-6) 0.9e-6 away, the other value's (0.0)
-    # 1.6e-6 away: (ii) holds, and only L (separation - 2 delta) < p - p'
-    # shows that the other term is the smaller
-    f = _line_anchors([1.2e-6, 0.0], 2.5e-6)
-    X = np.array([[0.9e-6, 0.0, 0.0]])
-    vals, ok = _certified_rows_are_evals(f, X, [0], 2.5e-6 * (1 - 1e-9))
-    assert not ok.any() and vals[0] != f.eval(X)[0] == pytest.approx(1.6e-6)
+    assert not zero.own_anchor_values(own, least)[1].any()
 
 
 # ---------------------------------------------------------------------------
