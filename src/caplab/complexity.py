@@ -91,6 +91,17 @@ def _sign_bits(seed, draws, m):
         yield (raw.view(np.uint32)[:k] >> 31).reshape(count, m)
 
 
+def _cuts(n, size):
+    """Start and end of each block of n rows, size at a time, a lone last
+    row joining the block before it: numpy takes a one-row product through
+    gemv, whose sums can differ from gemm's in the last bit."""
+    s = 0
+    while s < n:
+        e = n if n - (s + size) < 2 else s + size
+        yield s, e
+        s = e
+
+
 def _witness_sups(table, draws, seed):
     """Per-draw sup over the table rows of (1/m) sigma . f.
 
@@ -99,10 +110,25 @@ def _witness_sups(table, draws, seed):
     bits read as an integer, the keys that occur are marked in a 2^m table,
     their sups written into another, and each draw reads its own.  With
     fewer draws most of them are distinct, and each takes its own product.
-    A product takes at most DRAW_CHUNK sign vectors, and fewer when that
-    many would hold over SUP_BLOCK entries."""
+    A product takes about DRAW_CHUNK sign vectors, fewer when that many
+    would hold over SUP_BLOCK entries, and one alone only when a chunk
+    holds one draw (_cuts).
+
+    On the lookup path a sign vector sigma takes no product when it has an
+    extreme row: one at its column's max wherever sigma = +1 and at its
+    column's min wherever sigma = -1 (a constant column fits either sign).
+    Its sup is that row's sum of sigma_j f_j, added in column order from
+    +0.0.  Each term sigma_j f_j is exact and at least every other row's,
+    and a sum rounded in a fixed order is monotone in each term, so that
+    sum is the max over the rows of their column-order sums, bit for bit.
+    The extreme row's entries are the column maxima and minima themselves,
+    so the sum is read off those.  numpy's gemm (OpenBLAS) adds each row
+    of the product in column order from +0.0 as well, except the table's
+    last rows past a multiple of 8, which its edge kernel adds in another
+    order; every table `rademacher` reads has 2^m rows.  The sign vectors
+    without an extreme row take the products."""
     m = table.shape[1]
-    step = max(1, min(DRAW_CHUNK, SUP_BLOCK // table.shape[0]))
+    step = max(2, min(DRAW_CHUNK, SUP_BLOCK // table.shape[0]))
 
     def sups(bits):
         # an overflow leaves a non-finite sup, which _finalize refuses
@@ -110,9 +136,9 @@ def _witness_sups(table, draws, seed):
             return (_signs(bits) @ table.T).max(axis=1) / m
 
     if (1 << m) > draws:
-        return np.concatenate([sups(bits[s : s + step])
+        return np.concatenate([sups(bits[s:e])
                                for bits in _sign_bits(seed, draws, m)
-                               for s in range(0, bits.shape[0], step)])
+                               for s, e in _cuts(bits.shape[0], step)])
     weights = np.left_shift(1, np.arange(m, dtype=np.int64))
     keys = np.empty(draws, dtype=np.int64)
     for ci, bits in enumerate(_sign_bits(seed, draws, m)):
@@ -122,8 +148,25 @@ def _witness_sups(table, draws, seed):
     seen[keys] = True
     distinct = np.flatnonzero(seen)
     lut = np.empty(1 << m)
-    for start in range(0, distinct.size, step):
-        block = distinct[start : start + step]
+    # a NaN column has no max row, so every key falls back to the products
+    hi, lo = table.max(axis=0), table.min(axis=0)
+    free = hi == lo
+    up = table == hi
+    extreme = (up | (table == lo)).all(axis=1)
+    covered = np.zeros(1 << m, dtype=bool)
+    covered[(up[extreme] & ~free) @ weights] = True
+    hit = covered[distinct & ~(free @ weights)]
+    done = distinct[hit]
+    acc = np.zeros(done.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            acc += np.where((done >> j) & 1, hi[j], -lo[j])
+        lut[done] = acc / m
+    rest = distinct[~hit]
+    if rest.size == 1:      # a lone sign vector goes in twice
+        rest = np.repeat(rest, 2)
+    for s, e in _cuts(rest.size, step):
+        block = rest[s:e]
         lut[block] = sups((block[:, None] >> np.arange(m)) & 1)
     return lut[keys]
 

@@ -18,8 +18,8 @@ LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 # zero-init holds its m 2^m anchors, which are also its queries (its
 # witnesses are drawn a block at a time and not held), and its separation
 # scan compares every pair of anchors: each unit of m costs ~4x the time and
-# ~2x the memory.  At m_cap = 12 construct and verify take 10.9-11.0 s at
-# 0.33 GB (2 cores); m_cap = 14 would need ~1.3 GB (extrapolated)
+# ~2x the memory.  At m_cap = 12 construct and verify take 11.6-11.8 s at
+# 0.23 GB (2 cores); m_cap = 14 would need ~0.9 GB (extrapolated)
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
@@ -512,12 +512,12 @@ def instance_from_manifest(obj):
 
 def _zero_init_bytes(m, n, d):
     """Bytes zero-init holds at its peak, estimated as the sum of:
-      - three arrays of the m 2^m anchors: two while a resample is drawn
-        (the best draw's are kept while the next is), and three while the
-        witness is built (the draw's, the witness's sorted copy and the
-        squares its norms take);
+      - two arrays of the m 2^m anchors: the best draw's are kept while a
+        resample is drawn, and the draw's while the witness takes its
+        sorted copy;
       - one family block of (n, d) matrices and its squares, which the
-        Frobenius norms take;
+        Frobenius norms take (the witness's squared norms, taken one
+        SQUARE_BLOCK_BYTES block of rows at a time, hold less than these);
       - the separation scan's two (rows, m 2^m) buffers and its (rows,
         rows) mask;
       - the witness's eval on a block of the table that is not certified:
@@ -527,7 +527,7 @@ def _zero_init_bytes(m, n, d):
     scan = _kernels._pair_block_rows(N)
     rows = min(anchor_block_rows(N) + 1, min(TABULATE_BLOCK, 1 << m) * m)
     gram = 3 * rows * N
-    return 8 * (3 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
+    return 8 * (2 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
 
 
 def _anchor_separation(sep, anchors):

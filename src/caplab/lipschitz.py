@@ -7,6 +7,7 @@ from .errors import InvalidInputError
 
 ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
 PROBE_BLOCK_BYTES = 1 << 22     # one (pairs, n) array of empirical_lipschitz's points
+SQUARE_BLOCK_BYTES = 1 << 20    # one (rows, n) block of the anchors' squared entries
 NEAR_DIST = 1e-6         # Gram distances below this are recomputed exactly
 
 
@@ -52,6 +53,18 @@ def _pairwise_dist(X, metric):
     if metric == "infinity":
         return np.max(np.abs(X[:, None, :] - X[None, :, :]), axis=2)
     raise InvalidInputError(f"unsupported metric {metric!r}")
+
+
+def _row_squares(A):
+    """np.sum(A * A, axis=1), one SQUARE_BLOCK_BYTES block of rows at a
+    time: the sum along the last axis reduces each row on its own, so the
+    result is bit-equal, without an A-sized temporary."""
+    out = np.empty(A.shape[0])
+    step = max(1, SQUARE_BLOCK_BYTES // (8 * max(1, A.shape[1])))
+    for s in range(0, A.shape[0], step):
+        block = A[s : s + step]
+        np.sum(block * block, axis=1, out=out[s : s + step])
+    return out
 
 
 def anchor_block_rows(N):
@@ -102,7 +115,7 @@ class AnchoredLipschitz:
         self._sorted = anchors[order]
         self._rank = np.empty_like(order)
         self._rank[order] = np.arange(order.size)
-        self._sorted_sq = np.sum(self._sorted * self._sorted, axis=1)
+        self._sorted_sq = _row_squares(self._sorted)
         self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
         self._group_values = v[self._starts]
 

@@ -6,7 +6,7 @@ import pytest
 
 from caplab import complexity as cx
 from caplab import constructions as cn
-from caplab.errors import CapacityExceededError, InvalidInputError
+from caplab.errors import CapacityExceededError, InvalidInputError, NumericalFailureError
 from oracles import empirical_cover
 
 
@@ -101,15 +101,47 @@ def test_draws_over_the_byte_budget_are_refused_before_any_draw(monkeypatch):
 
 def direct_sups(table, draws, seed):
     """One sign-matrix product per chunk of draws, each row's sup read off
-    it: the per-draw values the keyed path must reproduce bit for bit."""
+    it: the per-draw values the keyed path must reproduce bit for bit.  On
+    a table of over 1,024 rows a chunk's product is taken 256 sign vectors
+    at a time, each row's sums as in one product, to hold 32 MB and not
+    512 MB at m = 14."""
     m = table.shape[1]
+    rows = cx.DRAW_CHUNK if table.shape[0] <= 1024 else 256
     out = []
     for ci, start in enumerate(range(0, draws, cx.DRAW_CHUNK)):
         count = min(cx.DRAW_CHUNK, draws - start)
         rng = cx._chunk_rng(seed, ci)
         signs = rng.integers(0, 2, size=(count, m)).astype(np.float64) * 2.0 - 1.0
-        out.append((signs @ table.T).max(axis=1) / m)
+        for s in range(0, count, rows):
+            out.append((signs[s : s + rows] @ table.T).max(axis=1) / m)
     return np.concatenate(out)
+
+
+def keys_without_extreme_row(table, keys):
+    """The keys k among `keys` whose sign vector sigma (bit j of k is
+    sigma_j = +1) has no row f with sigma_j f_j the max over the rows in
+    every column j: the sign vectors whose sups take a product."""
+    m = table.shape[1]
+    left = []
+    for k in keys:
+        signed = table * (((int(k) >> np.arange(m)) & 1) * 2.0 - 1.0)
+        if not (signed == signed.max(axis=0)).all(axis=1).any():
+            left.append(int(k))
+    return left
+
+
+def _product_keys(monkeypatch):
+    """The keys of every sign vector that goes into a product from now on,
+    one entry per product row."""
+    keys = []
+    signs = cx._signs
+
+    def counted(bits):
+        keys.extend((bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1).tolist())
+        return signs(bits)
+
+    monkeypatch.setattr(cx, "_signs", counted)
+    return keys
 
 
 def _instance_table(m):
@@ -117,33 +149,160 @@ def _instance_table(m):
     return cn.witness_table(inst)
 
 
+def _gaussian_table(m, rows):
+    return np.random.default_rng(m).standard_normal((rows, m))
+
+
+def _two_level_table(m, seed, rows):
+    """Every sign vector's extreme row: bit j of a row picks hi_j > lo_j,
+    random floats of magnitudes 1e-3 to 1e3.  Each of the 2^m rows is
+    there, and rows - 2^m of them twice, all permuted."""
+    rng = np.random.default_rng(seed)
+    lo = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, m)
+    hi = lo + rng.random(m) * 10.0 ** rng.integers(-3, 4, m) + 1e-3
+    keys = np.concatenate([np.arange(1 << m), rng.integers(0, 1 << m, rows - (1 << m))])
+    bits = (rng.permutation(keys)[:, None] >> np.arange(m)) & 1
+    return np.where(bits == 1, hi, lo)
+
+
+def _constant_column(table, j=2):
+    table[:, j] = 0.7
+    return table
+
+
+def _one_ulp_off(m, y):
+    """The m-point instance table with row y's entry at its first set bit
+    moved one ulp toward the column's min: row y is no longer extreme."""
+    table = _instance_table(m)
+    j = int(np.flatnonzero(cn.labeling_bits(y, m))[0])
+    table[y, j] = np.nextafter(table[y, j], -np.inf)
+    return table
+
+
 _SUP_TABLES = (
-    [(f"instance m={m}", m, None) for m in range(1, cn.ENUMERATION_M_CAP + 1)]
-    + [(f"gaussian m={m}", m, 3 * m + 5) for m in list(range(1, 15)) + [40, 62, 63, 70]]
-    + [(f"gaussian m={m} 2^m rows", m, 1 << m) for m in (13, 14)]
+    [(f"instance m={m}", lambda m=m: _instance_table(m))
+     for m in range(1, cn.ENUMERATION_M_CAP + 1)]
+    + [(f"gaussian m={m}", lambda m=m: _gaussian_table(m, 3 * m + 5))
+       for m in list(range(1, 15)) + [40, 62, 63, 70]]
+    + [(f"gaussian m={m} 2^m rows", lambda m=m: _gaussian_table(m, 1 << m))
+       for m in (13, 14)]
+    # 999 sign vectors per product: 1,000 draws would leave one alone
+    + [("gaussian m=13 1049 rows", lambda: _gaussian_table(13, 1049))]
+    + [(f"two-level m={m}", lambda m=m: _two_level_table(m, 300 + m, 2 << m))
+       for m in range(1, 15)]
+    + [("two-level constant column",
+        lambda: _constant_column(_two_level_table(6, 1, 128))),
+       ("gaussian constant column", lambda: _constant_column(_gaussian_table(5, 40))),
+       ("negative zeros", lambda: np.full((5, 4), -0.0)),
+       ("instance one ulp off", lambda: _one_ulp_off(9, 300))]
 )
 
 
-@pytest.mark.parametrize("name,m,rows", _SUP_TABLES, ids=[t[0] for t in _SUP_TABLES])
-def test_keyed_sups_bit_equal_to_direct_product(name, m, rows):
-    if rows is None:
-        table = _instance_table(m)
-    else:
-        table = np.random.default_rng(m).standard_normal((rows, m))
-    # draws not a multiple of the chunk, and fewer draws than sign vectors
-    for draws, seed in ((3 * cx.DRAW_CHUNK + 17, m), (1000, 100 + m), (1, 7)):
+@pytest.mark.parametrize("name,make", _SUP_TABLES, ids=[t[0] for t in _SUP_TABLES])
+def test_keyed_sups_bit_equal_to_direct_product(name, make):
+    table = make()
+    m = table.shape[1]
+    # draws not a multiple of the chunk, fewer draws than sign vectors, and
+    # at m = 14 enough for the lookup
+    for draws, seed in ((3 * cx.DRAW_CHUNK + 17, m), (1000, 100 + m), (1, 7),
+                        (5 * cx.DRAW_CHUNK + 3, 200 + m)):
         got = cx._witness_sups(table, draws, seed)
         want = direct_sups(table, draws, seed)
         assert got.shape == (draws,)
-        assert np.array_equal(got, want), (name, draws)
+        assert got.tobytes() == want.tobytes(), (name, draws)
 
 
-def test_keyed_sups_on_zero_init_table():
+def column_order_sups(table, draws, seed):
+    """direct_sups with every row's sum taken in column order from +0.0,
+    wherever the row sits in the table."""
+    m = table.shape[1]
+    keys = np.arange(1 << m)
+    signs = ((keys[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0
+    sums = np.zeros((keys.size, table.shape[0]))
+    for j in range(m):
+        sums += signs[:, j : j + 1] * table[:, j]
+    lut = sums.max(axis=1) / m
+    out = []
+    for ci, start in enumerate(range(0, draws, cx.DRAW_CHUNK)):
+        count = min(cx.DRAW_CHUNK, draws - start)
+        bits = cx._chunk_rng(seed, ci).integers(0, 2, size=(count, m))
+        out.append(lut[bits @ (1 << np.arange(m))])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("m", [3, 6, 9, 11])
+def test_extreme_sups_are_column_order_sums_on_any_row_count(m):
+    # 2^m + 3 rows: numpy's gemm adds the table's last rows, past its last
+    # multiple of 8, in another order than the columns', so the product
+    # can differ from these sums in the last bit there (the two-level
+    # tables above have 2^(m+1) rows); the extreme row's sup is the
+    # column-order one wherever the row sits
+    table = _two_level_table(m, 400 + m, (1 << m) + 3)
+    draws = 3 * cx.DRAW_CHUNK + 17
+    got = cx._witness_sups(table, draws, m)
+    assert got.tobytes() == column_order_sups(table, draws, m).tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, cn.ENUMERATION_M_CAP + 1))
+def test_shattered_instance_tables_take_no_product(m, monkeypatch):
+    # every sign vector has its witness row, at its column's +eps where the
+    # sign is +1 and at -eps where it is -1
+    table = _instance_table(m)
+    keys = _product_keys(monkeypatch)
+    assert np.all(cx._witness_sups(table, 10**5, m) == 0.25)
+    assert keys == []
+
+
+def test_one_ulp_off_row_alone_takes_a_product(monkeypatch):
+    # row 300 sits one ulp inside its column's max: its sign vector, and no
+    # other, goes into a product (as two rows, as no product takes one)
+    table = _one_ulp_off(9, 300)
+    keys = _product_keys(monkeypatch)
+    got = cx._witness_sups(table, 20000, 3)
+    assert set(keys) == {300}
+    assert got.tobytes() == direct_sups(table, 20000, 3).tobytes()
+
+
+def test_negative_zero_table_sups_are_positive_zero():
+    # every term is -0.0 or +0.0; sums from +0.0 end at +0.0, as the
+    # product's do, and a sum from the first term would end at -0.0
+    table = np.full((5, 4), -0.0)
+    for draws in (10, 1000):
+        got = cx._witness_sups(table, draws, 1)
+        assert not np.signbit(got).any()
+        assert not np.signbit(direct_sups(table, draws, 1)).any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("draws", [10, 1000])
+def test_non_finite_tables_are_refused_without_a_warning(value, draws):
+    # at a column's max entry, in a constant column, and in a lone row
+    import warnings
+
+    two_level = _two_level_table(4, 5, 16)
+    two_level[np.argmax(two_level[:, 1]), 1] = value
+    constant = _two_level_table(4, 6, 16)
+    constant[:, 0] = value
+    constant[:, 3] = value
+    lone = np.full((1, 4), value)
+    for table in (two_level, constant, lone):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError,
+                               match="^a sign draw's sup is not finite: "
+                                     "the witness values overflow$"):
+                cx.rademacher_mc(table, draws, seed=2)
+
+
+def test_keyed_sups_on_zero_init_table(monkeypatch):
+    # the table is shattered: every sign vector has an extreme row
     inst = cn.zero_init_instance(4, 4, 0.25, 9, 1)
     table = cn.witness_table(inst)
     draws = 5 * cx.DRAW_CHUNK + 3
     want = direct_sups(table, draws, 11)
+    keys = _product_keys(monkeypatch)
     assert np.array_equal(cx._witness_sups(table, draws, 11), want)
+    assert keys == []
     est = cx.rademacher_mc(table, draws, seed=11)
     assert est.mean == float(want.mean())
     assert est.stderr == float(want.std(ddof=1) / math.sqrt(draws))
@@ -173,25 +332,21 @@ def test_sups_bit_equal_on_both_sides_of_the_lookup_switch(m, monkeypatch):
     # own product.  Both give direct_sups' values bit for bit.  No draw
     # count here leaves a one-row chunk: numpy takes a one-row product
     # through gemv, whose sums can differ from gemm's in the last bit.
+    # On the lookup path only the sign vectors without an extreme row go
+    # into products, each once (at m = 1 there are none).
     table = np.random.default_rng(200 + m).standard_normal((2 * m + 3, m))
-    rows = [0]  # sign vectors that go into a product
-    signs = cx._signs
-
-    def counted(bits):
-        rows[0] += bits.shape[0]
-        return signs(bits)
-
-    monkeypatch.setattr(cx, "_signs", counted)
+    keys = _product_keys(monkeypatch)
     for draws in ((1 << m) - 1, 1 << m, 1000, 3 * cx.DRAW_CHUNK + 17):
-        rows[0] = 0
+        keys.clear()
         got = cx._witness_sups(table, draws, m)
         want = direct_sups(table, draws, m)
         assert np.array_equal(got, want), (m, draws)
         if 1 << m <= draws:
             bits = np.concatenate(list(cx._sign_bits(m, draws, m)))
-            assert rows[0] == np.unique(bits, axis=0).shape[0], (m, draws)
+            drawn = np.unique(bits.astype(np.int64) @ (1 << np.arange(m)))
+            assert keys == keys_without_extreme_row(table, drawn), (m, draws)
         else:
-            assert rows[0] == draws, (m, draws)
+            assert len(keys) == draws, (m, draws)
 
 
 def test_linear_estimate_bit_equal_to_integers_oracle():

@@ -403,14 +403,14 @@ def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
 
 def test_zero_init_holds_no_pairwise_matrices():
     # the build holds its anchors (and, while the witness sorts them, a copy
-    # and its squares), a family block and the separation scan's blocks,
-    # and no m 2^m square matrix
+    # and one block of its squares), a family block and the separation
+    # scan's blocks, and no m 2^m square matrix
     # (the all-pairs slope held about 160 MB here)
     import tracemalloc
 
     m, n, d = 8, 256, 32
     N = m << m
-    need = 8 * (3 * N * n + 2 * cn.FAMILY_BLOCK_BYTES // 8
+    need = 8 * (2 * N * n + 2 * cn.FAMILY_BLOCK_BYTES // 8
                 + 2 * _kernels._pair_block_rows(N) * N)
     tracemalloc.start()
     try:
@@ -630,6 +630,30 @@ def test_verify_fails_on_nan():
             rep = cn.verify_shattering(bad)
             assert _same_as_dense_oracle(bad), entry
         assert not rep.ball_ok and not rep.passed, entry
+
+
+def test_verify_fails_a_w0_norm_1e_6_off_its_declaration():
+    inst = cn.nonzero_init_instance(4, 0.25)
+    bad = copy.copy(inst)
+    bad.declared_w0_norm = inst.declared_w0_norm + 1e-6
+    rep = cn.verify_shattering(bad)
+    assert not rep.w0_norm_ok and not rep.passed
+    assert rep.ball_ok and rep.failure_count == 0
+
+
+def test_verify_fails_one_slack_of_minus_1e_9(monkeypatch):
+    # the exact table, with the value at labeling 5, point 0 (label +1)
+    # 1e-9 under eps
+    inst = cn.nonzero_init_instance(4, 0.25)
+    m = inst.m
+    bits = cn.labeling_bits(np.arange(1 << m)[:, None], m)
+    table = np.where(bits == 1, 0.25, -0.25)
+    table[5, 0] = 0.25 - 1e-9
+    monkeypatch.setattr(cn, "witness_table", lambda inst: table)
+    rep = cn.verify_shattering(inst)
+    assert not rep.passed and rep.failure_count == 1
+    assert rep.failures == [(5, 0, 0.25 - 1e-9)]
+    assert rep.worst_slack == (0.25 - 1e-9) - 0.25
 
 
 @pytest.mark.parametrize("kind", ["nonzero-init", "convex"])

@@ -264,11 +264,11 @@ def test_min_pairwise_dist_buffers_sized_in_bytes():
         tracemalloc.stop()
     assert peak <= 2 * kn.PAIR_BLOCK_BYTES + 4 * X.nbytes, peak
     # zero-init's estimate counts the two blocks of its scan over m 2^m rows
-    # and their mask, beside three arrays of its anchors (two draws, or the
-    # draw, the witness's sorted copy and its squares), a family block and
-    # its squares, and eval's Gram blocks on one table block
+    # and their mask, beside two arrays of its anchors (two draws, or the
+    # draw and the witness's sorted copy), a family block and its squares,
+    # and eval's Gram blocks on one table block
     N = 12 << 12
-    rows, family = 3 * N * 256, 2 * 128 * 256 * 32
+    rows, family = 2 * N * 256, 2 * 128 * 256 * 32
     scan = 2 * kn.PAIR_MIN_ROWS * N
     gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
     assert constructions._zero_init_bytes(12, 256, 32) == \
@@ -276,7 +276,7 @@ def test_min_pairwise_dist_buffers_sized_in_bytes():
     # and no pairwise matrices at the CLI's default size, m_cap 8: 2,048
     # rows, 512 per block
     N = 8 << 8
-    rows = 3 * N * 256
+    rows = 2 * N * 256
     scan = 2 * (kn.PAIR_BLOCK_BYTES // (8 * N)) * N
     gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
     assert kn._pair_block_rows(N) == 512

@@ -290,6 +290,37 @@ def test_anchor_values_must_be_finite():
         lz.AnchoredLipschitz(np.empty((0, 2)), [], 1.0)
 
 
+def test_blocked_squared_norms_bit_equal_to_one_sum(monkeypatch):
+    # the m_cap 9 anchors, 4,608 x 256, by blocks of 4,096, 7 and 1 rows
+    # (the last block short), and n = 1
+    from caplab.constructions import zero_init_instance
+    A = zero_init_instance(4, 4, 0.25, 9, seed=1).witness_fn.anchors
+    p = np.zeros(len(A))
+    for rows in (4096, 7, 1):
+        monkeypatch.setattr(lz, "SQUARE_BLOCK_BYTES", 8 * A.shape[1] * rows)
+        got = lz.AnchoredLipschitz(A, p, 1.0)._sorted_sq
+        assert got.tobytes() == np.sum(A * A, axis=1).tobytes(), rows
+    narrow = np.random.default_rng(2).standard_normal((300, 1))
+    got = lz.AnchoredLipschitz(narrow, np.zeros(300), 1.0)._sorted_sq
+    assert got.tobytes() == np.sum(narrow * narrow, axis=1).tobytes()
+
+
+def test_witness_build_holds_its_sorted_copy_and_one_block_of_squares():
+    # 4,608 x 256 anchors (9.4 MB): squaring them at once held a second
+    # 9.4 MB array beside the sorted copy
+    import tracemalloc
+
+    A = np.random.default_rng(3).standard_normal((9 << 9, 256))
+    p = np.where(np.arange(len(A)) % 3 == 0, 0.25, -0.25)
+    tracemalloc.start()
+    try:
+        lz.AnchoredLipschitz(A, p, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= A.nbytes + lz.SQUARE_BLOCK_BYTES + 64 * len(A), peak
+
+
 # ---------------------------------------------------------------------------
 # own_anchor_values: a certified row is eval's value, bit for bit
 
