@@ -6,6 +6,17 @@ import numpy as np
 USE_NUMBA = False
 
 
+def cuts(n, size):
+    """Start and end of each block of n rows, size at a time, a lone last
+    row joining the block before it: numpy takes a one-row product through
+    gemv, whose sums can differ from gemm's in the last bit."""
+    s = 0
+    while s < n:
+        e = n if n - (s + size) < 2 else s + size
+        yield s, e
+        s = e
+
+
 # ---------------------------------------------------------------------------
 # greedy packing of a candidate stream (maximal eps-separated subset)
 #

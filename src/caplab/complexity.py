@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import cuts
 from .constructions import witness_table
 from .errors import CapacityExceededError, InvalidInputError, NumericalFailureError
 
@@ -91,17 +92,6 @@ def _sign_bits(seed, draws, m):
         yield (raw.view(np.uint32)[:k] >> 31).reshape(count, m)
 
 
-def _cuts(n, size):
-    """Start and end of each block of n rows, size at a time, a lone last
-    row joining the block before it: numpy takes a one-row product through
-    gemv, whose sums can differ from gemm's in the last bit."""
-    s = 0
-    while s < n:
-        e = n if n - (s + size) < 2 else s + size
-        yield s, e
-        s = e
-
-
 def _witness_sups(table, draws, seed):
     """Per-draw sup over the table rows of (1/m) sigma . f.
 
@@ -112,7 +102,7 @@ def _witness_sups(table, draws, seed):
     fewer draws most of them are distinct, and each takes its own product.
     A product takes about DRAW_CHUNK sign vectors, fewer when that many
     would hold over SUP_BLOCK entries, and one alone only when a chunk
-    holds one draw (_cuts).
+    holds one draw (cuts).
 
     On the lookup path a sign vector sigma takes no product when it has an
     extreme row: one at its column's max wherever sigma = +1 and at its
@@ -138,7 +128,7 @@ def _witness_sups(table, draws, seed):
     if (1 << m) > draws:
         return np.concatenate([sups(bits[s:e])
                                for bits in _sign_bits(seed, draws, m)
-                               for s, e in _cuts(bits.shape[0], step)])
+                               for s, e in cuts(bits.shape[0], step)])
     weights = np.left_shift(1, np.arange(m, dtype=np.int64))
     keys = np.empty(draws, dtype=np.int64)
     for ci, bits in enumerate(_sign_bits(seed, draws, m)):
@@ -165,7 +155,7 @@ def _witness_sups(table, draws, seed):
     rest = distinct[~hit]
     if rest.size == 1:      # a lone sign vector goes in twice
         rest = np.repeat(rest, 2)
-    for s, e in _cuts(rest.size, step):
+    for s, e in cuts(rest.size, step):
         block = rest[s:e]
         lut[block] = sups((block[:, None] >> np.arange(m)) & 1)
     return lut[keys]

@@ -314,42 +314,16 @@ def _family_block(rng, count, n, d):
 
 
 @dataclass
-class FamilyDraw:
-    """A family's scaled matrices, redrawn block by block: each block of
-    `block` matrices from the generator state saved at its start."""
-
-    states: list                # generator state at each block's start
-    block: int                  # matrices per block
-    count: int                  # matrices in all
-    n: int
-    d: int
-    scale: float
-    _last: tuple = (None, None)     # the last block redrawn: (index, matrices)
-
-    def matrix(self, s):
-        """Matrix s, scaled, as the family's draw took it."""
-        k, j = divmod(s, self.block)
-        if self._last[0] != k:
-            rng = np.random.Generator(np.random.PCG64())
-            rng.bit_generator.state = self.states[k]
-            W = _family_block(rng, min(self.block, self.count - k * self.block),
-                              self.n, self.d)
-            W *= self.scale
-            self._last = (k, W)
-        return self._last[1][j].copy()
-
-
-@dataclass
 class SeparatedFamily:
     """Unit points and, of one matrix W_s per labeling, what an instance
-    reads: the matrices themselves are not held, but can be redrawn."""
+    reads: the anchors X (scale W_s)^T and the norms |scale W_s|_F.  The
+    matrices are drawn a block at a time and let go."""
 
     points: np.ndarray          # (m, d), unit rows
     anchors: np.ndarray         # (m 2^m, n): rows s m .. s m + m - 1 are X (scale W_s)^T
     norms: np.ndarray           # (2^m,): |scale W_s|_F
     separation: float           # measured min pairwise distance of the anchors
     separation_ok: bool         # reached scale * SEPARATION_TARGET
-    draw: FamilyDraw            # redraws each scale W_s
     resamples_used: int = 0     # draws made
 
 
@@ -361,9 +335,7 @@ def _draw_family(rng, m, n, d, scale):
     X = rng.standard_normal((m, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     anchors, norms = np.empty((m << m, n)), np.empty(S)
-    states = []
     for s in range(0, S, block):
-        states.append(rng.bit_generator.state)
         W = _family_block(rng, min(block, S - s), n, d)
         W *= scale
         for k in range(len(W)):
@@ -371,12 +343,11 @@ def _draw_family(rng, m, n, d, scale):
             norms[s + k] = np.linalg.norm(W[k])
         del W       # before the next block is drawn, and before the scan
     sep = _kernels.min_pairwise_dist(anchors)
-    return SeparatedFamily(X, anchors, norms, sep, sep >= scale * SEPARATION_TARGET,
-                           FamilyDraw(states, block, S, n, d, scale))
+    return SeparatedFamily(X, anchors, norms, sep, sep >= scale * SEPARATION_TARGET)
 
 
 def random_separated_family(d, m, n, seed, max_resamples=20, scale=1.0):
-    """Sphere points plus Gaussian matrices W_s, redrawn until the m*2^m
+    """Sphere points plus Gaussian matrices W_s, drawn anew until the m*2^m
     anchors X (scale W_s)^T are pairwise at least scale * SEPARATION_TARGET
     apart (or resamples run out); the family keeps the best draw."""
     if d < 20:
@@ -406,7 +377,10 @@ def random_separated_family(d, m, n, seed, max_resamples=20, scale=1.0):
 
 @dataclass
 class ShatterInstance:
-    """Points plus one witness per labeling, all inside the reference ball."""
+    """Points plus one witness per labeling, all inside the reference ball.
+    The encoded kinds build a witness W_y on demand (witness_for); zero-init
+    keeps only what verify reads of its W_y: the queries X W_y^T and the
+    ball norms."""
 
     kind: str                   # zero-init | nonzero-init | convex
     m: int
@@ -419,10 +393,9 @@ class ShatterInstance:
     witness_fn: object          # evaluable on R^n rows
     declared_w0_norm: float
     params: dict = field(default_factory=dict)
-    # zero-init: |W_y|_F is _ball[y], and _draw redraws W_y; the queries
-    # X W_y^T are the witness's anchors y m .. y m + m - 1
+    # zero-init: |W_y|_F is _ball[y], and the queries X W_y^T are the
+    # witness's anchors y m .. y m + m - 1; W_y itself is not kept
     _ball: np.ndarray = None            # (2^m,)
-    _draw: FamilyDraw = None
     # zero-init: a lower bound on the distance between two anchors, from
     # this process's separation scan (0.0 certifies nothing); never read
     # from or written to a record
@@ -436,11 +409,15 @@ class ShatterInstance:
         return 1 << self.m
 
     def witness_for(self, y):
-        """Dense parameter matrix for labeling index y."""
+        """Dense parameter matrix for labeling index y, on the encoded kinds.
+        Zero-init holds its queries X W_y^T (the witness's anchors) and the
+        norms |W_y|_F, not W_y, and refuses."""
+        if self._entry_row is None:
+            raise InvalidInputError(
+                "a zero-init instance holds the queries X W_y^T (its witness's "
+                "anchors) and the ball norms, not W_y")
         if not 0 <= y < self.num_labelings:
             raise InvalidInputError(f"labeling index {y} out of range")
-        if self._entry_row is None:
-            return self._draw.matrix(y)
         W = self.W0.copy()
         W[self._entry_row[y], self.m] = self._entry_val[y]
         return W
@@ -606,7 +583,6 @@ def zero_init_instance(B, L, eps, m_cap, seed, n=256, max_resamples=20):
             "witness_slope": L_eff,
         },
         _ball=fam.norms,
-        _draw=fam.draw,
         _anchor_separation=_anchor_separation(fam.separation, fam.anchors),
     )
     return inst

@@ -3,6 +3,7 @@ the slope-budget formula, and empirical slope measurement."""
 
 import numpy as np
 
+from ._kernels import cuts
 from .errors import InvalidInputError
 
 ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
@@ -155,9 +156,7 @@ class AnchoredLipschitz:
         near = np.empty((size, N), dtype=bool)
         reduce = np.maximum if self.L == 0 else np.minimum
         out = np.empty(n)
-        s = 0
-        while s < n:
-            e = n if n - (s + rows) < 2 else s + rows
+        for s, e in cuts(n, rows):
             Q = X[s:e]
             d2, g = D2[: e - s], G[: e - s]
             np.matmul(2.0 * Q, A.T, out=g)
@@ -170,7 +169,6 @@ class AnchoredLipschitz:
                 d2.reshape(-1)[idx] = np.add.reduce(diff * diff, axis=1)
             d = np.sqrt(np.maximum(reduce.reduceat(d2, starts, axis=1), 0.0))
             out[s:e] = np.min(self._group_values[None, :] + self.L * d, axis=1)
-            s = e
         return out
 
     def own_anchor_values(self, own, separation):
@@ -245,9 +243,7 @@ def empirical_lipschitz(f, sampler, metric, pairs, seed):
     size = step * max(1, PROBE_BLOCK_BYTES // (8 * u.size * step))
     U, V = np.empty((2, min(pairs, size + 1), u.size))
     best = 0.0      # below every slope, which is >= +0 or NaN
-    s = 0
-    while s < pairs:
-        e = pairs if pairs - (s + size) < 2 else s + size
+    for s, e in cuts(pairs, size):
         X, Y = U[: e - s], V[: e - s]
         for k in range(e - s):
             X[k] = sampler(rng) if s + k else u
@@ -263,5 +259,4 @@ def empirical_lipschitz(f, sampler, metric, pairs, seed):
         ok = d > 0.0
         if ok.any():    # np.maximum keeps a NaN slope, as np.max does
             best = np.maximum(best, np.max(np.abs(fu[ok] - fv[ok]) / d[ok]))
-        s = e
     return float(best)

@@ -1,13 +1,14 @@
 """Reference implementations the tests hold the library to, and shared
 helpers: randomized convex piecewise-linear losses in the sampler contract
 of `learner.sgd_run`, the dense stack of iterates held on their live rows,
-the dense gather+argmax subgradient of the convex
-witness that the closed form in `EncodedMaxAffine.loss_subgrad` replaces,
-the pieces and anchors of the two encoded witnesses listed one by one, the
-Q loop that evaluates every query W_y x_i as a dense row, the zero-init
-family drawn and read as one (2^m, n, d) stack, the slope probe with every
-pair held at once, the McShane min-form in the max metric anchor by anchor,
-and the greedy empirical cover."""
+the dense gather+argmax subgradient of the convex witness that the closed
+form in `EncodedMaxAffine.loss_subgrad` replaces, the pieces and anchors of
+the two encoded witnesses listed one by one, the Q loop that evaluates
+every query W_y x_i as a dense row, the zero-init family drawn and read as
+one (2^m, n, d) stack (the only place that holds zero-init's matrices W_y:
+an instance keeps their queries X W_y^T and their norms), the slope probe
+with every pair held at once, the McShane min-form in the max metric anchor
+by anchor, and the greedy empirical cover."""
 
 import math
 
@@ -113,10 +114,13 @@ def dense_loss_subgrad(fn, W, x):
 def q_loop_table(inst, ys):
     """witness_values by the Q loop: per block of TABULATE_BLOCK labelings,
     Q = X W_y^T for each labeling y of the block, stacked, and the
-    witness's eval on all of Q.  Each distinct W_y is built once, in
-    increasing y, as zero-init redraws its witnesses by blocks of y."""
+    witness's eval on all of Q.  Each distinct W_y is built once: by
+    witness_for on the encoded kinds, and read off zero_init_stack on
+    zero-init."""
     m, X = inst.m, inst.points
-    rows = {y: X @ inst.witness_for(y).T for y in sorted(set(map(int, ys)))}
+    witness = (zero_init_stack(inst)["witnesses"].__getitem__
+               if inst.kind == "zero-init" else inst.witness_for)
+    rows = {y: X @ witness(y).T for y in set(map(int, ys))}
     table = np.empty((len(ys), m))
     for start in range(0, len(ys), TABULATE_BLOCK):
         block = ys[start : start + TABULATE_BLOCK]
@@ -167,6 +171,15 @@ def stack_zero_init_parts(d, m, n, seed, scale, max_resamples=20):
                       for y in range(1 << m)])
     return dict(points=X, witnesses=W, anchors=anchors, norms=norms,
                 separation=sep, separation_ok=ok, resamples_used=draws)
+
+
+def zero_init_stack(inst):
+    """stack_zero_init_parts of a zero-init instance, rebuilt from its
+    params: the family its build drew, the matrices W_y included, which
+    the instance does not keep."""
+    p = inst.params
+    return stack_zero_init_parts(inst.d, inst.m, inst.n, p["seed"],
+                                 8.0 * inst.margin / p["L"], p["max_resamples"])
 
 
 def stacked_empirical_lipschitz(f, sampler, metric, pairs, seed):

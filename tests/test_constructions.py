@@ -11,19 +11,22 @@ from caplab import constructions as cn
 from caplab.errors import CapacityExceededError, InvalidInputError
 from caplab.lipschitz import AnchoredLipschitz, budget, gram_error, min_feasible_slope
 from oracles import (dense_loss_subgrad, max_affine_pieces, max_metric_min_form,
-                     min_form_anchors, q_loop_table, stack_zero_init_parts)
+                     min_form_anchors, q_loop_table, stack_separated_family,
+                     stack_zero_init_parts, zero_init_stack)
 
 
 def brute_force_verify(inst):
     """Independent re-check: loops nested point-major, scalar witness calls.
 
     Returns the worst slack and the failing (y, i) pairs in y-major order."""
+    witness = (zero_init_stack(inst)["witnesses"].__getitem__
+               if inst.kind == "zero-init" else inst.witness_for)
     worst = math.inf
     failing = []
     for i in range(inst.m):
         x = inst.points[i]
         for y in range(inst.num_labelings):
-            W = inst.witness_for(y)
+            W = witness(y)
             val = inst.witness_fn(W @ x)
             want_pos = (y >> i) & 1
             eps = inst.margin
@@ -54,19 +57,18 @@ def anchored_min_form(fn, X):
 
 # ---------------------------------------------------------------------------
 
-def _matrices(fam):
-    """The family's matrices, each redrawn, stacked."""
-    return np.stack([fam.draw.matrix(s) for s in range(fam.draw.count)])
-
-
 def test_separated_family_properties():
     fam = cn.random_separated_family(20, 4, 256, seed=7)
     assert np.allclose(np.linalg.norm(fam.points, axis=1), 1.0)
-    W = _matrices(fam)
+    # the stack oracle's draw: the family's anchors and norms are its matrices'
+    X, W = stack_separated_family(20, 4, 256, seed=7)[:2]
+    assert X.tobytes() == fam.points.tobytes()
     fro2 = np.sum(W.reshape(16, -1) ** 2, axis=1)
     assert np.all(fro2 <= 2 * 20 + 1e-9)
-    # exhaustive pairwise oracle for the recorded separation
+    assert np.allclose(fam.norms ** 2, fro2, rtol=1e-14, atol=0)
     enc = np.einsum("snd,md->smn", W, fam.points).reshape(-1, 256)
+    assert np.allclose(fam.anchors, enc, rtol=0, atol=1e-13)
+    # exhaustive pairwise oracle for the recorded separation
     d = np.linalg.norm(enc[:, None] - enc[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert fam.separation == pytest.approx(d.min(), abs=1e-12)
@@ -75,8 +77,8 @@ def test_separated_family_properties():
 
 def test_separated_family_draw_is_the_one_shot_draw():
     # the matrices are drawn, divided and their norms taken by blocks (2
-    # blocks here), and redrawn so: the same matrices as one draw, one
-    # division and one norm call
+    # blocks here): the anchors and norms are those of the same matrices as
+    # one draw, one division and one norm call
     d, m, n, seed = 32, 8, 256, 4
     assert (1 << m) * n * d * 8 > cn.FAMILY_BLOCK_BYTES
     fam = cn.random_separated_family(d, m, n, seed)
@@ -87,8 +89,11 @@ def test_separated_family_draw_is_the_one_shot_draw():
     fro = np.linalg.norm(W.reshape(1 << m, -1), axis=1)
     over = fro > math.sqrt(2.0 * d)
     W[over] *= (math.sqrt(2.0 * d) / fro[over])[:, None, None]
-    assert fam.resamples_used == 1
-    assert fam.points.tobytes() == X.tobytes() and _matrices(fam).tobytes() == W.tobytes()
+    anchors = np.concatenate([X @ W[s].T for s in range(1 << m)])
+    norms = np.array([np.linalg.norm(W[s]) for s in range(1 << m)])
+    assert fam.resamples_used == 1 and fam.points.tobytes() == X.tobytes()
+    assert fam.anchors.tobytes() == anchors.tobytes()
+    assert fam.norms.tobytes() == norms.tobytes()
 
 
 def test_separated_family_m1():
@@ -111,16 +116,10 @@ _FAMILY_CASES = [(32, 9, 256, 1, 0.5, 20), (20, 8, 1, 0, 1.0, 2),
                  (32, 6, 8, 0, 0.5, 20), (25, 1, 64, 0, 0.5, 20)]
 
 
-def _first_and_last_of_each_block(draw):
-    return [y for s in range(0, draw.count, draw.block)
-            for y in (s, min(s + draw.block, draw.count) - 1)]
-
-
 @pytest.mark.parametrize("case", _FAMILY_CASES, ids=str)
 def test_block_built_family_bit_equal_to_the_stack(case):
     # every block's anchors and ball norms, and the separation fields, are
-    # the ones the whole (2^m, n, d) stack gives; a redrawn matrix is the
-    # stack's at each block's ends
+    # the ones the whole (2^m, n, d) stack gives
     d, m, n, seed, scale, tries = case
     fam = cn.random_separated_family(d, m, n, seed, max_resamples=tries, scale=scale)
     want = stack_zero_init_parts(d, m, n, seed, scale, tries)
@@ -128,10 +127,8 @@ def test_block_built_family_bit_equal_to_the_stack(case):
                  "resamples_used"):
         assert np.asarray(getattr(fam, name)).tobytes() == \
             np.asarray(want[name]).tobytes(), name
-    for y in _first_and_last_of_each_block(fam.draw):
-        assert fam.draw.matrix(y).tobytes() == want["witnesses"][y].tobytes(), y
     if case == _FAMILY_CASES[0]:
-        assert len(fam.draw.states) == 4
+        assert (1 << m) * n * d * 8 == 4 * cn.FAMILY_BLOCK_BYTES
     if case == _FAMILY_CASES[1]:
         assert np.isclose(want["norms"], math.sqrt(2 * d), rtol=1e-14).any()
         assert fam.resamples_used == 2 and not fam.separation_ok
@@ -176,16 +173,26 @@ def test_resamples_used_counts_the_draws_made():
     assert not fam.separation_ok and fam.resamples_used == 20
 
 
-def test_zero_init_witness_for_bit_equal_to_the_stack():
-    # the instance holds the stack's anchors and ball norms, and
-    # witness_for redraws the stack's W_y, block after block and back
+def test_zero_init_anchors_and_norms_bit_equal_to_the_stack():
+    # the instance holds the stack's anchors and ball norms
     inst = cn.zero_init_instance(4, 4, 0.25, 9, seed=2)
     want = stack_zero_init_parts(32, 9, 256, 2, 8 * 0.25 / 4)
     assert inst.witness_fn.anchors.tobytes() == want["anchors"].tobytes()
     assert cn._ball_distances(inst).tobytes() == want["norms"].tobytes()
-    ys = _first_and_last_of_each_block(inst._draw)
-    for y in ys + ys[::-1]:
-        assert inst.witness_for(y).tobytes() == want["witnesses"][y].tobytes(), y
+
+
+def test_witness_for_refused_on_zero_init_and_built_on_the_encoded_kinds():
+    zero = cn.zero_init_instance(4, 4, 0.25, 3, seed=1)
+    for y in (0, 7):
+        with pytest.raises(InvalidInputError, match="anchors"):
+            zero.witness_for(y)
+    for inst in (cn.nonzero_init_instance(3, 0.25), cn.convex_instance(3, 0.2)):
+        for y in range(inst.num_labelings):
+            W = inst.W0.copy()
+            W[inst.m + y, inst.m] = math.sqrt(2.0)
+            assert inst.witness_for(y).tobytes() == W.tobytes()
+        with pytest.raises(InvalidInputError, match="out of range"):
+            inst.witness_for(inst.num_labelings)
 
 
 def _construct_and_verify_peaks(B, L, eps, m_cap, seed, n=256):
@@ -234,8 +241,11 @@ def test_zero_init_dimensions_and_ball():
     inst = cn.zero_init_instance(4, 4, 0.25, 4, seed=3)
     assert inst.d == 32  # floor(16*16/(128*0.0625))
     assert not inst.W0.any()
+    want = zero_init_stack(inst)
+    assert cn._ball_distances(inst).tobytes() == want["norms"].tobytes()
+    assert inst.witness_fn.anchors.tobytes() == want["anchors"].tobytes()
     for y in range(inst.num_labelings):
-        assert np.linalg.norm(inst.witness_for(y)) <= inst.B + 1e-9
+        assert np.linalg.norm(want["witnesses"][y]) <= inst.B + 1e-9
 
 
 def test_zero_init_verifies():
@@ -704,7 +714,11 @@ def test_manifest_roundtrip():
         clone = cn.instance_from_manifest(inst.manifest())
         assert clone.manifest() == inst.manifest()
         assert np.array_equal(clone.points, inst.points)
-        assert np.array_equal(clone.witness_for(3), inst.witness_for(3))
+        if inst.kind == "zero-init":
+            assert np.array_equal(clone.witness_fn.anchors, inst.witness_fn.anchors)
+            assert np.array_equal(cn._ball_distances(clone), cn._ball_distances(inst))
+        else:
+            assert np.array_equal(clone.witness_for(3), inst.witness_for(3))
 
 
 # instance records as written when the encoded instances were built at

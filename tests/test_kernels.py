@@ -13,6 +13,19 @@ def rng():
     return np.random.default_rng(99)
 
 
+@pytest.mark.parametrize("size", [2, 5, 128])
+def test_cuts_leave_no_lone_row(size):
+    # blocks of `size` rows in order, the last one taking a lone last row
+    for n in (0, 1, size - 1, size, size + 1, 2 * size + 1):
+        blocks = list(kn.cuts(n, size))
+        edges = [0] + [e for _, e in blocks]
+        assert [s for s, _ in blocks] == edges[:-1] and edges[-1] == n
+        assert all(e - s == size for s, e in blocks[:-1])
+        assert all(e - s >= 2 for s, e in blocks) or n == 1
+        assert all(e - s <= size + 1 for s, e in blocks)
+    assert list(kn.cuts(2 * size + 1, size)) == [(0, size), (size, 2 * size + 1)]
+
+
 def scalar_greedy_pack(cands, eps):
     """The scalar loop: keep x iff its squared distances to the centres kept
     so far, summed coordinate-wise, are all >= eps*eps."""

@@ -186,8 +186,10 @@ def _same_bits(f, X):
 
 def _zero_init_table(m, seed):
     from caplab.constructions import zero_init_instance
+    from oracles import zero_init_stack
     inst = zero_init_instance(4, 4, 0.25, m, seed)
-    Q = np.vstack([inst.points @ inst.witness_for(y).T for y in range(1 << m)])
+    W = zero_init_stack(inst)["witnesses"]
+    Q = np.vstack([inst.points @ W[y].T for y in range(1 << m)])
     return inst.witness_fn, Q
 
 
@@ -343,6 +345,20 @@ def test_own_anchor_values_certify_queries_at_their_anchors():
     assert not f.own_anchor_values(own, 0.0)[1].any()
     zero = lz.AnchoredLipschitz(A, f.values, 0.0)
     assert not zero.own_anchor_values(own, least)[1].any()
+
+
+def test_own_anchor_values_certify_no_row_whose_gram_error_can_decide():
+    # anchors of norm ~1600 in R^256: the Gram d2 of a row to its own
+    # anchor can round to well over T_NEAR, so eval differs from p on some
+    # rows; only the Gram error term of check (i) keeps them uncertified
+    # (0.99 covers the rounding of the measured least distance)
+    rng = np.random.default_rng(0)
+    A = 100.0 * rng.standard_normal((64, 256))
+    f = lz.AnchoredLipschitz(A, np.where(np.arange(64) % 2 == 1, 1.0, -1.0), 1.0)
+    least = min(np.linalg.norm(A[k + 1 :] - A[k], axis=1).min() for k in range(63))
+    own = np.arange(64)
+    assert (f.eval(f.anchor_rows(own)) != f.values).any()
+    _certified_rows_are_evals(f, own, 0.99 * least)
 
 
 # ---------------------------------------------------------------------------
