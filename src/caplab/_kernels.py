@@ -124,18 +124,41 @@ def jacobi_orthogonalize(A, V, tol, max_sweeps):
 
 
 # ---------------------------------------------------------------------------
+# squared row norms, a block of rows at a time
+
+SQUARE_BLOCK_BYTES = 1 << 20    # one (rows, n) block of squared entries
+
+
+def row_squares(A):
+    """np.sum(A * A, axis=1), one SQUARE_BLOCK_BYTES block of rows at a
+    time: the sum along the last axis reduces each row on its own, so the
+    result is bit-equal, without an A-sized temporary."""
+    out = np.empty(A.shape[0])
+    step = max(1, SQUARE_BLOCK_BYTES // (8 * max(1, A.shape[1])))
+    for s in range(0, A.shape[0], step):
+        block = A[s : s + step]
+        np.sum(block * block, axis=1, out=out[s : s + step])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # minimum pairwise Euclidean distance, for separation measurements
 #
-# Each block of rows a:b takes the upper product X[a:b] X[a:]^T, so the
-# squared Gram distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j are formed only for
-# j >= a; the pairs j <= i are masked.  max(., 0) and the square root
-# round monotonically, so they commute with min: the scan keeps the least
-# squared distance and takes one root at the end.  A block whose minimum is
-# NaN is skipped, as min(best, nan) keeps best.
+# Each block of rows a:b takes the upper product G = 2 X[a:b] X[a:]^T, so
+# the squared Gram distances |x_i|^2 + |x_j|^2 - G_ij are formed only for
+# j >= a, one PAIR_TILE_BYTES tile of G's columns at a time; the pairs
+# j <= i are masked.  The product is taken whole per block: a product over
+# a slice of X[a:]'s rows can round differently.  max(., 0) and the square
+# root round monotonically, so they commute with min: the scan keeps the
+# least squared distance and takes one root at the end.  A block whose
+# minimum is NaN is skipped, as min(best, nan) keeps best.  At zero-init
+# m_cap 12 (49,152 rows of 256) the scan holds a 50 MB product block and
+# a 1 MB tile; a second block-sized buffer held another 50 MB.
 
-PAIR_BLOCK_BYTES = 1 << 23      # one of a block's two (rows, n) buffers
+PAIR_BLOCK_BYTES = 1 << 23      # a block's (rows, n) product
+PAIR_TILE_BYTES = 1 << 20       # a (rows, cols) tile of its squared distances
 # thinner blocks take longer in all: at n = 49,152 (zero-init m_cap 12) the
-# scan took 11.3 s in 128-row blocks, 13.3 s in 64 and 22.9 s in 21 (8 MB)
+# scan took 11.0 s in 128-row blocks, 12.4 s in 64 and 17.0 s in 21 (8 MB)
 PAIR_MIN_ROWS = 128
 
 
@@ -149,22 +172,27 @@ def min_pairwise_dist(X):
     """Minimum distance over all pairs of rows (inf for fewer than two)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    sq = np.sum(X * X, axis=1)
+    sq = row_squares(X)
     chunk = _pair_block_rows(n)
-    size = chunk * n
-    gbuf, dbuf = np.empty(size), np.empty(size)
+    width = max(1, PAIR_TILE_BYTES // (8 * chunk))
+    gbuf, tbuf = np.empty(chunk * n), np.empty(chunk * min(width, n))
     best = np.inf
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
         rows, cols = b - a, n - a
         G = gbuf[: rows * cols].reshape(rows, cols)
-        d2 = dbuf[: rows * cols].reshape(rows, cols)
         np.matmul(X[a:b], X[a:].T, out=G)
         G *= 2.0
-        np.add(sq[a:b, None], sq[None, a:], out=d2)
-        d2 -= G
-        d2[:, :rows][np.tri(rows, dtype=bool)] = np.inf
-        best = min(best, float(d2.min()))
+        low = np.inf        # NaN if any tile's is, as the whole block's min was
+        for c in range(0, cols, width):
+            e = min(c + width, cols)
+            d2 = tbuf[: rows * (e - c)].reshape(rows, e - c)
+            np.add(sq[a:b, None], sq[None, a + c : a + e], out=d2)
+            d2 -= G[:, c:e]
+            if c < rows:    # the tile cuts the diagonal block: mask j <= i
+                d2[np.tri(rows, e - c, -c, dtype=bool)] = np.inf
+            low = np.minimum(low, d2.min())
+        best = min(best, float(low))
     return float(np.sqrt(np.maximum(best, 0.0)))
 
 

@@ -284,11 +284,13 @@ def _run_rademacher(cfg):
     p = cfg.parameters
     complexity._check_draws(p["draws"])     # before the instance is rebuilt
     inst = _load_instance(p["instance"])
-    est = complexity.rademacher_mc(complexity.witness_table(inst), p["draws"],
-                                   cfg.seed)
-    write_results(cfg.output_dir, _base_manifest(cfg, inst),
+    manifest, kind = _base_manifest(cfg, inst), inst.kind
+    table = complexity.witness_table(inst)
+    del inst    # a zero-init instance's anchors are let go before the draws
+    est = complexity.rademacher_mc(table, p["draws"], cfg.seed)
+    write_results(cfg.output_dir, manifest,
                   ["id", "m", "draws", "mean", "stderr", "strategy"],
-                  [[inst.kind, est.m, est.draws, est.mean, est.stderr,
+                  [[kind, est.m, est.draws, est.mean, est.stderr,
                     "enumerate-witnesses"]])
 
 

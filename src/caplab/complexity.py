@@ -14,7 +14,7 @@ ENUMERATE_CAP = 1 << 20
 DRAW_CHUNK = 4096
 SUP_BLOCK = 1 << 20     # entries of one sign-vector-by-table-row product
 # bytes a draw holds until the estimate is taken: about 16 on the lookup
-# path (its key, then its sup and the std's temporary; peak RSS 493 MB at
+# path (its key, then its sup and the std's temporary; peak RSS 494 MB at
 # 3e7 draws, m = 4)
 BYTES_PER_DRAW = 64
 # draw counts whose estimate (draws * BYTES_PER_DRAW) exceeds this are refused

@@ -18,13 +18,14 @@ LAZY_M_CAP = 16          # implicit witnesses: only single matrices realized
 # zero-init holds its m 2^m anchors, which are also its queries (its
 # witnesses are drawn a block at a time and not held), and its separation
 # scan compares every pair of anchors: each unit of m costs ~4x the time and
-# ~2x the memory.  At m_cap = 12 construct and verify take 11.6-11.8 s at
-# 0.23 GB (2 cores); m_cap = 14 would need ~0.9 GB (extrapolated)
+# ~2x the memory.  At m_cap = 12 construct and verify take 12.0-12.5 s at
+# 0.18 GB (2 cores): one array of anchors, 0.10 GB, and one 128-row scan
+# block, 0.05 GB; m_cap = 14 would need ~0.75 GB (extrapolated)
 ZERO_INIT_M_CAP = 12
 # zero-init sizes whose estimate (_zero_init_bytes) exceeds this are refused
 ZERO_INIT_MAX_BYTES = 3 << 30
 TABULATE_BLOCK = 128     # labelings per block of a zero-init table
-FAMILY_BLOCK_BYTES = 1 << 23    # matrices whose Frobenius norms are taken at once
+FAMILY_BLOCK_BYTES = 1 << 20    # matrices whose Frobenius norms are taken at once
 DENSE_BLOCK_BYTES = 1 << 19     # one (rows, n) array of a dense min-form block
 
 SEPARATION_TARGET = 0.25   # min pairwise distance of the unscaled W_s x_i
@@ -490,13 +491,13 @@ def instance_from_manifest(obj):
 def _zero_init_bytes(m, n, d):
     """Bytes zero-init holds at its peak, estimated as the sum of:
       - two arrays of the m 2^m anchors: the best draw's are kept while a
-        resample is drawn, and the draw's while the witness takes its
-        sorted copy;
+        resample is drawn and scanned, and the witness's first eval holds
+        the array it was given beside its sorted copy (one array otherwise);
       - one family block of (n, d) matrices and its squares, which the
-        Frobenius norms take (the witness's squared norms, taken one
-        SQUARE_BLOCK_BYTES block of rows at a time, hold less than these);
-      - the separation scan's two (rows, m 2^m) buffers and its (rows,
-        rows) mask;
+        Frobenius norms take (a block of the witness's squared norms, or of
+        the scan's, holds less);
+      - the separation scan's (rows, m 2^m) product block, one
+        PAIR_TILE_BYTES tile of its squared distances and the tile's mask;
       - the witness's eval on a block of the table that is not certified:
         its two (rows, m 2^m) Gram blocks and their mask."""
     N = m << m
@@ -504,7 +505,8 @@ def _zero_init_bytes(m, n, d):
     scan = _kernels._pair_block_rows(N)
     rows = min(anchor_block_rows(N) + 1, min(TABULATE_BLOCK, 1 << m) * m)
     gram = 3 * rows * N
-    return 8 * (2 * N * n + 2 * block + 2 * scan * N + gram) + scan * scan
+    tile = _kernels.PAIR_TILE_BYTES
+    return 8 * (2 * N * n + 2 * block + scan * N + gram) + tile + tile // 8
 
 
 def _anchor_separation(sep, anchors):

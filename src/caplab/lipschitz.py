@@ -3,12 +3,11 @@ the slope-budget formula, and empirical slope measurement."""
 
 import numpy as np
 
-from ._kernels import cuts
+from ._kernels import cuts, row_squares
 from .errors import InvalidInputError
 
 ANCHOR_BLOCK_BYTES = 1 << 23    # one (rows, anchors) block of squared distances
 PROBE_BLOCK_BYTES = 1 << 22     # one (pairs, n) array of empirical_lipschitz's points
-SQUARE_BLOCK_BYTES = 1 << 20    # one (rows, n) block of the anchors' squared entries
 NEAR_DIST = 1e-6         # Gram distances below this are recomputed exactly
 
 
@@ -56,18 +55,6 @@ def _pairwise_dist(X, metric):
     raise InvalidInputError(f"unsupported metric {metric!r}")
 
 
-def _row_squares(A):
-    """np.sum(A * A, axis=1), one SQUARE_BLOCK_BYTES block of rows at a
-    time: the sum along the last axis reduces each row on its own, so the
-    result is bit-equal, without an A-sized temporary."""
-    out = np.empty(A.shape[0])
-    step = max(1, SQUARE_BLOCK_BYTES // (8 * max(1, A.shape[1])))
-    for s in range(0, A.shape[0], step):
-        block = A[s : s + step]
-        np.sum(block * block, axis=1, out=out[s : s + step])
-    return out
-
-
 def anchor_block_rows(N):
     """Rows per block of AnchoredLipschitz.eval over N anchors: as many as
     fill ANCHOR_BLOCK_BYTES, but at least 2."""
@@ -109,31 +96,44 @@ class AnchoredLipschitz:
         if L < 0:
             raise InvalidInputError("L must be nonnegative")
         self.L = float(L)
-        # the anchors are held once, sorted by value, so each value's
-        # anchors are one run; anchor k is _sorted[_rank[k]]
+        # the anchors are held once: the array given (not a copy) until
+        # eval first runs, then sorted by value in its place, so each
+        # value's anchors are one run; anchor k is _anchors[_rank[k]] once
+        # sorted.  A table that own_anchor_values certifies never sorts.
         order = np.argsort(self.values, kind="stable")
         v = self.values[order]
-        self._sorted = anchors[order]
+        self._anchors, self._order = anchors, order
         self._rank = np.empty_like(order)
         self._rank[order] = np.arange(order.size)
-        self._sorted_sq = _row_squares(self._sorted)
+        self._sorted_sq = row_squares(anchors)[order]
         self._starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
         self._group_values = v[self._starts]
+
+    def _sort(self):
+        """The anchors sorted by value, in place of the array given."""
+        if self._order is not None:
+            self._anchors = self._anchors[self._order]
+            self._order = None
+        return self._anchors
 
     @property
     def anchors(self):
         """The anchors in the order given, as a new array."""
-        return self._sorted[self._rank]
+        if self._order is None:
+            return self._anchors[self._rank]
+        return self._anchors.copy()
 
     def anchor_rows(self, own):
         """Anchors own (indices in the order given), as a new array."""
-        return self._sorted[self._rank[own]]
+        if self._order is None:
+            own = self._rank[own]
+        return self._anchors[own]
 
     @property
     def block_rows(self):
         """Rows of X per block of eval: a row's value can depend on how many
         rows its block has, as the Gram product can round differently."""
-        return anchor_block_rows(self._sorted.shape[0])
+        return anchor_block_rows(self._anchors.shape[0])
 
     def eval(self, X):
         """min over anchors of p + L sqrt(max(d2, 0)), d2 the Gram form
@@ -149,7 +149,7 @@ class AnchoredLipschitz:
         product, whose rounding differs from the matrix product's; no block
         of a multi-row X is left with one row."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        A, a_sq, starts = self._sorted, self._sorted_sq, self._starts
+        A, a_sq, starts = self._sort(), self._sorted_sq, self._starts
         n, N, rows = X.shape[0], A.shape[0], self.block_rows
         size = min(n, rows + 1)
         D2, G = np.empty((size, N)), np.empty((size, N))
@@ -194,7 +194,7 @@ class AnchoredLipschitz:
         if not self.L > 0:
             return vals, np.zeros(vals.shape, dtype=bool)
         a_sq, sq = self._sorted_sq[self._rank[own]], self._sorted_sq
-        err = gram_error(self._sorted.shape[1]) * (1.0 + BOUND_SLACK)
+        err = gram_error(self._anchors.shape[1]) * (1.0 + BOUND_SLACK)
         near = 2.0 * err * a_sq < T_NEAR
         D = separation * separation * (1.0 - BOUND_SLACK) - err * (a_sq + sq.max())
         g = self._group_values

@@ -746,6 +746,49 @@ def test_verify_and_rademacher_at_the_enumeration_cap(kind, tmp_path, monkeypatc
     assert rademacher[1] == f"{kind},{m},100000,0.25,0.0,enumerate-witnesses"
 
 
+def test_zero_init_rademacher_lets_the_instance_go_before_the_draws(tmp_path,
+                                                                   monkeypatch):
+    # m_cap 9 at 10^6 draws: the instance's 9.4 MB of anchors were held
+    # through the draws, whose keys and sups hold 16 MB more; with the table
+    # taken and the instance let go, the draws peak no higher than the
+    # rebuild, so the command peaks at its rebuild
+    import tracemalloc
+
+    a = tmp_path / "a"
+    assert run(["construct", "--kind", "zero-init", "--B", "4", "--L", "4",
+                "--eps", "0.25", "--m-cap", "9", "--seed", "1",
+                "--out", str(a)]) == 0
+    manifest = str(a / "manifest.json")
+    record = json.loads((a / "manifest.json").read_text())["instance"]
+    held, drawn = [], []
+    original = complexity.rademacher_mc
+
+    def draws(table, count, seed):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        est = original(table, count, seed)
+        drawn.append(tracemalloc.get_traced_memory()[1])
+        return est
+
+    monkeypatch.setattr(complexity, "rademacher_mc", draws)
+    tracemalloc.start()
+    try:
+        inst = constructions.instance_from_manifest(record)
+        rebuilt = tracemalloc.get_traced_memory()[1]
+        anchors = inst.witness_fn._anchors.nbytes
+        del inst
+        base = tracemalloc.get_traced_memory()[0]
+        assert run(["rademacher", "--instance", manifest, "--draws", "1000000",
+                    "--out", str(tmp_path / "r")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert anchors == (9 << 9) * 256 * 8
+    assert held[0] - base < anchors // 8, (held, base)
+    assert drawn[0] <= rebuilt, (drawn, rebuilt)
+    rows = (tmp_path / "r" / "results.csv").read_text().splitlines()
+    assert rows[1].startswith("zero-init,9,1000000,0.25,")
+
+
 @pytest.mark.parametrize("kind,m,most", [("nonzero-init", 14, 1), ("convex", 16, 0)])
 def test_uc_gap_builds_no_witness_for_its_values(kind, m, most, tmp_path, monkeypatch):
     # uc-gap reads each drawn labeling's values off its one entry as

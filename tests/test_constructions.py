@@ -76,7 +76,7 @@ def test_separated_family_properties():
 
 
 def test_separated_family_draw_is_the_one_shot_draw():
-    # the matrices are drawn, divided and their norms taken by blocks (2
+    # the matrices are drawn, divided and their norms taken by blocks (16
     # blocks here): the anchors and norms are those of the same matrices as
     # one draw, one division and one norm call
     d, m, n, seed = 32, 8, 256, 4
@@ -109,7 +109,7 @@ def test_separated_family_guards():
         cn.random_separated_family(20, 15, 64, seed=0)
 
 
-# (d, m, n, seed, scale, max_resamples): four family blocks; a matrix scaled
+# (d, m, n, seed, scale, max_resamples): 32 family blocks; a matrix scaled
 # onto the Frobenius cap (n = 1 is never separated, so both draws are made);
 # a seed whose first two draws are not separated; m = 1
 _FAMILY_CASES = [(32, 9, 256, 1, 0.5, 20), (20, 8, 1, 0, 1.0, 2),
@@ -128,7 +128,7 @@ def test_block_built_family_bit_equal_to_the_stack(case):
         assert np.asarray(getattr(fam, name)).tobytes() == \
             np.asarray(want[name]).tobytes(), name
     if case == _FAMILY_CASES[0]:
-        assert (1 << m) * n * d * 8 == 4 * cn.FAMILY_BLOCK_BYTES
+        assert (1 << m) * n * d * 8 == 32 * cn.FAMILY_BLOCK_BYTES
     if case == _FAMILY_CASES[1]:
         assert np.isclose(want["norms"], math.sqrt(2 * d), rtol=1e-14).any()
         assert fam.resamples_used == 2 and not fam.separation_ok
@@ -305,6 +305,19 @@ def test_zero_init_own_anchor_table_bit_equal_at_larger_m(m, seeds):
         _own_anchor_table_bit_equal(cn.zero_init_instance(4, 4, 0.25, m, seed), rng)
 
 
+def test_certified_zero_init_table_never_sorts_its_anchors(monkeypatch):
+    # a table certified whole reads the anchors where they were drawn: the
+    # witness never takes its sorted copy, in witness_table or verify
+    sorts = []
+    original = AnchoredLipschitz._sort
+    monkeypatch.setattr(AnchoredLipschitz, "_sort",
+                        lambda self: sorts.append(1) or original(self))
+    inst = cn.zero_init_instance(4, 4, 0.25, 9, 1)
+    cn.witness_table(inst)
+    assert cn.verify_shattering(inst).passed
+    assert not sorts and inst.witness_fn._order is not None
+
+
 def test_zero_init_anchor_separation_is_below_the_anchor_distances():
     # the bound rests on the scan of the anchors; their distances, each
     # from its own difference, are at least it
@@ -412,23 +425,25 @@ def test_zero_init_one_refused_block_alone_takes_eval(monkeypatch):
 
 
 def test_zero_init_holds_no_pairwise_matrices():
-    # the build holds its anchors (and, while the witness sorts them, a copy
-    # and one block of its squares), a family block and the separation
-    # scan's blocks, and no m 2^m square matrix
-    # (the all-pairs slope held about 160 MB here)
+    # the build holds one array of its anchors (the witness keeps the
+    # family's, unsorted), a family block and its squares, and the
+    # separation scan's product block and tile, and no m 2^m square matrix
+    # (the all-pairs slope held about 160 MB here; a second array of the
+    # anchors, 4 MB, was held while the witness sorted them)
     import tracemalloc
 
     m, n, d = 8, 256, 32
     N = m << m
-    need = 8 * (2 * N * n + 2 * cn.FAMILY_BLOCK_BYTES // 8
-                + 2 * _kernels._pair_block_rows(N) * N)
+    tile = _kernels.PAIR_TILE_BYTES + _kernels.PAIR_TILE_BYTES // 8
+    need = 8 * (N * n + 2 * cn.FAMILY_BLOCK_BYTES // 8
+                + _kernels._pair_block_rows(N) * N + 8 * N) + tile
     tracemalloc.start()
     try:
         inst = cn.zero_init_instance(4, 4, 0.25, m, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert inst.d == d and inst.n == n
+    assert inst.d == d and inst.n == n and inst.params["separation_ok"]
     assert peak <= need, (peak, need)
 
 

@@ -259,9 +259,45 @@ def test_min_pairwise_dist_bit_equal_to_masked_scan(n, chunk, monkeypatch):
     assert _same_float(got, masked_min_pairwise_dist(X, chunk=chunk))
 
 
+# (n, block rows, variant): two and three rows; blocks of 2 or 8 whose last
+# block has one row or seven; a duplicate pair across blocks (rows 1 and
+# n - 1) and one beside the diagonal (2, 3); a NaN row in the first block or
+# the last
+_TILE_CASES = [(2, 8, "plain"), (3, 8, "plain"), (3, 2, "duplicate"),
+               (15, 8, "duplicate"), (17, 8, "duplicate"), (17, 8, "plain"),
+               (17, 8, "nan-first"), (17, 8, "nan-last"), (23, 8, "nan-first")]
+
+
+@pytest.mark.parametrize("width", ["1", "rows-1", "rows+1"])
+@pytest.mark.parametrize("case", _TILE_CASES, ids=str)
+def test_tiled_scan_bit_equal_to_masked_scan(case, width, monkeypatch):
+    # tiles of 1, rows - 1 and rows + 1 columns cut the diagonal block at
+    # every offset; a tile that masks j < i (or no pair) reads some x_i
+    # against itself, near 0
+    n, chunk, variant = case
+    monkeypatch.setattr(kn, "PAIR_MIN_ROWS", 1)
+    monkeypatch.setattr(kn, "PAIR_BLOCK_BYTES", 8 * n * chunk)
+    rows = kn._pair_block_rows(n)
+    assert rows == min(n, chunk)
+    cols = {"1": 1, "rows-1": max(1, rows - 1), "rows+1": rows + 1}[width]
+    monkeypatch.setattr(kn, "PAIR_TILE_BYTES", 8 * rows * cols)
+    X = np.random.default_rng(n).standard_normal((n, 5))
+    if variant == "duplicate":
+        X[n - 1] = X[1]
+        if n > 4:
+            X[3] = X[2]
+    if variant.startswith("nan"):
+        X[2 if variant == "nan-first" else n - 1, 3] = np.nan
+    got = kn.min_pairwise_dist(X)
+    want = masked_min_pairwise_dist(X, chunk=chunk)
+    assert _same_float(got, want), (got, want)
+    assert (got == 0.0) == (variant == "duplicate")
+
+
 def test_min_pairwise_dist_buffers_sized_in_bytes():
-    # two blocks of PAIR_BLOCK_BYTES each down to PAIR_MIN_ROWS rows: 512-row
-    # blocks held 2 x 32 MB over the 8,192 rows here
+    # one (rows, n) product block of PAIR_BLOCK_BYTES down to PAIR_MIN_ROWS
+    # rows, and one PAIR_TILE_BYTES tile of squared distances with its mask:
+    # the scan held a second block-sized buffer and an X-sized temporary
     import tracemalloc
 
     X = np.random.default_rng(0).standard_normal((8192, 4))
@@ -275,26 +311,27 @@ def test_min_pairwise_dist_buffers_sized_in_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * kn.PAIR_BLOCK_BYTES + 4 * X.nbytes, peak
-    # zero-init's estimate counts the two blocks of its scan over m 2^m rows
-    # and their mask, beside two arrays of its anchors (two draws, or the
-    # draw and the witness's sorted copy), a family block and its squares,
-    # and eval's Gram blocks on one table block
+    tile = kn.PAIR_TILE_BYTES + kn.PAIR_TILE_BYTES // 8
+    assert peak <= kn.PAIR_BLOCK_BYTES + tile + kn.SQUARE_BLOCK_BYTES + 16 * len(X), peak
+    # zero-init's estimate counts the scan's product block over m 2^m rows,
+    # its tile and mask, beside two arrays of its anchors (two draws, or the
+    # array given and the witness's sorted copy), a family block and its
+    # squares, and eval's Gram blocks on one table block
     N = 12 << 12
-    rows, family = 2 * N * 256, 2 * 128 * 256 * 32
-    scan = 2 * kn.PAIR_MIN_ROWS * N
+    rows, family = 2 * N * 256, 2 * 16 * 256 * 32
+    scan = kn.PAIR_MIN_ROWS * N
     gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
     assert constructions._zero_init_bytes(12, 256, 32) == \
-        8 * (rows + family + scan + gram) + kn.PAIR_MIN_ROWS ** 2
+        8 * (rows + family + scan + gram) + tile
     # and no pairwise matrices at the CLI's default size, m_cap 8: 2,048
     # rows, 512 per block
     N = 8 << 8
     rows = 2 * N * 256
-    scan = 2 * (kn.PAIR_BLOCK_BYTES // (8 * N)) * N
+    scan = (kn.PAIR_BLOCK_BYTES // (8 * N)) * N
     gram = 3 * (lipschitz.ANCHOR_BLOCK_BYTES // (8 * N) + 1) * N
     assert kn._pair_block_rows(N) == 512
     assert constructions._zero_init_bytes(8, 256, 32) == \
-        8 * (rows + family + scan + gram) + 512 ** 2
+        8 * (rows + family + scan + gram) + tile
 
 
 def scalar_encoded_min_eval(Q, top3v, top3i, j_arr, zc_arr, vals, a, b):

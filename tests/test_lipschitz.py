@@ -295,11 +295,12 @@ def test_anchor_values_must_be_finite():
 def test_blocked_squared_norms_bit_equal_to_one_sum(monkeypatch):
     # the m_cap 9 anchors, 4,608 x 256, by blocks of 4,096, 7 and 1 rows
     # (the last block short), and n = 1
+    from caplab import _kernels as kn
     from caplab.constructions import zero_init_instance
     A = zero_init_instance(4, 4, 0.25, 9, seed=1).witness_fn.anchors
     p = np.zeros(len(A))
     for rows in (4096, 7, 1):
-        monkeypatch.setattr(lz, "SQUARE_BLOCK_BYTES", 8 * A.shape[1] * rows)
+        monkeypatch.setattr(kn, "SQUARE_BLOCK_BYTES", 8 * A.shape[1] * rows)
         got = lz.AnchoredLipschitz(A, p, 1.0)._sorted_sq
         assert got.tobytes() == np.sum(A * A, axis=1).tobytes(), rows
     narrow = np.random.default_rng(2).standard_normal((300, 1))
@@ -307,10 +308,12 @@ def test_blocked_squared_norms_bit_equal_to_one_sum(monkeypatch):
     assert got.tobytes() == np.sum(narrow * narrow, axis=1).tobytes()
 
 
-def test_witness_build_holds_its_sorted_copy_and_one_block_of_squares():
-    # 4,608 x 256 anchors (9.4 MB): squaring them at once held a second
-    # 9.4 MB array beside the sorted copy
+def test_witness_build_holds_no_anchor_sized_array():
+    # 4,608 x 256 anchors (9.4 MB): the build keeps the array given and
+    # takes its squared norms a block of rows at a time; it held a sorted
+    # copy, and before that an array of squares as well
     import tracemalloc
+    from caplab import _kernels as kn
 
     A = np.random.default_rng(3).standard_normal((9 << 9, 256))
     p = np.where(np.arange(len(A)) % 3 == 0, 0.25, -0.25)
@@ -320,7 +323,66 @@ def test_witness_build_holds_its_sorted_copy_and_one_block_of_squares():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= A.nbytes + lz.SQUARE_BLOCK_BYTES + 64 * len(A), peak
+    assert peak <= kn.SQUARE_BLOCK_BYTES + 64 * len(A), peak
+
+
+def _lazy_witness_reads(f, X, own):
+    return [f.eval(X), f.anchors, f.anchor_rows(own),
+            *f.own_anchor_values(own, 0.05)]
+
+
+def test_witness_sorted_on_first_eval_reads_the_same():
+    # the witness sorts its anchors by value on the first eval, in place of
+    # the array given; every read is the same before and after, and the
+    # same as a witness given the anchors already sorted
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((96, 8))
+    given = A.copy()
+    p = rng.integers(-2, 3, 96) * 0.25
+    X = np.vstack([A[:7] + 1e-8, rng.standard_normal((9, 8))])
+    own = rng.permutation(96)[:40]
+    order = np.argsort(p, kind="stable")
+    rank = np.argsort(order)
+    presorted = lz.AnchoredLipschitz(A[order], p[order], 3.0)
+    presorted.eval(X)
+    for L in (3.0, 0.0):
+        f = lz.AnchoredLipschitz(A, p, L)
+        assert f._anchors is A
+        before = [f.anchors, f.anchor_rows(own), *f.own_anchor_values(own, 0.05)]
+        first = _lazy_witness_reads(f, X, own)
+        assert f._anchors is not A and f._anchors.tobytes() == A[order].tobytes()
+        again = _lazy_witness_reads(f, X, own)
+        for x, y, z in zip([first[0]] + before, first, again):
+            assert x.tobytes() == y.tobytes() == z.tobytes()
+        if L:
+            pre = _lazy_witness_reads(presorted, X, rank[own])
+            assert pre[0].tobytes() == first[0].tobytes()
+            for k in (2, 3, 4):
+                assert pre[k].tobytes() == first[k].tobytes(), k
+            assert pre[1].tobytes() == first[1][order].tobytes()
+    assert A.tobytes() == given.tobytes()      # the array given is not changed
+
+
+def test_witness_holds_one_anchor_array_after_its_first_eval():
+    # 4,608 x 256 anchors (9.4 MB): once eval sorts them, the sorted copy
+    # is the one array the witness holds
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    p = np.where(np.arange(9 << 9) % 3 == 0, 0.25, -0.25)
+    X = rng.standard_normal((5, 256))
+    tracemalloc.start()
+    try:
+        A = rng.standard_normal((9 << 9, 256))
+        f = lz.AnchoredLipschitz(A, p, 4.0)
+        nbytes = A.nbytes
+        del A
+        f.eval(X)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f._order is None
+    assert nbytes <= held <= nbytes + 64 * len(p), (held, nbytes)
 
 
 # ---------------------------------------------------------------------------
